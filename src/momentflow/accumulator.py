@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -36,6 +37,7 @@ from .elements import (
     norm_payload,
     one_payload,
     pow_payload,
+    pow_records,
     zero_payload,
 )
 from .errors import (
@@ -56,6 +58,18 @@ EPS_Z_REL = 1e-12
 # A deviation this close to zero (relative to sqrt(M2)) makes negative-order
 # moments numerically meaningless: the summand has a pole at the mean.
 NEG_ORDER_POLE_REL = 1e-9
+
+# Batches of at least this many records take the whole-array (numpy) form of
+# every size-selected pass: the weight and value sums, the integer power sums,
+# the fractional batch term and the metric batch term. Smaller batches keep
+# the per-record loops, because numpy's fixed cost per call is larger than a
+# whole loop over a few records. Measured on a 2-core VM with update_integer
+# on a 2..20 ladder (median of 300 calls): at 16 records the loops were 3-13%
+# faster on scalar and complex data; at 32 the two forms were within 6% on
+# scalars and numpy led by 5-24% on complex data; at 64 numpy led by 1.5x or
+# more. vector:8 data favours numpy from 8 records, but one constant keeps a
+# single policy for all kinds.
+COLUMNAR_MIN_RECORDS = 32
 
 DEFAULT_FRACTIONAL_CUTOFF = 12
 DEFAULT_FRACTIONAL_TOL = 1e-10
@@ -151,27 +165,79 @@ def expand_fractional_targets(
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
+_FLOAT64 = np.dtype(np.float64)
+_VALUE_DTYPE = {Kind.SCALAR: _FLOAT64, Kind.COMPLEX: np.dtype(np.complex128), Kind.VECTOR: _FLOAT64}
+
+
+@dataclass(frozen=True, eq=False)
 class Batch:
-    """An appended chunk of weighted records, all of one element kind."""
+    """An appended chunk of weighted records, all of one element kind, held by column.
+
+    ``values`` is one array: shape (n,) float64 for scalars, (n,) complex128
+    for complex scalars, (n, dim) float64 for vectors. ``weights`` is an
+    (n,) float64 array. Both are frozen (made read-only) on construction;
+    ``from_values`` copies from any sequence first.
+    """
 
     kind: Kind
     dim: int | None
-    values: tuple[Payload, ...]
-    weights: tuple[float, ...]
+    values: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) == 0:
+        values, weights = self.values, self.weights
+        if not (isinstance(values, np.ndarray) and isinstance(weights, np.ndarray)):
+            raise ValidationError("a Batch holds arrays; build one from sequences with from_values")
+        if len(values) == 0:
             raise EmptyBatch("batch must contain at least one record")
-        if len(self.values) != len(self.weights):
+        want_ndim = 2 if self.kind is Kind.VECTOR else 1
+        if values.dtype != _VALUE_DTYPE[self.kind] or values.ndim != want_ndim:
+            raise KindMismatch(
+                f"{self.kind.value} batch needs {want_ndim}-D {_VALUE_DTYPE[self.kind]} "
+                f"values, got {values.ndim}-D {values.dtype}"
+            )
+        if self.kind is Kind.VECTOR and values.shape[1] != self.dim:
+            raise KindMismatch(f"vector records have {values.shape[1]} components, want {self.dim}")
+        if weights.shape != (len(values),):
             raise ValidationError("values and weights differ in length")
-        for w in self.weights:
-            if not math.isfinite(w):
-                raise ValidationError(f"weight must be finite, got {w!r}")
+        if weights.dtype != _FLOAT64:
+            raise ValidationError(f"weights must be float64, got {weights.dtype}")
+        # A small batch is checked through its per-record form, which its
+        # passes use anyway; numpy's fixed cost per call exceeds the loop.
+        if self.columnar:
+            finite = bool(np.isfinite(weights).all())
+        else:
+            finite = all(map(math.isfinite, self.records[1]))
+        if not finite:
+            bad = next(w for w in weights.tolist() if not math.isfinite(w))
+            raise ValidationError(f"weight must be finite, got {bad!r}")
+        values.flags.writeable = False
+        weights.flags.writeable = False
 
     @property
     def size(self) -> int:
         return len(self.values)
+
+    @property
+    def columnar(self) -> bool:
+        """Whether passes over this batch take their whole-array form."""
+        return len(self.values) >= COLUMNAR_MIN_RECORDS
+
+    @cached_property
+    def records(self) -> tuple[tuple[Payload, ...], tuple[float, ...]]:
+        """Per-record Python payloads and weights, for the per-record passes;
+        converted once per batch."""
+        values = tuple(self.values) if self.kind is Kind.VECTOR else tuple(self.values.tolist())
+        return values, tuple(self.weights.tolist())
+
+    def weighted_sum(self, column: np.ndarray) -> Payload:
+        """sum_i w_i * column[i] for a column shaped like ``values``, as a payload."""
+        total = self.weights @ column
+        if self.kind is Kind.SCALAR:
+            return float(total)
+        if self.kind is Kind.COMPLEX:
+            return complex(total)
+        return total
 
     @classmethod
     def from_data(cls, data: Sequence[WeightedDatum]) -> "Batch":
@@ -182,12 +248,7 @@ class Batch:
         for d in data:
             if d.x.kind is not kind or d.x.dim != dim:
                 raise KindMismatch("all records in a batch must share one kind")
-        return cls(
-            kind=kind,
-            dim=dim,
-            values=tuple(d.x.value for d in data),
-            weights=tuple(float(d.weight) for d in data),
-        )
+        return cls.from_values(kind, [d.x.value for d in data], [d.weight for d in data], dim=dim)
 
     @classmethod
     def from_values(
@@ -197,24 +258,26 @@ class Batch:
         weights: Iterable[float],
         dim: int | None = None,
     ) -> "Batch":
-        if kind is Kind.SCALAR:
-            payloads = tuple(float(v) for v in values)
-        elif kind is Kind.COMPLEX:
-            payloads = tuple(complex(v) for v in values)
-        else:
-            arrs = []
-            for v in values:
-                a = np.array(v, dtype=np.float64)
-                if dim is None:
-                    dim = a.size
-                if a.shape != (dim,):
-                    raise KindMismatch(f"vector record has shape {a.shape}, want ({dim},)")
-                a.flags.writeable = False
-                arrs.append(a)
-            payloads = tuple(arrs)
-            if dim is None:
+        """Copy a batch out of per-record values: floats, complex numbers or
+        1-D component sequences, or one array already laid out by column."""
+        if not isinstance(values, (np.ndarray, list, tuple)):
+            values = list(values)
+        if not isinstance(weights, (np.ndarray, list, tuple)):
+            weights = list(weights)
+        try:
+            arr = np.array(values, dtype=_VALUE_DTYPE[kind])
+        except ValueError:
+            raise KindMismatch(f"{kind.value} records do not share one shape") from None
+        if kind is Kind.VECTOR:
+            if arr.size == 0:
                 raise EmptyBatch("vector batch needs at least one record")
-        return cls(kind=kind, dim=dim, values=payloads, weights=tuple(float(w) for w in weights))
+            if dim is None and arr.ndim == 2:
+                dim = arr.shape[1]
+            if arr.ndim != 2 or arr.shape[1] != dim:
+                raise KindMismatch(f"vector records have shape {arr.shape[1:]}, want ({dim},)")
+        elif arr.ndim != 1:
+            raise KindMismatch(f"{kind.value} records must be single numbers")
+        return cls(kind=kind, dim=dim, values=arr, weights=np.array(weights, dtype=_FLOAT64))
 
 
 @dataclass(frozen=True)
@@ -287,7 +350,15 @@ def _guard_normalizer(z: float, scale: float) -> None:
         )
 
 
-def _weighted_value_sum(values: Sequence[Payload], weights: Sequence[float]) -> Payload:
+def _weighted_value_sum(batch: Batch) -> Payload:
+    """sum_i w_i * x_i."""
+    if batch.columnar:
+        with np.errstate(all="ignore"):
+            return batch.weighted_sum(batch.values)
+    return _weighted_value_sum_loop(*batch.records)
+
+
+def _weighted_value_sum_loop(values: Sequence[Payload], weights: Sequence[float]) -> Payload:
     acc = None
     for x, w in zip(values, weights):
         wx = w * x
@@ -295,17 +366,31 @@ def _weighted_value_sum(values: Sequence[Payload], weights: Sequence[float]) -> 
     return acc
 
 
-def _integer_power_sums(
+def _integer_power_sums(batch: Batch, center: Payload, max_order: int) -> list[Payload]:
+    """sum_i w_i * (x_i - center)**n for n = 2..max_order, by index n-2.
+
+    The whole-array pass keeps one running deviation power, one multiply per
+    element per order, so its temporaries stay O(batch): no (records x orders)
+    power matrix is ever formed.
+    """
+    if not batch.columnar:
+        return _integer_power_sums_loop(*batch.records, center, max_order)
+    sums = []
+    with np.errstate(all="ignore"):
+        d = batch.values - center
+        p = d.copy()
+        for _ in range(max_order - 1):
+            p *= d
+            sums.append(batch.weighted_sum(p))
+    return sums
+
+
+def _integer_power_sums_loop(
     values: Sequence[Payload],
     weights: Sequence[float],
     center: Payload,
     max_order: int,
 ) -> list[Payload]:
-    """sum_i w_i * (x_i - center)**n for n = 2..max_order, by index n-2.
-
-    Deviation powers are accumulated by repeated multiplication, one multiply
-    per element per order.
-    """
     sums: list = [None] * (max_order - 1)
     for x, w in zip(values, weights):
         d = x - center
@@ -317,68 +402,69 @@ def _integer_power_sums(
     return sums
 
 
-def _pole_guard(
-    kind: Kind,
-    devs: Sequence[Payload],
-    weights: Sequence[float],
-    z: float,
-) -> None:
-    """Refuse negative-order moments when any deviation sits on the pole."""
-    if kind is Kind.VECTOR:
-        m2 = None
-        for d, w in zip(devs, weights):
-            t = w * (d * d)
-            m2 = t if m2 is None else m2 + t
-        thr = NEG_ORDER_POLE_REL * np.sqrt(np.abs(m2 / z))
-        for d in devs:
-            if np.any(np.abs(d) <= thr):
-                raise DomainError(
-                    "negative-order moment requested but a deviation component "
-                    "is on (or numerically at) the pole at the mean"
-                )
-        return
-    m2 = 0.0
+def _fractional_power_sum(batch: Batch, center: Payload, order: float) -> Payload:
+    """sum_i w_i * (x_i - center)**order under pow_payload's domain rules."""
+    if not batch.columnar:
+        values, weights = batch.records
+        return _power_sum_loop(batch.kind, [x - center for x in values], weights, order)
+    with np.errstate(all="ignore"):
+        return batch.weighted_sum(pow_records(batch.kind, batch.values - center, order))
+
+
+def _power_sum_loop(
+    kind: Kind, devs: Sequence[Payload], weights: Sequence[float], order: float
+) -> Payload:
+    acc = None
     for d, w in zip(devs, weights):
-        ad = abs(d)
-        m2 += w * ad * ad
-    thr = NEG_ORDER_POLE_REL * math.sqrt(abs(m2 / z))
-    for d in devs:
-        if abs(d) <= thr:
-            raise DomainError(
-                "negative-order moment requested but a deviation is on "
-                "(or numerically at) the pole at the mean"
-            )
+        t = w * pow_payload(kind, d, order)
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def _pole_guard(batch: Batch, mean: Payload, z: float) -> None:
+    """Refuse negative-order moments when any deviation sits on the pole.
+
+    A precondition check, not a moment sum, so it takes the whole-array form
+    at every size; only from_batch calls it.
+    """
+    with np.errstate(all="ignore"):
+        ad = np.abs(batch.values - mean)
+        m2 = batch.weighted_sum(ad * ad)
+        thr = NEG_ORDER_POLE_REL * np.sqrt(np.abs(m2 / z))
+    if np.any(ad <= thr):
+        raise DomainError(
+            "negative-order moment requested but a deviation (or a vector "
+            "component of one) is on (or numerically at) the pole at the mean"
+        )
 
 
 def from_batch(batch: Batch, ladder: OrderLadder) -> MomentState:
     """Compute a full moment state from scratch over one batch.
 
     This is the reference evaluation used to validate every incremental
-    path: each ladder order is a direct weighted power sum over the data.
+    path: each ladder order is a direct weighted power sum over the data,
+    taken record by record at every batch size, so it shares no whole-array
+    kernel with the update passes it checks.
     """
-    values, weights = batch.values, batch.weights
+    values, weights = batch.records
     z = sum(weights)
     scale = max(abs(w) for w in weights)
     _guard_normalizer(z, scale)
-    mean = _weighted_value_sum(values, weights) / z
+    mean = _weighted_value_sum_loop(values, weights) / z
 
     moments: dict[float, Payload] = {}
     ints = ladder.integer_orders
     if ints:
-        sums = _integer_power_sums(values, weights, mean, ints[-1])
+        sums = _integer_power_sums_loop(values, weights, mean, ints[-1])
         for n in ints:
             moments[float(n)] = sums[n - 2] / z
     fracs = ladder.fractional_orders
     if fracs:
-        devs = [x - mean for x in values]
         if any(q < 0 for q in fracs):
-            _pole_guard(batch.kind, devs, weights, z)
+            _pole_guard(batch, mean, z)
+        devs = [x - mean for x in values]
         for q in fracs:
-            acc = None
-            for d, w in zip(devs, weights):
-                t = w * pow_payload(batch.kind, d, q)
-                acc = t if acc is None else acc + t
-            moments[q] = acc / z
+            moments[q] = _power_sum_loop(batch.kind, devs, weights, q) / z
 
     return MomentState(
         kind=batch.kind,
@@ -395,14 +481,20 @@ def update_normalizer(state: MomentState, batch: Batch) -> float:
     """New weight sum Z' = Z + sum of batch weights; touches only the batch."""
     _require_nonempty(state)
     _check_state_batch(state, batch)
-    zp = state.z + sum(batch.weights)
-    scale = max(abs(state.z), max(abs(w) for w in batch.weights))
-    _guard_normalizer(zp, scale)
+    if batch.columnar:
+        with np.errstate(all="ignore"):
+            wsum = float(batch.weights.sum())
+            wmax = float(np.abs(batch.weights).max())
+    else:
+        weights = batch.records[1]
+        wsum, wmax = sum(weights), max(abs(w) for w in weights)
+    zp = state.z + wsum
+    _guard_normalizer(zp, max(abs(state.z), wmax))
     return zp
 
 
 def _advance_mean(state: MomentState, batch: Batch, zp: float) -> Payload:
-    swx = _weighted_value_sum(batch.values, batch.weights)
+    swx = _weighted_value_sum(batch)
     return (state.z / zp) * state.mean + swx / zp
 
 
@@ -460,7 +552,7 @@ def update_integer(state: MomentState, batch: Batch) -> MomentState:
     ints = state.ladder.integer_orders
     imax = ints[-1]
     spow = _shift_powers(state.kind, state.dim, shift, imax)
-    bsums = _integer_power_sums(batch.values, batch.weights, meanp, imax)
+    bsums = _integer_power_sums(batch, meanp, imax)
     ratio = state.z / zp
 
     new_moments: dict[float, Payload] = {}
@@ -582,10 +674,7 @@ def update_fractional(
             term_norms[-1 - i] <= tol * running[-1 - i] for i in range(window)
         )
 
-    bacc = None
-    for x, w in zip(batch.values, batch.weights):
-        t = w * pow_payload(kind, x - meanp, forder)
-        bacc = t if bacc is None else bacc + t
+    bacc = _fractional_power_sum(batch, meanp, forder)
     value = (state.z / zp) * partial + bacc / zp
 
     report = ConvergenceReport(

@@ -43,7 +43,15 @@ from .metrics import (
     metric_from_moments,
     metric_update,
 )
-from .statefile import DECIMAL, HEX, load_state, save_state, state_lock
+from .statefile import (
+    DECIMAL,
+    HEX,
+    load_state,
+    loads_state,
+    read_document,
+    save_state,
+    state_lock,
+)
 
 STATE_ENV_VAR = "MF_STATE"
 
@@ -118,9 +126,10 @@ def cmd_init(args: argparse.Namespace) -> int:
     requested = parse_orders_spec(args.orders)
     ladder = OrderLadder(expand_fractional_targets(requested, args.frac_depth))
     path = _state_path(args)
-    if path.exists() and not args.force:
-        raise ValidationError(f"{path} already exists (use --force to overwrite)")
-    save_state(path, EmptyState(kind=kind, dim=dim, ladder=ladder), encoding=args.encoding)
+    with state_lock(path):
+        if path.exists() and not args.force:
+            raise ValidationError(f"{path} already exists (use --force to overwrite)")
+        save_state(path, EmptyState(kind=kind, dim=dim, ladder=ladder), encoding=args.encoding)
     print(f"initialized {format_kind(kind, dim)} state with {len(ladder)} orders at {path}")
     return 0
 
@@ -145,10 +154,12 @@ def cmd_append(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     path = _state_path(args)
-    state = load_state(path)
     if args.format == "full-doc":
-        sys.stdout.write(Path(path).read_text(encoding="ascii"))
+        text = read_document(path)
+        loads_state(text)
+        sys.stdout.write(text)
         return 0
+    state = load_state(path)
     if isinstance(state, EmptyState):
         if args.count:
             print(0)

@@ -113,6 +113,35 @@ def pow_payload(kind: Kind, value: Payload, order: float) -> Payload:
     return value ** forder
 
 
+def pow_records(kind: Kind, values: np.ndarray, order: float) -> np.ndarray:
+    """Raise every record of a column to a real power: pow_payload over a whole array.
+
+    The domain rules are pow_payload's. Complex powers take CPython's route
+    for a real exponent (modulus**order, argument*order) so they agree with
+    the per-record form to rounding.
+    """
+    forder = float(order)
+    if forder.is_integer() and forder >= 0:
+        r = np.ones_like(values)
+        for _ in range(int(forder)):
+            r = r * values
+        return r
+    if kind is Kind.COMPLEX:
+        if forder <= 0 and np.any(values == 0):
+            raise DomainError("zero complex base with a non-positive exponent")
+        mag = np.hypot(values.real, values.imag) ** forder
+        phase = np.arctan2(values.imag, values.real) * forder
+        out = np.empty_like(values)
+        out.real = mag * np.cos(phase)
+        out.imag = mag * np.sin(phase)
+        return out
+    if not np.all(values > POW_FLOOR):
+        raise DomainError(
+            f"real base or vector component not above {POW_FLOOR} under exponent {forder}"
+        )
+    return values ** forder
+
+
 def norm_payload(kind: Kind, value: Payload) -> float:
     """Euclidean norm: |x| for scalars, modulus for complex, 2-norm for vectors.
 

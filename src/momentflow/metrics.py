@@ -36,7 +36,11 @@ class CoefficientProvider(Protocol):
     ``coefficients(center, max_order)`` returns c_0..c_max of g about the
     given center (payload-valued: componentwise for vectors). ``evaluate``
     is the exact g itself, used for the appended records where no expansion
-    is needed. Must be deterministic for a given center.
+    is needed. It must work elementwise: it is called with one payload for
+    a small batch and with a batch's whole ``values`` array (shape (n,) or
+    (n, d)) for a large one, and must return an array of the same shape
+    whose entries are g of the entries. Must be deterministic for a given
+    center.
     """
 
     def coefficients(self, center: Payload, max_order: int) -> list[Payload]: ...
@@ -292,10 +296,14 @@ def metric_update(
             term_norms.append(norm_payload(kind, term))
             running.append(norm_payload(kind, acc))
 
-    batch_acc = None
-    for x, w in zip(batch.values, batch.weights):
-        t = w * spec.provider.evaluate(x)
-        batch_acc = t if batch_acc is None else batch_acc + t
+    if batch.columnar:
+        with np.errstate(all="ignore"):
+            batch_acc = batch.weighted_sum(spec.provider.evaluate(batch.values))
+    else:
+        batch_acc = None
+        for x, w in zip(*batch.records):
+            t = w * spec.provider.evaluate(x)
+            batch_acc = t if batch_acc is None else batch_acc + t
     value = (state.z / zp) * acc + batch_acc / zp
 
     converged = _tail_monitor(term_norms, running, tol) or _truncation_is_exact(

@@ -2,21 +2,24 @@
 
 The document is the only storage the accumulator needs between sessions,
 so it is treated as irreplaceable: numbers round-trip bit-exactly, a
-content digest is verified on every load, and writes are atomic
+content digest and the state's invariants are verified on every load, a
+state holding a non-finite number is never written, and writes are atomic
 (temp file + fsync + rename) so a crash can never leave a torn document.
 
 Numbers are serialized either as hex floats (the normative form; digests
 are always computed over the hex-float canonical serialization regardless
 of the on-disk mode) or as shortest round-trip decimals for human reading.
-Appends take an advisory lock per state file; reads are lock-free against
-the last committed document.
+Writers (init and append) take an advisory lock per state file; reads are
+lock-free against the last committed document.
 """
 
 from __future__ import annotations
 
+import cmath
 import fcntl
 import hashlib
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -27,7 +30,7 @@ import numpy as np
 
 from .accumulator import AnyState, EmptyState, MomentState, OrderLadder
 from .elements import Kind, Payload
-from .errors import DigestMismatch, IntegrityError, LockHeld, ValidationError
+from .errors import DigestMismatch, IntegrityError, LockHeld, NumericError, ValidationError
 
 FORMAT_VERSION = 1
 
@@ -90,6 +93,42 @@ def _document_dict(state: AnyState, mode: str) -> dict[str, Any]:
     return doc
 
 
+def _is_finite(kind: Kind, p: Payload) -> bool:
+    if kind is Kind.SCALAR:
+        return math.isfinite(p)
+    if kind is Kind.COMPLEX:
+        return cmath.isfinite(p)
+    return bool(np.isfinite(p).all())
+
+
+def _check_invariants(state: MomentState) -> None:
+    """What every committed non-empty state satisfies; a loaded one that
+    does not is damaged."""
+    if state.count < 1:
+        raise IntegrityError(f"non-empty state has count {state.count}")
+    if not math.isfinite(state.z) or state.z == 0.0:
+        raise IntegrityError(f"weight sum z must be finite and non-zero, got {state.z!r}")
+    if not _is_finite(state.kind, state.mean):
+        raise IntegrityError("state mean is not finite")
+
+
+def _require_finite(state: AnyState) -> None:
+    """Refuse to commit a state holding a non-finite number."""
+    if isinstance(state, EmptyState):
+        return
+    bad = [] if math.isfinite(state.z) else ["z"]
+    if not _is_finite(state.kind, state.mean):
+        bad.append("mean")
+    bad.extend(
+        f"M{order:g}" for order, m in state.moments.items() if not _is_finite(state.kind, m)
+    )
+    if bad:
+        raise NumericError(
+            f"refusing to save a state with non-finite {', '.join(bad)}; "
+            "the document was left as it was"
+        )
+
+
 def canonical_bytes(state: AnyState) -> bytes:
     """The digest input: hex-float document, sorted keys, fixed separators."""
     doc = _document_dict(state, HEX)
@@ -141,7 +180,9 @@ def loads_state(text: str) -> AnyState:
                 count=count,
                 moments=moments,
             )
-    except (KeyError, TypeError, IndexError) as e:
+        if isinstance(state, MomentState):
+            _check_invariants(state)
+    except (KeyError, TypeError, IndexError, ValueError, ValidationError) as e:
         raise IntegrityError(f"state document is structurally invalid: {e}") from None
 
     recorded = doc.get("content_digest")
@@ -156,6 +197,7 @@ def loads_state(text: str) -> AnyState:
 def save_state(path: str | Path, state: AnyState, encoding: str = HEX) -> None:
     """Atomically replace the document: temp file, fsync, rename."""
     path = Path(path)
+    _require_finite(state)
     text = dumps_state(state, encoding)
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent or Path(".")
@@ -174,12 +216,18 @@ def save_state(path: str | Path, state: AnyState, encoding: str = HEX) -> None:
         raise
 
 
-def load_state(path: str | Path) -> AnyState:
+def read_document(path: str | Path) -> str:
+    """The document's text, unchecked; ``loads_state`` checks it."""
     try:
-        text = Path(path).read_text(encoding="ascii")
+        return Path(path).read_text(encoding="ascii")
     except FileNotFoundError:
         raise ValidationError(f"state file not found: {path}") from None
-    return loads_state(text)
+    except UnicodeDecodeError as e:
+        raise IntegrityError(f"state document {path} is not ASCII: {e}") from None
+
+
+def load_state(path: str | Path) -> AnyState:
+    return loads_state(read_document(path))
 
 
 @contextmanager

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from momentflow import Batch, Kind
+
+# Property tests replay the same examples on every run and keep no example
+# database, so a failure is reproducible from the test name alone.
+settings.register_profile(
+    "momentflow", derandomize=True, database=None, max_examples=25, deadline=None
+)
+settings.load_profile("momentflow")
 
 
 @pytest.fixture
@@ -27,9 +35,11 @@ def random_batch(rng, kind, size, dim=None, weight_lo=0.05):
 
 
 def concat_batches(a, b):
+    # np.concatenate, never `+`: on arrays `+` adds elementwise (and
+    # broadcasts a one-record batch) instead of joining.
     return Batch(
         kind=a.kind,
         dim=a.dim,
-        values=a.values + b.values,
-        weights=a.weights + b.weights,
+        values=np.concatenate([a.values, b.values]),
+        weights=np.concatenate([a.weights, b.weights]),
     )

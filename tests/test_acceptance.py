@@ -62,8 +62,8 @@ def _draw_case(rng, kind, dim):
 
     base = draw(n)
     extra = draw(delta)
-    joined = Batch(kind=kind, dim=dim, values=base.values + extra.values,
-                   weights=base.weights + extra.weights)
+    joined = Batch(kind=kind, dim=dim, values=np.concatenate([base.values, extra.values]),
+                   weights=np.concatenate([base.weights, extra.weights]))
     return base, extra, joined
 
 

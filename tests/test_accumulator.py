@@ -27,6 +27,7 @@ from momentflow.errors import (
     KindMismatch,
     LadderMismatch,
     OrderNotInLadder,
+    ValidationError,
     ZeroNormalizer,
 )
 
@@ -154,6 +155,39 @@ def test_update_mean_vector():
     nb = Batch.from_values(Kind.VECTOR, [[4, 0]], [2], dim=2)
     zp = update_normalizer(s, nb)
     assert np.array_equal(update_mean(s, nb, zp).value, [2.5, 0.5])
+
+
+def test_batch_is_columnar_and_read_only():
+    b = Batch.from_values(Kind.VECTOR, [[1, 2], [3, 4], [5, 6]], [1, 2, 3])
+    assert b.dim == 2 and b.size == 3
+    assert b.values.shape == (3, 2) and b.values.dtype == np.float64
+    assert b.weights.shape == (3,) and b.weights.dtype == np.float64
+    with pytest.raises(ValueError):
+        b.values[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        b.weights[0] = 9.0
+    c = Batch.from_values(Kind.COMPLEX, [1, 2j], [1, 1])
+    assert c.values.dtype == np.complex128 and c.values.tolist() == [1, 2j]
+    # from_values copies: the caller's array stays writable and unshared
+    src = np.array([1.0, 2.0])
+    s = Batch.from_values(Kind.SCALAR, src, [1.0, 1.0])
+    src[0] = 7.0
+    assert s.values.tolist() == [1.0, 2.0]
+
+
+def test_batch_rejects_malformed_columns():
+    with pytest.raises(KindMismatch):
+        Batch.from_values(Kind.VECTOR, [[1, 2], [3]], [1, 1])
+    with pytest.raises(KindMismatch):
+        Batch.from_values(Kind.VECTOR, [[1, 2, 3]], [1], dim=2)
+    with pytest.raises(KindMismatch):
+        Batch.from_values(Kind.SCALAR, [[1.0], [2.0]], [1, 1])
+    with pytest.raises(ValidationError):
+        Batch.from_values(Kind.SCALAR, [1.0, 2.0], [1.0])
+    with pytest.raises(ValidationError):
+        Batch.from_values(Kind.SCALAR, [1.0, 2.0], [1.0, float("nan")])
+    with pytest.raises(ValidationError):
+        Batch(kind=Kind.SCALAR, dim=None, values=(1.0, 2.0), weights=(1.0, 1.0))
 
 
 def test_empty_batch_rejected():
@@ -379,7 +413,7 @@ def test_weighted_datum_batch_roundtrip():
     data = [WeightedDatum(scalar(1.0), 1.0), WeightedDatum(scalar(2.0), 0.5)]
     b = Batch.from_data(data)
     assert b.size == 2
-    assert b.values == (1.0, 2.0)
-    assert b.weights == (1.0, 0.5)
+    assert b.values.tolist() == [1.0, 2.0]
+    assert b.weights.tolist() == [1.0, 0.5]
     with pytest.raises(KindMismatch):
         Batch.from_data([WeightedDatum(scalar(1.0), 1.0), WeightedDatum(vector([1, 2]), 1.0)])

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from momentflow import Batch, Kind, from_batch, load_state
+from momentflow import Batch, Kind, from_batch, load_state, loads_state
+from momentflow.accumulator import COLUMNAR_MIN_RECORDS
 from momentflow.batchfile import read_batch_csv
 from momentflow.cli import main, parse_orders_spec, parse_provider_spec
 from momentflow.errors import BadLadderSpec, BadProviderSpec, BatchFormatError, EmptyBatch
@@ -60,22 +62,22 @@ def test_read_scalar_batch(tmp_path):
     p = tmp_path / "b.csv"
     write_scalar_csv(p, [(1.5, 1.0), (2.5, 0.5)])
     b = read_batch_csv(p, Kind.SCALAR)
-    assert b.values == (1.5, 2.5)
-    assert b.weights == (1.0, 0.5)
+    assert b.values.tolist() == [1.5, 2.5]
+    assert b.weights.tolist() == [1.0, 0.5]
 
 
 def test_read_complex_batch(tmp_path):
     p = tmp_path / "b.csv"
     p.write_text("re,im,weight\n1.0,2.0,1.0\n")
     b = read_batch_csv(p, Kind.COMPLEX)
-    assert b.values == (1 + 2j,)
+    assert b.values.tolist() == [1 + 2j]
 
 
 def test_read_vector_batch(tmp_path):
     p = tmp_path / "b.csv"
     write_vector_csv(p, [((1.0, 2.0, 3.0), 1.0)], dim=3)
     b = read_batch_csv(p, Kind.VECTOR, dim=3)
-    assert np.array_equal(b.values[0], [1.0, 2.0, 3.0])
+    assert b.values.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_batch_header_mismatch(tmp_path):
@@ -100,6 +102,83 @@ def test_empty_batch_file(tmp_path):
     p.write_text("x,weight\n")
     with pytest.raises(EmptyBatch):
         read_batch_csv(p, Kind.SCALAR)
+    p.write_text("x,weight\n\n\r\n")
+    with pytest.raises(EmptyBatch):
+        read_batch_csv(p, Kind.SCALAR)
+
+
+# The parse contract: every field goes through Python float(), so surrounding
+# whitespace and underscores are accepted; the csv module handles quoting and
+# CRLF; blank rows are skipped but still count toward reported line numbers.
+# Each case runs with a few rows and with a few hundred, which puts the same
+# rows on both sides of any size-dependent parsing strategy.
+
+
+@pytest.mark.parametrize("repeat", [1, 100])
+def test_csv_parse_contract_accepted_forms(tmp_path, repeat):
+    p = tmp_path / "b.csv"
+    body = ' 1.5 , 1.0\r\n\r\n"2.5","0.5"\r\n1_0,\t2 \r\n' * repeat
+    p.write_bytes(("x , weight\r\n" + body).encode())
+    b = read_batch_csv(p, Kind.SCALAR)
+    assert b.size == 3 * repeat
+    assert list(b.values) == [1.5, 2.5, 10.0] * repeat
+    assert list(b.weights) == [1.0, 0.5, 2.0] * repeat
+
+
+@pytest.mark.parametrize("repeat", [1, 100])
+def test_csv_parse_contract_complex_and_vector(tmp_path, repeat):
+    p = tmp_path / "c.csv"
+    p.write_text("re,im,weight\n" + '"1", 2 ,0.5\n\n-3e0,4_0,1\n' * repeat)
+    b = read_batch_csv(p, Kind.COMPLEX)
+    assert list(b.values) == [1 + 2j, -3 + 40j] * repeat
+    assert list(b.weights) == [0.5, 1.0] * repeat
+    p.write_text("x0,x1,weight\n" + '1,"2",3\n\n 4,5,6 \n' * repeat)
+    b = read_batch_csv(p, Kind.VECTOR, dim=2)
+    assert np.asarray(b.values).tolist() == [[1.0, 2.0], [4.0, 5.0]] * repeat
+    assert list(b.weights) == [3.0, 6.0] * repeat
+
+
+_KIND_ROWS = [
+    (Kind.SCALAR, None, "x,weight", ["0.5", "1"]),
+    (Kind.COMPLEX, None, "re,im,weight", ["0.5", "-0.25", "1"]),
+    (Kind.VECTOR, 3, "x0,x1,x2,weight", ["0.5", "1.5", "-2", "1"]),
+]
+
+
+@pytest.mark.parametrize("good_rows", [2, 150])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", " Infinity "])
+@pytest.mark.parametrize("kind,dim,header,row", _KIND_ROWS)
+def test_csv_rejects_non_finite_in_every_column(tmp_path, kind, dim, header, row, bad, good_rows):
+    p = tmp_path / "b.csv"
+    good = ",".join(row)
+    for col in range(len(row)):
+        fields = list(row)
+        fields[col] = bad
+        p.write_text("\n".join([header] + [good] * good_rows + [",".join(fields), good]) + "\n")
+        with pytest.raises(BatchFormatError, match="not finite") as exc:
+            read_batch_csv(p, kind, dim)
+        assert f"{p}:{good_rows + 2}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("good_rows", [2, 150])
+@pytest.mark.parametrize("kind,dim,header,row", _KIND_ROWS)
+def test_csv_bad_rows_name_path_and_line(tmp_path, kind, dim, header, row, good_rows):
+    p = tmp_path / "b.csv"
+    good = ",".join(row)
+    # The blank row counts toward the line number.
+    lead = [header] + [good] * good_rows + [""]
+    line = len(lead) + 1
+    for bad_row, message in (
+        (good + ",1", "columns"),
+        (",".join(row[:-1]), "columns"),
+        (",".join(["0x10"] + row[1:]), "not a decimal number"),
+        (",".join(row[:-1] + ["one"]), "not a decimal number"),
+        (",".join(row[:-1] + [""]), "not a decimal number"),
+    ):
+        p.write_text("\n".join(lead + [bad_row, good, "nan" + good]) + "\n")
+        with pytest.raises(BatchFormatError, match=message) as exc:
+            read_batch_csv(p, kind, dim)
+        assert f"{p}:{line}:" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -397,3 +476,69 @@ def test_cli_subprocess_entry(tmp_path):
         [sys.executable, "-m", "momentflow", "--version"], capture_output=True, text=True
     )
     assert r.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# commit guard, damaged documents, locking
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fresh,records",
+    [
+        (True, 2),  # first append: from_batch
+        (False, 2),  # per-record update passes
+        (False, COLUMNAR_MIN_RECORDS + 8),  # whole-array passes, numpy overflow
+    ],
+)
+def test_append_overflowing_batch_exits_3_and_keeps_document(tmp_path, capsys, fresh, records):
+    if fresh:
+        state = str(tmp_path / "s.json")
+        assert main(["init", "--state", state, "--orders", "2..4", "--kind", "scalar"]) == 0
+    else:
+        state, _ = _session(tmp_path, capsys)
+    before = open(state, "rb").read()
+    huge = tmp_path / "huge.csv"
+    write_scalar_csv(huge, [(1e308 if i % 2 else -1e308, 1.0) for i in range(records)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow must not reach stderr
+        assert main(["append", "--state", state, "--batch", str(huge)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert open(state, "rb").read() == before
+    if not fresh:
+        assert main(["query", "--state", state, "--order", "4"]) == 0
+
+
+def test_damaged_document_exits_4(tmp_path, capsys):
+    state, _ = _session(tmp_path, capsys)
+    doc = json.loads(open(state).read())
+    doc["moments"].pop()
+    open(state, "w").write(json.dumps(doc))
+    assert main(["query", "--state", state, "--count"]) == 4
+    assert main(["append", "--state", state, "--batch", str(tmp_path / "b2.csv")]) == 4
+    open(state, "wb").write(b'{"count": 3, "z": "\xff"}')
+    assert main(["query", "--state", state, "--count"]) == 4
+
+
+def test_init_force_takes_the_lock(tmp_path, capsys):
+    state, _ = _session(tmp_path, capsys)
+    before = open(state).read()
+    from momentflow.statefile import state_lock
+
+    with state_lock(state):
+        assert main(["init", "--state", state, "--orders", "2..3", "--kind", "scalar", "--force"]) == 4
+    assert open(state).read() == before
+
+
+def test_query_full_doc_prints_the_text_it_validated(tmp_path, capsys, monkeypatch):
+    state, _ = _session(tmp_path, capsys)
+    text = open(state).read()
+
+    def validate_then_replace(doc_text):
+        result = loads_state(doc_text)
+        open(state, "w").write("replaced by a concurrent writer\n")
+        return result
+
+    monkeypatch.setattr("momentflow.cli.loads_state", validate_then_replace)
+    assert main(["query", "--state", state, "--format", "full-doc"]) == 0
+    assert capsys.readouterr().out == text

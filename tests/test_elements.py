@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from momentflow import (
@@ -17,6 +18,7 @@ from momentflow import (
     vector,
     zero,
 )
+from momentflow.elements import pow_payload, pow_records
 from momentflow.errors import BadKindSpec, DomainError, KindMismatch, ValidationError
 
 
@@ -199,3 +201,29 @@ def test_parse_kind_spec():
         parse_kind_spec("vector:0")
     with pytest.raises(BadKindSpec):
         parse_kind_spec("tensor")
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 2.5, -0.5, -3.5])
+def test_pow_records_matches_pow_payload(rng, order):
+    z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    got = pow_records(Kind.COMPLEX, z, order)
+    for a, b in zip(got, z):
+        assert cmath.isclose(a, pow_payload(Kind.COMPLEX, complex(b), order), rel_tol=1e-14)
+    x = 0.1 + rng.random(16)
+    got = pow_records(Kind.SCALAR, x, order)
+    for a, b in zip(got, x):
+        assert math.isclose(a, pow_payload(Kind.SCALAR, float(b), order), rel_tol=1e-15)
+    rows = 0.1 + rng.random((4, 3))
+    got = pow_records(Kind.VECTOR, rows, order)
+    for a, b in zip(got, rows):
+        assert np.allclose(a, pow_payload(Kind.VECTOR, b, order), rtol=1e-15, atol=0)
+
+
+def test_pow_records_domain_rules():
+    assert pow_records(Kind.COMPLEX, np.array([0j, 1 + 0j]), 2.5).tolist() == [0j, 1 + 0j]
+    with pytest.raises(DomainError):
+        pow_records(Kind.COMPLEX, np.array([1 + 0j, 0j]), -0.5)
+    with pytest.raises(DomainError):
+        pow_records(Kind.SCALAR, np.array([1.0, -0.5]), 2.5)
+    with pytest.raises(DomainError):
+        pow_records(Kind.VECTOR, np.array([[1.0, 1.0], [1.0, 0.0]]), 0.5)

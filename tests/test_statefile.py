@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -18,7 +19,13 @@ from momentflow import (
     save_state,
     state_lock,
 )
-from momentflow.errors import DigestMismatch, IntegrityError, LockHeld, ValidationError
+from momentflow.errors import (
+    DigestMismatch,
+    IntegrityError,
+    LockHeld,
+    NumericError,
+    ValidationError,
+)
 
 from conftest import random_batch
 
@@ -171,3 +178,74 @@ def test_unknown_format_version(tmp_path, rng):
     doc["format_version"] = 99
     with pytest.raises(IntegrityError):
         loads_state(json.dumps(doc))
+
+
+def _drop_moment(doc):
+    doc["moments"].pop(1)
+
+
+def _unknown_kind(doc):
+    doc["element_kind"] = "quaternion"
+
+
+def _order_one_in_ladder(doc):
+    doc["orders"].append(1.0)
+    doc["moments"].append([1.0, 0.0])
+
+
+def _count_not_a_number(doc):
+    doc["count"] = "many"
+
+
+@pytest.mark.parametrize(
+    "damage", [_drop_moment, _unknown_kind, _order_one_in_ladder, _count_not_a_number]
+)
+def test_structurally_damaged_document_is_integrity_error(rng, damage):
+    state = from_batch(random_batch(rng, Kind.SCALAR, 6), OrderLadder([2, 3, 4]))
+    doc = json.loads(dumps_state(state, "decimal"))
+    damage(doc)
+    with pytest.raises(IntegrityError):
+        loads_state(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("z", 0.0), ("z", float("inf")), ("mean", float("nan")), ("count", -3)],
+)
+def test_load_checks_state_invariants(rng, field, value):
+    # The digest matches: the document is self-consistent but not a state
+    # any append could have committed.
+    state = from_batch(random_batch(rng, Kind.SCALAR, 6), OrderLadder([2, 3]))
+    text = dumps_state(dataclasses.replace(state, **{field: value}))
+    with pytest.raises(IntegrityError):
+        loads_state(text)
+
+
+@pytest.mark.parametrize("kind,dim", [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 2)])
+def test_load_checks_mean_finite_for_every_kind(rng, kind, dim):
+    state = from_batch(random_batch(rng, kind, 6, dim=dim), OrderLadder([2]))
+    bad_mean = {
+        Kind.SCALAR: float("inf"),
+        Kind.COMPLEX: complex(0.5, float("nan")),
+        Kind.VECTOR: np.array([0.5, float("-inf")]),
+    }[kind]
+    with pytest.raises(IntegrityError):
+        loads_state(dumps_state(dataclasses.replace(state, mean=bad_mean)))
+
+
+@pytest.mark.parametrize("field", ["z", "mean", "moment"])
+def test_save_refuses_non_finite_state(tmp_path, rng, field):
+    state = from_batch(random_batch(rng, Kind.COMPLEX, 6), OrderLadder([2, 3]))
+    path = tmp_path / "s.json"
+    save_state(path, state)
+    before = path.read_bytes()
+    if field == "moment":
+        bad = dataclasses.replace(state, moments={2.0: state.moments[2.0], 3.0: complex("inf")})
+    elif field == "mean":
+        bad = dataclasses.replace(state, mean=complex(float("nan"), 0.0))
+    else:
+        bad = dataclasses.replace(state, z=float("inf"))
+    with pytest.raises(NumericError):
+        save_state(path, bad)
+    assert path.read_bytes() == before
+    assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
