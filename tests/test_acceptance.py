@@ -189,23 +189,28 @@ def test_criterion_4_crossover_matches_prediction():
     )
 
 
-def _median_time(fn, repeats, warmup=3):
-    times = []
-    for i in range(repeats + warmup):
-        t0 = time.perf_counter_ns()
-        fn()
-        t1 = time.perf_counter_ns()
-        if i >= warmup:
-            times.append((t1 - t0) / 1e9)
-    times.sort()
-    return times[len(times) // 2]
+def _median_times(fns, repeats, warmup=3):
+    """Median wall time of each callable in ``fns`` over ``repeats[key]``
+    calls. Each round times one call of every callable still short of its
+    count, in turn, so a slow phase of the machine lands on all of them
+    alike instead of on whichever was being timed."""
+    times = {key: [] for key in fns}
+    for i in range(max(repeats.values()) + warmup):
+        for key, fn in fns.items():
+            if i >= repeats[key] + warmup:
+                continue
+            t0 = time.perf_counter_ns()
+            fn()
+            t1 = time.perf_counter_ns()
+            if i >= warmup:
+                times[key].append((t1 - t0) / 1e9)
+    return {key: sorted(ts)[len(ts) // 2] for key, ts in times.items()}
 
 
 def test_criterion_5_update_time_independent_of_absorbed_count():
     ladder = OrderLadder.integer_range(2, 8)
     rng = np.random.default_rng(4321)
-    update_times = {}
-    full_times = {}
+    updates, fulls, full_reps = {}, {}, {}
     for exp in (10, 13, 16):
         n = 2**exp
         values = rng.random(n).tolist()
@@ -213,9 +218,11 @@ def test_criterion_5_update_time_independent_of_absorbed_count():
         base = Batch.from_values(Kind.SCALAR, values, weights)
         state = from_batch(base, ladder)
         extra = Batch.from_values(Kind.SCALAR, [float(rng.random())], [0.5])
-        update_times[n] = _median_time(lambda: update_integer(state, extra), repeats=201)
-        reps = 31 if exp <= 13 else 7
-        full_times[n] = _median_time(lambda: from_batch(base, ladder), repeats=reps)
+        updates[n] = lambda state=state, extra=extra: update_integer(state, extra)
+        fulls[n] = lambda base=base: from_batch(base, ladder)
+        full_reps[n] = 31 if exp <= 13 else 7
+    update_times = _median_times(updates, repeats=dict.fromkeys(updates, 201))
+    full_times = _median_times(fulls, repeats=full_reps)
     update_spread = max(update_times.values()) / min(update_times.values())
     full_growth = full_times[2**16] / full_times[2**10]
     ok = update_spread < 1.5 and full_growth > 30.0

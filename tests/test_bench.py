@@ -15,8 +15,9 @@ from momentflow import (
     storage_report,
     write_records_csv,
 )
+from momentflow import bench
 from momentflow.bench import cell_rng, check_agreement, draw_dataset
-from momentflow.errors import AgreementError, ValidationError
+from momentflow.errors import AgreementError, TimingUnstable, ValidationError
 
 
 def test_scenario_validation():
@@ -65,8 +66,6 @@ def test_run_scenario_vector_kind():
 
 
 def test_run_scenario_parallel_mode():
-    from momentflow.errors import TimingUnstable
-
     for attempt in range(3):
         try:
             s = BenchScenario(
@@ -90,6 +89,38 @@ def test_csv_writer_round_trip():
     assert len(lines) == 3
     fields = lines[1].split(",")
     assert float(fields[6]) == records[0].speedup  # repr round-trips
+
+
+def _fake_timings(monkeypatch, unstable_attempts):
+    """Replace the timing loop: the first ``unstable_attempts`` calls give
+    full-path samples whose interleaved medians differ 2x, later ones agree."""
+    calls = []
+
+    def fake(scenario, delta, order, rng, ladder, dim, row, t_full, t_update):
+        calls.append(rng.random())
+        slow = 2.0 if len(calls) <= unstable_attempts else 1.0
+        t_full.extend([1e-5, slow * 1e-5] * (scenario.repeats // 2))
+        t_update.extend([1e-6] * scenario.repeats)
+
+    monkeypatch.setattr(bench, "_time_cell", fake)
+    return calls
+
+
+def test_unstable_cell_is_timed_afresh_from_its_seed(monkeypatch):
+    calls = _fake_timings(monkeypatch, unstable_attempts=bench.CELL_ATTEMPTS - 1)
+    s = BenchScenario(base_size=16, deltas=(1,), orders=(2,), repeats=10, seed=9)
+    (record,) = run_scenario(s)
+    assert len(calls) == bench.CELL_ATTEMPTS
+    assert len(set(calls)) == 1  # every attempt drew from the same seed
+    assert record.t_full_s == 1e-5
+
+
+def test_cell_unstable_on_every_attempt_is_refused(monkeypatch):
+    calls = _fake_timings(monkeypatch, unstable_attempts=bench.CELL_ATTEMPTS)
+    s = BenchScenario(base_size=16, deltas=(1,), orders=(2,), repeats=10, seed=9)
+    with pytest.raises(TimingUnstable, match="full path"):
+        run_scenario(s)
+    assert len(calls) == bench.CELL_ATTEMPTS
 
 
 def test_agreement_gate_rejects_corrupt_update():
