@@ -588,6 +588,14 @@ class ConvergenceReport:
     converged: bool
 
 
+def tail_converged(term_norms: Sequence[float], running: Sequence[float], tol: float) -> bool:
+    """The series tail monitor: each of the last three terms (fewer if the
+    series is shorter) is within ``tol`` of the running partial-sum norm
+    after it. ``term_norms[i]`` and ``running[i]`` belong to term i."""
+    window = min(3, len(term_norms))
+    return all(term_norms[-1 - i] <= tol * running[-1 - i] for i in range(window))
+
+
 def _required_chain_orders(order: float, cutoff: int) -> list[float]:
     needed = []
     is_int = _is_integer_order(order)
@@ -669,10 +677,7 @@ def update_fractional(
             partial = partial + term
             term_norms.append(norm_payload(kind, term))
             running.append(norm_payload(kind, partial))
-        window = min(3, len(term_norms))
-        converged = all(
-            term_norms[-1 - i] <= tol * running[-1 - i] for i in range(window)
-        )
+        converged = tail_converged(term_norms, running, tol)
 
     bacc = _fractional_power_sum(batch, meanp, forder)
     value = (state.z / zp) * partial + bacc / zp

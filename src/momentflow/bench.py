@@ -30,7 +30,6 @@ from __future__ import annotations
 import gc
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -311,6 +310,10 @@ def run_scenario(
     """All (delta, order) cells of one scenario, in deterministic row order."""
     cells = [(d, n) for d in scenario.deltas for n in scenario.orders]
     if parallel and parallel > 1:
+        # Imported here: concurrent.futures and multiprocessing cost every
+        # command's cold start, and only a parallel bench uses them.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             futures = [pool.submit(_run_cell, scenario, d, n) for d, n in cells]
             return [f.result() for f in futures]

@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -259,7 +260,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one shared parser, built on the first call.
+
+    Every later call returns the same object, so callers must not mutate
+    it (no add_argument, set_defaults or similar); ``parse_args`` only
+    reads it and returns a fresh Namespace each time. Each subcommand's
+    handler is bound on that first call, so rebinding a ``cmd_*`` name
+    afterwards does not change dispatch.
+    """
     parser = argparse.ArgumentParser(
         prog="momentflow",
         description="Streaming weighted central moments with O(batch) appends.",

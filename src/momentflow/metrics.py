@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .accumulator import Batch, MomentState, update_mean, update_normalizer
+from .accumulator import Batch, MomentState, tail_converged, update_mean, update_normalizer
 from .binomial import MAX_EXACT_ORDER, binomial_row
 from .elements import ElementValue, Kind, Payload, norm_payload, one_payload, zero_payload
 from .errors import LadderTooShort, ValidationError
@@ -191,11 +191,6 @@ def _implicit_moment(state: MomentState, n: int) -> Payload:
     return state.moments[float(n)]
 
 
-def _tail_monitor(term_norms: list[float], running: list[float], tol: float) -> bool:
-    window = min(3, len(term_norms))
-    return all(term_norms[-1 - i] <= tol * running[-1 - i] for i in range(window))
-
-
 def _truncation_is_exact(
     provider: CoefficientProvider, center: Payload, n_star: int, kind: Kind
 ) -> bool:
@@ -226,7 +221,7 @@ def metric_from_moments(
         term_norms.append(norm_payload(kind, term))
         running.append(norm_payload(kind, acc))
 
-    converged = _tail_monitor(term_norms, running, tol) or _truncation_is_exact(
+    converged = tail_converged(term_norms, running, tol) or _truncation_is_exact(
         spec.provider, state.mean, spec.n_star, kind
     )
     return MetricResult(
@@ -306,7 +301,7 @@ def metric_update(
             batch_acc = t if batch_acc is None else batch_acc + t
     value = (state.z / zp) * acc + batch_acc / zp
 
-    converged = _tail_monitor(term_norms, running, tol) or _truncation_is_exact(
+    converged = tail_converged(term_norms, running, tol) or _truncation_is_exact(
         spec.provider, meanp, n_star, kind
     )
     return MetricResult(
@@ -337,6 +332,12 @@ def check_coefficient_convergence(
     when their increments fall below 1e-12 * |c_0| + 1e-12; the last three
     probed increments decide the flag. Advisory only; never raises on a
     divergent tail.
+
+    This is not ``tail_converged``: that monitor compares each term with
+    the running value of the sum, whereas a coefficient tail has no sum to
+    compare with (the moments that would weight it are not read here), so
+    it is held to a threshold fixed by |c_0|. A polynomial's coefficients
+    past its degree are exactly zero and pass either rule.
     """
     if probe_depth < spec.n_star:
         raise ValidationError(

@@ -6,10 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from momentflow import Batch, Kind, from_batch, load_state, loads_state
-from momentflow.accumulator import COLUMNAR_MIN_RECORDS
+from momentflow import Batch, Kind, __version__, from_batch, load_state, loads_state
+from momentflow.accumulator import (
+    COLUMNAR_MIN_RECORDS,
+    DEFAULT_FRACTIONAL_CUTOFF,
+    DEFAULT_FRACTIONAL_TOL,
+)
 from momentflow.batchfile import read_batch_csv
-from momentflow.cli import main, parse_orders_spec, parse_provider_spec
+from momentflow.cli import build_parser, main, parse_orders_spec, parse_provider_spec
 from momentflow.errors import BadLadderSpec, BadProviderSpec, BatchFormatError, EmptyBatch
 
 
@@ -542,3 +546,88 @@ def test_query_full_doc_prints_the_text_it_validated(tmp_path, capsys, monkeypat
     monkeypatch.setattr("momentflow.cli.loads_state", validate_then_replace)
     assert main(["query", "--state", state, "--format", "full-doc"]) == 0
     assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["append", "--batch"],
+        ["metric", "--provider", "poly:0,0,1", "--n-star", "2", "--batch"],
+        ["verify", "--data"],
+    ],
+    ids=["append", "metric", "verify"],
+)
+def test_batch_file_that_is_not_utf8_exits_2(tmp_path, capsys, where, command):
+    state, _ = _session(tmp_path, capsys)
+    before = open(state, "rb").read()
+    bad = tmp_path / "bad.csv"
+    if where == "header":
+        bad.write_bytes(b"x,weig\xffht\n1.0,1.0\n")
+    else:
+        bad.write_bytes(b"x,weight\n1.0,1.0\n2.\xff0,1.0\n")
+    assert main([command[0], "--state", state, *command[1:], str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"batch file {bad} is not UTF-8 text (byte 0xff)" in err
+    assert open(state, "rb").read() == before
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_build_parser_returns_one_shared_parser():
+    assert build_parser() is build_parser()
+
+
+def test_parses_do_not_share_options():
+    parser = build_parser()
+    first = parser.parse_args(["append", "--batch", "b.csv", "--n-star", "3", "--tol", "1e-3"])
+    second = parser.parse_args(["append", "--batch", "b.csv"])
+    assert first is not second
+    assert (first.n_star, first.tol) == (3, 1e-3)
+    assert (second.n_star, second.tol) == (DEFAULT_FRACTIONAL_CUTOFF, DEFAULT_FRACTIONAL_TOL)
+    assert second.state is None
+
+
+def test_usage_error_and_version_leave_the_parser_working(tmp_path, capsys):
+    state, _ = _session(tmp_path, capsys)
+    assert main(["append"]) == 2
+    assert "the following arguments are required: --batch" in capsys.readouterr().err
+    assert main(["query", "--state", state, "--count"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == f"momentflow {__version__}"
+    assert main(["query", "--state", state, "--mean"]) == 0
+    assert capsys.readouterr().out.strip() == "2.0"
+
+
+HELP_ARGVS = [["--help"]] + [
+    [command, "--help"] for command in ("init", "append", "query", "metric", "verify", "bench")
+]
+
+
+def test_help_of_the_shared_parser_matches_a_fresh_one(tmp_path, capsys):
+    _session(tmp_path, capsys)  # the shared parser has run several commands
+    assert main(["append"]) == 2
+    capsys.readouterr()
+    fresh = build_parser.__wrapped__()
+    for argv in HELP_ARGVS:
+        assert main(argv) == 0
+        shared_text = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            fresh.parse_args(argv)
+        assert exit_info.value.code == 0
+        assert shared_text == capsys.readouterr().out
+        assert shared_text.startswith("usage: momentflow")
+
+
+def test_import_does_not_load_the_process_pool():
+    probe = (
+        "import sys, momentflow.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ from momentflow import (
     update_fractional,
     update_integer,
 )
+from momentflow.accumulator import tail_converged
 from momentflow.errors import DomainError, LadderMismatch
 
 from conftest import random_batch
@@ -149,3 +150,15 @@ def test_fractional_from_batch_oracle_consistency(rng):
     mean = sum(w * v for w, v in zip(weights, values)) / z
     direct = sum(w * (v - mean) ** 2.5 for w, v in zip(weights, values)) / z
     assert state.moments[2.5] == pytest.approx(direct, rel=1e-12)
+
+
+def test_tail_converged_reads_the_last_three_terms():
+    tol = 1e-10
+    small = 1e-12
+    assert tail_converged([5.0, small, small, small], [1.0] * 4, tol)
+    assert not tail_converged([small, 1.0, small, small], [1.0] * 4, tol)
+    # each term is held against the running norm after it, not the last one
+    assert not tail_converged([small, small, small], [1e-3, 1.0, 1.0], tol)
+    assert tail_converged([tol, small], [1.0, 1.0], tol)  # the bound is inclusive
+    assert tail_converged([small], [1.0], tol)
+    assert not tail_converged([1.0], [1.0], tol)
