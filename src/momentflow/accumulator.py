@@ -9,10 +9,11 @@ Two evaluation routes exist and are kept deliberately independent:
 
 * ``from_batch`` is the reference path. It evaluates every ladder order
   directly as (1/Z) * sum_i w_i * (x_i - mean)**n over the full dataset.
-* ``update_integer`` / ``update_fractional`` advance an existing state using
-  only the appended batch, re-centering the stored moments onto the new mean
-  through a binomial expansion. Cost is proportional to the batch size plus
-  ladder work that does not depend on how much data the state has absorbed.
+* ``append_batch`` advances an existing state using only the appended
+  batch, re-centering the stored moments onto the new mean through a
+  binomial expansion. All orders share one pass over the batch, so cost is
+  proportional to the batch size plus ladder work that does not depend on
+  how much data the state has absorbed.
 
 Every operation returns a new value; states are immutable and safe to share
 across threads. Concurrent merges of disjoint states need no coordination.
@@ -402,13 +403,18 @@ def _integer_power_sums_loop(
     return sums
 
 
-def _fractional_power_sum(batch: Batch, center: Payload, order: float) -> Payload:
-    """sum_i w_i * (x_i - center)**order under pow_payload's domain rules."""
+def _fractional_power_sums(batch: Batch, center: Payload, orders: Sequence[float]) -> list[Payload]:
+    """sum_i w_i * (x_i - center)**q for each q in ``orders``, under
+    pow_payload's domain rules. The deviations are taken once for all
+    orders; the whole-array form holds one power column at a time."""
     if not batch.columnar:
         values, weights = batch.records
-        return _power_sum_loop(batch.kind, [x - center for x in values], weights, order)
+        devs = [x - center for x in values]
+        return [_power_sum_loop(batch.kind, devs, weights, q) for q in orders]
     with np.errstate(all="ignore"):
-        return batch.weighted_sum(pow_records(batch.kind, batch.values - center, order))
+        return [
+            batch.weighted_sum(p) for p in pow_records(batch.kind, batch.values - center, orders)
+        ]
 
 
 def _power_sum_loop(
@@ -529,38 +535,51 @@ def _recenter_bracket(
     return acc
 
 
+def _recenter(
+    state: MomentState, batch: Batch, max_k: int
+) -> tuple[float, Payload, Payload, list[Payload]]:
+    """Z', the new mean, the mean shift and shift**0..shift**max_k: what
+    every order of one append shares, from one pass over the batch."""
+    zp = update_normalizer(state, batch)
+    meanp = _advance_mean(state, batch, zp)
+    shift = state.mean - meanp
+    return zp, meanp, shift, _shift_powers(state.kind, state.dim, shift, max_k)
+
+
+def _advance_integer_orders(
+    state: MomentState,
+    ints: Sequence[int],
+    batch: Batch,
+    zp: float,
+    meanp: Payload,
+    spow: Sequence[Payload],
+) -> dict[float, Payload]:
+    """The integer orders ``ints`` (the whole integer ladder) advanced onto
+    the new mean, highest first; the recurrence reads only the old moments."""
+    bsums = _integer_power_sums(batch, meanp, ints[-1])
+    ratio = state.z / zp
+    return {
+        float(n): ratio * _recenter_bracket(state.moments, n, spow) + bsums[n - 2] / zp
+        for n in reversed(ints)
+    }
+
+
 def update_integer(state: MomentState, batch: Batch) -> MomentState:
     """Advance every integer ladder order using only the batch.
 
     Each new moment combines (a) the old moments re-centered onto the new
     mean through a binomial expansion and (b) one weighted power sum over
-    the appended records. All orders read a snapshot of the old state:
-    the recurrence consumes old moments throughout, so orders are filled
-    highest-first into a fresh map. Runtime is O((n_max - 1) * batch) plus
-    ladder work independent of the absorbed count.
+    the appended records. Runtime is O((n_max - 1) * batch) plus ladder
+    work independent of the absorbed count.
     """
     _require_nonempty(state)
     _check_state_batch(state, batch)
     if state.ladder.fractional_orders:
         raise LadderMismatch(
-            "ladder carries fractional orders; advance them with update_fractional"
+            "ladder carries fractional orders; advance them with append_batch"
         )
-    zp = update_normalizer(state, batch)
-    meanp = _advance_mean(state, batch, zp)
-    shift = state.mean - meanp
-
     ints = state.ladder.integer_orders
-    imax = ints[-1]
-    spow = _shift_powers(state.kind, state.dim, shift, imax)
-    bsums = _integer_power_sums(batch, meanp, imax)
-    ratio = state.z / zp
-
-    new_moments: dict[float, Payload] = {}
-    old = state.moments
-    for n in reversed(ints):
-        bracket = _recenter_bracket(old, n, spow)
-        new_moments[float(n)] = ratio * bracket + bsums[n - 2] / zp
-
+    zp, meanp, _, spow = _recenter(state, batch, ints[-1])
     return MomentState(
         kind=state.kind,
         dim=state.dim,
@@ -568,7 +587,7 @@ def update_integer(state: MomentState, batch: Batch) -> MomentState:
         z=zp,
         mean=meanp,
         count=state.count + batch.size,
-        moments=new_moments,
+        moments=_advance_integer_orders(state, ints, batch, zp, meanp, spow),
     )
 
 
@@ -609,6 +628,58 @@ def _required_chain_orders(order: float, cutoff: int) -> list[float]:
     return needed
 
 
+def _check_series_args(cutoff: int, tol: float) -> None:
+    if cutoff < 0:
+        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
+    if tol <= 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+
+
+def _fractional_series(
+    state: MomentState,
+    order: float,
+    cutoff: int,
+    tol: float,
+    shift: Payload,
+    spow: Sequence[Payload],
+) -> tuple[Payload, ConvergenceReport]:
+    """The old moment of ``order`` re-centered onto the new mean through
+    its series truncated at ``cutoff`` terms (``spow`` holds at least
+    shift**0..shift**cutoff), and the series' report."""
+    kind, dim = state.kind, state.dim
+    term_norms: list[float] = []
+    if norm_payload(kind, shift) == 0.0:
+        # Exact collapse: every k >= 1 term carries a factor shift**k = 0.
+        partial = state.moments[order]
+        term_norms.append(norm_payload(kind, partial))
+        term_norms.extend(0.0 for _ in range(cutoff))
+        converged = True
+    else:
+        if _is_integer_order(order):
+            partial = zero_payload(kind, dim)
+        else:
+            # Continuation of the order-0 slot of the integer expansion.
+            partial = pow_payload(kind, shift, order)
+        running = []
+        coeff = 1.0
+        for k in range(cutoff + 1):
+            if k:
+                coeff *= (order - (k - 1)) / k
+            q = order - k
+            if q == 1.0 or coeff == 0.0:
+                term_norms.append(0.0)
+                running.append(norm_payload(kind, partial))
+                continue
+            mq = one_payload(kind, dim) if q == 0.0 else state.moments[q]
+            term = coeff * (mq * spow[k])
+            partial = partial + term
+            term_norms.append(norm_payload(kind, term))
+            running.append(norm_payload(kind, partial))
+        converged = tail_converged(term_norms, running, tol)
+
+    return partial, ConvergenceReport(order, cutoff, tol, tuple(term_norms), converged)
+
+
 def update_fractional(
     state: MomentState,
     batch: Batch,
@@ -617,6 +688,9 @@ def update_fractional(
     tol: float = DEFAULT_FRACTIONAL_TOL,
 ) -> tuple[ElementValue, ConvergenceReport]:
     """Advance one (typically non-integer) moment order using only the batch.
+
+    The single-order entry point; ``append_batch`` advances a whole ladder
+    through the same helpers with one pass over the batch.
 
     The re-centering expansion becomes an infinite series under a
     non-integer order; it is truncated at ``cutoff`` terms with generalized
@@ -630,10 +704,7 @@ def update_fractional(
     """
     _require_nonempty(state)
     _check_state_batch(state, batch)
-    if cutoff < 0:
-        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    _check_series_args(cutoff, tol)
     forder = float(order)
     for q in _required_chain_orders(forder, cutoff):
         if q not in state.ladder:
@@ -641,55 +712,10 @@ def update_fractional(
                 f"updating order {forder} at cutoff {cutoff} needs ladder order {q}"
             )
 
-    zp = update_normalizer(state, batch)
-    meanp = _advance_mean(state, batch, zp)
-    shift = state.mean - meanp
-    kind, dim = state.kind, state.dim
-    is_int = _is_integer_order(forder)
-
-    term_norms: list[float] = []
-    if norm_payload(kind, shift) == 0.0:
-        # Exact collapse: every k >= 1 term carries a factor shift**k = 0.
-        partial = state.moments[forder]
-        term_norms.append(norm_payload(kind, partial))
-        term_norms.extend(0.0 for _ in range(cutoff))
-        converged = True
-    else:
-        if is_int:
-            partial = zero_payload(kind, dim)
-        else:
-            # Continuation of the order-0 slot of the integer expansion.
-            partial = pow_payload(kind, shift, forder)
-        running = []
-        coeff = 1.0
-        sp = one_payload(kind, dim)
-        for k in range(cutoff + 1):
-            if k:
-                coeff *= (forder - (k - 1)) / k
-                sp = sp * shift
-            q = forder - k
-            if q == 1.0 or coeff == 0.0:
-                term_norms.append(0.0)
-                running.append(norm_payload(kind, partial))
-                continue
-            mq = one_payload(kind, dim) if q == 0.0 else state.moments[q]
-            term = coeff * (mq * sp)
-            partial = partial + term
-            term_norms.append(norm_payload(kind, term))
-            running.append(norm_payload(kind, partial))
-        converged = tail_converged(term_norms, running, tol)
-
-    bacc = _fractional_power_sum(batch, meanp, forder)
-    value = (state.z / zp) * partial + bacc / zp
-
-    report = ConvergenceReport(
-        order=forder,
-        cutoff=cutoff,
-        tol=tol,
-        term_norms=tuple(term_norms),
-        converged=converged,
-    )
-    return ElementValue(kind, value), report
+    zp, meanp, shift, spow = _recenter(state, batch, cutoff)
+    partial, report = _fractional_series(state, forder, cutoff, tol, shift, spow)
+    (bsum,) = _fractional_power_sums(batch, meanp, (forder,))
+    return ElementValue(state.kind, (state.z / zp) * partial + bsum / zp), report
 
 
 def merge_states(a: AnyState, b: AnyState) -> AnyState:
@@ -741,20 +767,6 @@ def merge_states(a: AnyState, b: AnyState) -> AnyState:
     )
 
 
-def _integer_projection(state: MomentState) -> MomentState:
-    ints = state.ladder.integer_orders
-    ladder = OrderLadder(ints)
-    return MomentState(
-        kind=state.kind,
-        dim=state.dim,
-        ladder=ladder,
-        z=state.z,
-        mean=state.mean,
-        count=state.count,
-        moments={float(n): state.moments[float(n)] for n in ints},
-    )
-
-
 def _available_depth(ladder: OrderLadder, order: float, cap: int) -> int:
     depth = 0
     while depth < cap:
@@ -777,7 +789,9 @@ def append_batch(
     Empty states are filled from scratch. Integer orders advance through
     the exact recurrence; each fractional order advances through its
     truncated series at the deepest cutoff its chain of stored orders
-    supports (at most ``cutoff``).
+    supports (at most ``cutoff``). Every order reads one shared Z', mean,
+    shift-power and batch-deviation pass, and the result is bit-identical
+    to advancing each order on its own.
     """
     if isinstance(state, EmptyState):
         _check_state_batch(state, batch)
@@ -788,24 +802,19 @@ def append_batch(
     if not fracs:
         return update_integer(state, batch), {}
 
+    _check_series_args(cutoff, tol)
+    # Each order's series goes as deep as its chain of stored orders
+    # reaches, so no chain order can be missing here.
+    depths = [_available_depth(ladder, q, cutoff) for q in fracs]
+    ints = ladder.integer_orders
+    zp, meanp, shift, spow = _recenter(state, batch, max([*depths, *ints[-1:]]))
+    moments = _advance_integer_orders(state, ints, batch, zp, meanp, spow) if ints else {}
     reports: dict[float, ConvergenceReport] = {}
-    frac_moments: dict[float, Payload] = {}
-    for q in fracs:
-        depth = _available_depth(ladder, q, cutoff)
-        val, rep = update_fractional(state, batch, q, depth, tol)
-        frac_moments[q] = val.value
-        reports[q] = rep
-
-    if ladder.integer_orders:
-        advanced = update_integer(_integer_projection(state), batch)
-        zp, meanp, count = advanced.z, advanced.mean, advanced.count
-        moments = dict(advanced.moments)
-    else:
-        zp = update_normalizer(state, batch)
-        meanp = _advance_mean(state, batch, zp)
-        count = state.count + batch.size
-        moments = {}
-    moments.update(frac_moments)
+    ratio = state.z / zp
+    bsums = _fractional_power_sums(batch, meanp, fracs)
+    for q, depth, bsum in zip(fracs, depths, bsums):
+        partial, reports[q] = _fractional_series(state, q, depth, tol, shift, spow)
+        moments[q] = ratio * partial + bsum / zp
 
     new_state = MomentState(
         kind=state.kind,
@@ -813,7 +822,7 @@ def append_batch(
         ladder=ladder,
         z=zp,
         mean=meanp,
-        count=count,
+        count=state.count + batch.size,
         moments=moments,
     )
     return new_state, reports

@@ -48,7 +48,7 @@ from .accumulator import (
     update_normalizer,
 )
 from .binomial import binomial_row
-from .elements import Kind, format_kind, norm_payload, one_payload, zero_payload
+from .elements import Kind, format_kind, norm_payload, one_payload, relative_error, zero_payload
 from .errors import AgreementError, TimingUnstable, ValidationError
 
 WARMUP_REPEATS = 3
@@ -144,8 +144,7 @@ def check_agreement(full: MomentState, upd: MomentState) -> None:
 
 
 def _check_value_agreement(kind: Kind, order: int, a, b, m2: float) -> None:
-    scale = max(norm_payload(kind, a), m2 ** (order / 2.0), 1e-300)
-    rel = norm_payload(kind, a - b) / scale
+    rel = relative_error(kind, b, a, m2, order)
     tol = AGREE_TOL_LOW if order <= 10 else AGREE_TOL_HIGH
     if rel > tol:
         raise AgreementError(

@@ -27,7 +27,14 @@ from .accumulator import (
 )
 from .batchfile import read_batch_csv
 from .bench import BenchScenario, run_scenario, write_records_csv
-from .elements import Kind, Payload, format_kind, norm_payload, parse_kind_spec
+from .elements import (
+    Kind,
+    Payload,
+    format_kind,
+    norm_payload,
+    parse_kind_spec,
+    relative_error,
+)
 from .errors import (
     BadLadderSpec,
     BadProviderSpec,
@@ -215,13 +222,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failures += 1
     m2_scale = norm_payload(oracle.kind, oracle.moment_payload(2.0)) if 2.0 in state.ladder else 0.0
     for order in state.ladder.orders:
-        a = state.moments[order]
-        b = oracle.moments[order]
-        # The natural magnitude of an order-n moment is M2**(n/2); below
-        # order 2 that augmentation would only loosen the check.
-        aug = m2_scale ** (order / 2.0) if (m2_scale > 0 and order >= 2) else 0.0
-        scale = max(norm_payload(state.kind, b), aug, 1e-300)
-        rel = norm_payload(state.kind, a - b) / scale
+        rel = relative_error(
+            state.kind, state.moments[order], oracle.moments[order], m2_scale, order
+        )
         ok = rel <= args.tol
         print(f"order={order:g} rel_err={rel:.3e} {'ok' if ok else 'MISMATCH'}")
         if not ok:

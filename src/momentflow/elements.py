@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -113,33 +113,48 @@ def pow_payload(kind: Kind, value: Payload, order: float) -> Payload:
     return value ** forder
 
 
-def pow_records(kind: Kind, values: np.ndarray, order: float) -> np.ndarray:
-    """Raise every record of a column to a real power: pow_payload over a whole array.
+def pow_records(kind: Kind, values: np.ndarray, orders: Sequence[float]) -> Iterator[np.ndarray]:
+    """Raise every record of a column to each real power in turn: pow_payload
+    over a whole array, one yielded column per order.
 
     The domain rules are pow_payload's. Complex powers take CPython's route
     for a real exponent (modulus**order, argument*order) so they agree with
-    the per-record form to rounding.
+    the per-record form to rounding. The domain checks, and on the complex
+    kind the modulus and argument, are taken once for all orders; each
+    order then adds only its own power column, and only that column is
+    alive at a time.
     """
-    forder = float(order)
-    if forder.is_integer() and forder >= 0:
-        r = np.ones_like(values)
-        for _ in range(int(forder)):
-            r = r * values
-        return r
-    if kind is Kind.COMPLEX:
-        if forder <= 0 and np.any(values == 0):
-            raise DomainError("zero complex base with a non-positive exponent")
-        mag = np.hypot(values.real, values.imag) ** forder
-        phase = np.arctan2(values.imag, values.real) * forder
-        out = np.empty_like(values)
-        out.real = mag * np.cos(phase)
-        out.imag = mag * np.sin(phase)
-        return out
-    if not np.all(values > POW_FLOOR):
-        raise DomainError(
-            f"real base or vector component not above {POW_FLOOR} under exponent {forder}"
-        )
-    return values ** forder
+    modulus = arg = has_zero = positive = None
+    for order in orders:
+        forder = float(order)
+        if forder.is_integer() and forder >= 0:
+            r = np.ones_like(values)
+            for _ in range(int(forder)):
+                r = r * values
+            yield r
+        elif kind is Kind.COMPLEX:
+            if forder <= 0:
+                if has_zero is None:
+                    has_zero = bool(np.any(values == 0))
+                if has_zero:
+                    raise DomainError("zero complex base with a non-positive exponent")
+            if modulus is None:
+                modulus = np.hypot(values.real, values.imag)
+                arg = np.arctan2(values.imag, values.real)
+            mag = modulus ** forder
+            phase = arg * forder
+            out = np.empty_like(values)
+            out.real = mag * np.cos(phase)
+            out.imag = mag * np.sin(phase)
+            yield out
+        else:
+            if positive is None:
+                positive = bool(np.all(values > POW_FLOOR))
+            if not positive:
+                raise DomainError(
+                    f"real base or vector component not above {POW_FLOOR} under exponent {forder}"
+                )
+            yield values ** forder
 
 
 def norm_payload(kind: Kind, value: Payload) -> float:
@@ -151,6 +166,19 @@ def norm_payload(kind: Kind, value: Payload) -> float:
     if kind is Kind.VECTOR:
         return math.hypot(*value)
     return abs(value)
+
+
+def relative_error(kind: Kind, got: Payload, want: Payload, m2: float, order: float) -> float:
+    """|got - want| relative to the natural size of an order-``order`` moment.
+
+    The scale is max(|want|, m2**(order/2), 1e-300), where ``m2`` is the
+    norm of the second central moment: a moment that cancels to near zero
+    is still judged against the spread of its data. The m2 term enters only
+    when m2 > 0 and order >= 2; below order 2 it would only loosen the check.
+    """
+    aug = m2 ** (order / 2.0) if (m2 > 0 and order >= 2) else 0.0
+    scale = max(norm_payload(kind, want), aug, 1e-300)
+    return norm_payload(kind, got - want) / scale
 
 
 def _payload_dim(kind: Kind, value: Payload) -> int | None:

@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .accumulator import Batch, MomentState, tail_converged, update_mean, update_normalizer
+from .accumulator import Batch, MomentState, _recenter, tail_converged
 from .binomial import MAX_EXACT_ORDER, binomial_row
 from .elements import ElementValue, Kind, Payload, norm_payload, one_payload, zero_payload
 from .errors import LadderTooShort, ValidationError
@@ -236,32 +236,21 @@ def metric_update(
     state: MomentState,
     batch: Batch,
     spec: MetricSpec,
-    summation: str = "row",
     tol: float = TAIL_TOL,
 ) -> MetricResult:
     """Metric of the appended dataset from old moments plus the batch.
 
     The double sum re-centers the old moments onto the new mean while the
     coefficients (of the possibly-new g) are taken about the new mean; the
-    appended records contribute their exact g values. ``summation`` picks
-    the evaluation order of the double sum: "row" iterates coefficient-major,
-    "swapped" shift-power-major; both cover the same triangular index set
-    and exist to cross-check each other. Runtime O(n_star**2 + batch).
+    appended records contribute their exact g values. The double sum runs
+    coefficient-major over its triangular index set. Runtime
+    O(n_star**2 + batch).
     """
     _require_cover(state, spec.n_star)
-    if summation not in ("row", "swapped"):
-        raise ValidationError(f"unknown summation order {summation!r}")
     kind, dim = state.kind, state.dim
     n_star = spec.n_star
 
-    zp = update_normalizer(state, batch)
-    meanp = update_mean(state, batch, zp).value
-    shift = state.mean - meanp
-
-    spow: list[Payload] = [one_payload(kind, dim)]
-    for _ in range(n_star):
-        spow.append(spow[-1] * shift)
-
+    zp, meanp, _, spow = _recenter(state, batch, n_star)
     coeffs = spec.provider.coefficients(meanp, n_star)
     if len(coeffs) != n_star + 1:
         raise ValidationError("provider returned the wrong number of coefficients")
@@ -269,27 +258,16 @@ def metric_update(
     term_norms: list[float] = []
     running: list[float] = []
     acc = zero_payload(kind, dim)
-    if summation == "row":
-        for n in range(n_star + 1):
-            row = binomial_row(n)
-            inner = None
-            for k in range(n + 1):
-                t = row[k] * (_implicit_moment(state, n - k) * spow[k])
-                inner = t if inner is None else inner + t
-            term = coeffs[n] * inner
-            acc = acc + term
-            term_norms.append(norm_payload(kind, term))
-            running.append(norm_payload(kind, acc))
-    else:
-        for k in range(n_star + 1):
-            col = None
-            for n in range(k, n_star + 1):
-                t = (coeffs[n] * binomial_row(n)[k]) * _implicit_moment(state, n - k)
-                col = t if col is None else col + t
-            term = col * spow[k]
-            acc = acc + term
-            term_norms.append(norm_payload(kind, term))
-            running.append(norm_payload(kind, acc))
+    for n in range(n_star + 1):
+        row = binomial_row(n)
+        inner = None
+        for k in range(n + 1):
+            t = row[k] * (_implicit_moment(state, n - k) * spow[k])
+            inner = t if inner is None else inner + t
+        term = coeffs[n] * inner
+        acc = acc + term
+        term_norms.append(norm_payload(kind, term))
+        running.append(norm_payload(kind, acc))
 
     if batch.columnar:
         with np.errstate(all="ignore"):

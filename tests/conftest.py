@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from momentflow import Batch, Kind
+from momentflow import Batch, Kind, update_mean, update_normalizer
+from momentflow.binomial import binomial_row
+from momentflow.elements import zero_payload
 
 # Property tests replay the same examples on every run and keep no example
 # database, so a failure is reproducible from the test name alone.
@@ -43,3 +45,28 @@ def concat_batches(a, b):
         values=np.concatenate([a.values, b.values]),
         weights=np.concatenate([a.weights, b.weights]),
     )
+
+
+def swapped_metric_update(state, batch, spec):
+    """The value metric_update computes, with its double sum taken in the
+    other order: shift-power-major (one column of coefficients and moments
+    per shift power) instead of coefficient-major. The index set is the same
+    triangle, so the two agree to rounding; a cross-check oracle."""
+    zp = update_normalizer(state, batch)
+    meanp = update_mean(state, batch, zp).value
+    shift = state.mean - meanp
+    n_star = spec.n_star
+    coeffs = spec.provider.coefficients(meanp, n_star)
+    spow = [state.moment_payload(0)]
+    for _ in range(n_star):
+        spow.append(spow[-1] * shift)
+    acc = zero_payload(state.kind, state.dim)
+    for k in range(n_star + 1):
+        col = zero_payload(state.kind, state.dim)
+        for n in range(k, n_star + 1):
+            col = col + (coeffs[n] * binomial_row(n)[k]) * state.moment_payload(n - k)
+        acc = acc + col * spow[k]
+    batch_acc = zero_payload(state.kind, state.dim)
+    for x, w in zip(*batch.records):
+        batch_acc = batch_acc + w * spec.provider.evaluate(x)
+    return (state.z / zp) * acc + batch_acc / zp

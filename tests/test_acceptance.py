@@ -33,8 +33,10 @@ from momentflow import (
     update_normalizer,
 )
 from momentflow.cli import main
-from momentflow.elements import norm_payload
+from momentflow.elements import norm_payload, relative_error
 from momentflow.errors import TimingUnstable
+
+from conftest import swapped_metric_update
 
 KINDS = [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 4)]
 ORACLE_LADDER = OrderLadder.integer_range(2, 20)
@@ -67,11 +69,6 @@ def _draw_case(rng, kind, dim):
     return base, extra, joined
 
 
-def _rel(kind, got, want, m2, order):
-    scale = max(norm_payload(kind, want), m2 ** (order / 2.0), 1e-300)
-    return norm_payload(kind, got - want) / scale
-
-
 def test_criterion_1_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
@@ -84,7 +81,7 @@ def test_criterion_1_oracle_equivalence():
             m2 = norm_payload(kind, oracle.moments[2.0])
             for n in range(2, 21):
                 tol = 1e-8 if n <= 10 else 1e-6
-                rel = _rel(kind, upd.moments[float(n)], oracle.moments[float(n)], m2, n)
+                rel = relative_error(kind, upd.moments[float(n)], oracle.moments[float(n)], m2, n)
                 worst = max(worst, rel / tol)
                 assert rel < tol, f"kind={kind} order={n} rel={rel:.3e}"
     elapsed = time.perf_counter() - t0
@@ -277,8 +274,8 @@ def test_criterion_6_metric_engine():
         state = from_batch(Batch.from_values(Kind.SCALAR, bv, bw), OrderLadder.integer_range(2, 12))
         batch = Batch.from_values(Kind.SCALAR, ev, ew)
         spec = MetricSpec(ExponentialMetric(1.0, 1.0), n_star=12)
-        a = metric_update(state, batch, spec, summation="row").value.value
-        b = metric_update(state, batch, spec, summation="swapped").value.value
+        a = metric_update(state, batch, spec).value.value
+        b = swapped_metric_update(state, batch, spec)
         diff = abs(a - b) / max(1.0, abs(a))
         worst_swap = max(worst_swap, diff)
         assert diff <= 1e-12

@@ -20,7 +20,7 @@ from momentflow import (
     update_normalizer,
     vector,
 )
-from momentflow.elements import norm_payload
+from momentflow.elements import norm_payload, relative_error
 from momentflow.errors import (
     BadLadderSpec,
     EmptyBatch,
@@ -221,11 +221,6 @@ def test_update_integer_pure_renormalization():
         assert s2.moments[n] == 0.75 * s.moments[n]
 
 
-def _rel_err(kind, a, b, m2, order):
-    scale = max(norm_payload(kind, b), m2 ** (order / 2.0), 1e-300)
-    return norm_payload(kind, a - b) / scale
-
-
 @pytest.mark.parametrize("kind,dim", [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 4)])
 def test_update_integer_matches_oracle_orders_2_to_20(rng, kind, dim):
     ladder = OrderLadder.integer_range(2, 20)
@@ -237,7 +232,7 @@ def test_update_integer_matches_oracle_orders_2_to_20(rng, kind, dim):
         m2 = norm_payload(kind, oracle.moments[2.0])
         for n in ladder.integer_orders:
             tol = 1e-8 if n <= 10 else 1e-6
-            assert _rel_err(kind, upd.moments[float(n)], oracle.moments[float(n)], m2, n) < tol
+            assert relative_error(kind, upd.moments[float(n)], oracle.moments[float(n)], m2, n) < tol
 
 
 def test_chunked_append_consistency(rng):
@@ -322,7 +317,7 @@ def test_merge_random_vs_oracle(rng):
         oracle = from_batch(concat_batches(ba, bb), ladder)
         m2 = oracle.moments[2.0]
         for n in ladder.integer_orders:
-            assert _rel_err(Kind.SCALAR, merged.moments[float(n)], oracle.moments[float(n)], m2, n) < 1e-8
+            assert relative_error(Kind.SCALAR, merged.moments[float(n)], oracle.moments[float(n)], m2, n) < 1e-8
 
 
 def test_merge_mismatches():

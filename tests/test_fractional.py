@@ -4,14 +4,22 @@ import pytest
 from momentflow import (
     Batch,
     Kind,
+    MomentState,
     OrderLadder,
+    accumulator,
+    append_batch,
+    dumps_state,
+    expand_fractional_targets,
     fractional_chain,
     from_batch,
     update_fractional,
     update_integer,
+    update_mean,
+    update_normalizer,
 )
-from momentflow.accumulator import tail_converged
-from momentflow.errors import DomainError, LadderMismatch
+from momentflow.accumulator import _available_depth, tail_converged
+from momentflow.cli import main
+from momentflow.errors import DomainError, LadderMismatch, ValidationError
 
 from conftest import random_batch
 
@@ -162,3 +170,133 @@ def test_tail_converged_reads_the_last_three_terms():
     assert tail_converged([tol, small], [1.0, 1.0], tol)  # the bound is inclusive
     assert tail_converged([small], [1.0], tol)
     assert not tail_converged([1.0], [1.0], tol)
+
+
+# ---------------------------------------------------------------------------
+# append_batch: one batch pass advances every order
+# ---------------------------------------------------------------------------
+
+MIXED = OrderLadder(expand_fractional_targets([2, 3, 4, 5, 6, 7, 8, 2.5]))
+FRAC_ONLY = OrderLadder(expand_fractional_targets([2.5]))
+
+
+def _drifting_complex(rng, n):
+    values = 100.0 + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return Batch.from_values(Kind.COMPLEX, values, 0.5 + rng.random(n))
+
+
+def _per_order_append(state, batch, cutoff=12, tol=1e-10):
+    """append_batch composed from the single-order entry points: one
+    update_fractional per fractional order, at the depth its chain allows,
+    and update_integer on the integer orders alone."""
+    ladder = state.ladder
+    reports, fracs = {}, {}
+    for q in ladder.fractional_orders:
+        value, reports[q] = update_fractional(
+            state, batch, q, _available_depth(ladder, q, cutoff), tol
+        )
+        fracs[q] = value.value
+    ints = ladder.integer_orders
+    if ints:
+        integer_part = MomentState(
+            kind=state.kind, dim=state.dim, ladder=OrderLadder(ints), z=state.z,
+            mean=state.mean, count=state.count,
+            moments={float(n): state.moments[float(n)] for n in ints},
+        )
+        advanced = update_integer(integer_part, batch)
+        zp, meanp, moments = advanced.z, advanced.mean, dict(advanced.moments)
+    else:
+        zp = update_normalizer(state, batch)
+        meanp = update_mean(state, batch, zp).value
+        moments = {}
+    moments.update(fracs)
+    composed = MomentState(
+        kind=state.kind, dim=state.dim, ladder=ladder, z=zp, mean=meanp,
+        count=state.count + batch.size, moments=moments,
+    )
+    return composed, reports
+
+
+@pytest.mark.parametrize("size", [1, 8, 31, 32, 256])
+@pytest.mark.parametrize("ladder", [MIXED, FRAC_ONLY], ids=["2..8,2.5", "2.5"])
+def test_append_batch_is_bit_identical_to_per_order_updates(ladder, size):
+    rng = np.random.default_rng(size)
+    state = from_batch(_drifting_complex(rng, 64), ladder)
+    for _ in range(20):
+        batch = _drifting_complex(rng, size)
+        got, got_reports = append_batch(state, batch)
+        want, want_reports = _per_order_append(state, batch)
+        assert dumps_state(got) == dumps_state(want)
+        assert got_reports == want_reports
+        state = got
+
+
+def _on_mean_case(n):
+    """A 2..8,2.5 state with mean exactly 100 and a batch of n records that
+    sits on it: unit base weights and dyadic batch weights keep Z' and the
+    new mean exact, so every record's deviation is exactly zero."""
+    values = [complex(v) for v in (99.0, 99.5, 100.5, 101.0)]
+    state = from_batch(Batch.from_values(Kind.COMPLEX, values, [1.0] * 4), MIXED)
+    assert state.mean == 100.0 + 0j
+    batch = Batch.from_values(Kind.COMPLEX, [100.0 + 0j] * n, [4.0 / n] * n)
+    return state, batch
+
+
+def test_append_batch_checks_series_arguments(rng):
+    state = from_batch(_drifting_complex(rng, 16), MIXED)
+    batch = _drifting_complex(rng, 4)
+    with pytest.raises(ValidationError):
+        append_batch(state, batch, cutoff=-1)
+    with pytest.raises(ValidationError):
+        append_batch(state, batch, tol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 32])
+def test_append_batch_refuses_a_record_on_the_new_mean(n):
+    # the ladder's negative orders (2.5 - 12 = -9.5 and up) have a pole there
+    state, batch = _on_mean_case(n)
+    with pytest.raises(DomainError):
+        append_batch(state, batch)
+
+
+def _write_complex_csv(path, values, weights):
+    rows = [f"{v.real!r},{v.imag!r},{w!r}" for v, w in zip(values, weights)]
+    path.write_text("re,im,weight\n" + "\n".join(rows) + "\n")
+
+
+def test_cli_append_errors_leave_the_document_unchanged(tmp_path, rng):
+    state = str(tmp_path / "s.json")
+    assert main(["init", "--state", state, "--orders", "2..8,2.5", "--kind", "complex"]) == 0
+    base = tmp_path / "base.csv"
+    _write_complex_csv(base, [complex(v) for v in (99.0, 99.5, 100.5, 101.0)], [1.0] * 4)
+    assert main(["append", "--state", state, "--batch", str(base)]) == 0
+    before = (tmp_path / "s.json").read_bytes()
+
+    good = tmp_path / "good.csv"
+    sample = _drifting_complex(rng, 4)
+    _write_complex_csv(good, sample.values.tolist(), sample.weights.tolist())
+    assert main(["append", "--state", state, "--batch", str(good), "--n-star", "-1"]) == 2
+    assert main(["append", "--state", state, "--batch", str(good), "--tol", "0"]) == 2
+    on_mean = tmp_path / "on_mean.csv"
+    _write_complex_csv(on_mean, [100.0 + 0j] * 32, [0.125] * 32)
+    assert main(["append", "--state", state, "--batch", str(on_mean)]) == 3
+    assert (tmp_path / "s.json").read_bytes() == before
+
+
+def test_append_batch_passes_over_the_batch_once(rng, monkeypatch):
+    calls = {"update_normalizer": 0, "_advance_mean": 0}
+
+    def counted(name):
+        inner = getattr(accumulator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(accumulator, name, counted(name))
+    state = from_batch(_drifting_complex(rng, 64), MIXED)
+    append_batch(state, _drifting_complex(rng, 256))
+    assert calls == {"update_normalizer": 1, "_advance_mean": 1}

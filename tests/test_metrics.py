@@ -20,7 +20,7 @@ from momentflow import (
 )
 from momentflow.errors import LadderTooShort, ValidationError
 
-from conftest import concat_batches, random_batch
+from conftest import concat_batches, random_batch, swapped_metric_update
 
 
 def direct_metric(values, weights, g):
@@ -178,9 +178,9 @@ def test_summation_orders_agree(rng):
         base = random_batch(rng, Kind.SCALAR, 24)
         extra = random_batch(rng, Kind.SCALAR, 4)
         state = from_batch(base, OrderLadder.integer_range(2, 12))
-        row = metric_update(state, extra, spec, summation="row")
-        swapped = metric_update(state, extra, spec, summation="swapped")
-        assert abs(row.value.value - swapped.value.value) <= 1e-12 * max(
+        row = metric_update(state, extra, spec)
+        swapped = swapped_metric_update(state, extra, spec)
+        assert abs(row.value.value - swapped) <= 1e-12 * max(
             1.0, abs(row.value.value)
         )
 
