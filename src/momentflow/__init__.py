@@ -35,21 +35,7 @@ from .bench import (
     write_records_csv,
 )
 from .binomial import MAX_EXACT_ORDER, exact_binomial, generalized_binomial
-from .elements import (
-    ElementValue,
-    Kind,
-    WeightedDatum,
-    complex_scalar,
-    elem_add,
-    elem_mul,
-    elem_norm,
-    elem_pow,
-    one,
-    parse_kind_spec,
-    scalar,
-    vector,
-    zero,
-)
+from .elements import Kind, parse_kind_spec
 from .metrics import (
     CoefficientTailReport,
     ExponentialMetric,
@@ -77,7 +63,6 @@ __all__ = [
     "BenchScenario",
     "CoefficientTailReport",
     "ConvergenceReport",
-    "ElementValue",
     "EmptyState",
     "ExponentialMetric",
     "Kind",
@@ -90,16 +75,10 @@ __all__ = [
     "SinusoidMetric",
     "StorageReport",
     "SweepCell",
-    "WeightedDatum",
     "append_batch",
     "check_coefficient_convergence",
-    "complex_scalar",
     "compute_digest",
     "dumps_state",
-    "elem_add",
-    "elem_mul",
-    "elem_norm",
-    "elem_pow",
     "exact_binomial",
     "expand_fractional_targets",
     "fractional_chain",
@@ -111,19 +90,15 @@ __all__ = [
     "merge_states",
     "metric_from_moments",
     "metric_update",
-    "one",
     "parse_kind_spec",
     "read_batch_csv",
     "run_scenario",
     "save_state",
-    "scalar",
     "state_lock",
     "storage_report",
     "update_fractional",
     "update_integer",
     "update_mean",
     "update_normalizer",
-    "vector",
     "write_records_csv",
-    "zero",
 ]

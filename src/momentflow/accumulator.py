@@ -31,10 +31,8 @@ import numpy as np
 
 from .binomial import MAX_EXACT_ORDER, binomial_row
 from .elements import (
-    ElementValue,
     Kind,
     Payload,
-    WeightedDatum,
     norm_payload,
     one_payload,
     pow_payload,
@@ -126,13 +124,17 @@ class OrderLadder:
             raise BadLadderSpec(f"bad integer range {lo}..{hi}")
         return cls(range(lo, hi + 1))
 
-    @property
+    @cached_property
     def integer_orders(self) -> tuple[int, ...]:
         return tuple(int(o) for o in self.orders if _is_integer_order(o))
 
-    @property
+    @cached_property
     def fractional_orders(self) -> tuple[float, ...]:
         return tuple(o for o in self.orders if not _is_integer_order(o))
+
+    @cached_property
+    def _order_set(self) -> frozenset[float]:
+        return frozenset(self.orders)
 
     @property
     def max_integer_order(self) -> int | None:
@@ -140,7 +142,7 @@ class OrderLadder:
         return ints[-1] if ints else None
 
     def __contains__(self, order: float) -> bool:
-        return float(order) in self.orders
+        return order in self._order_set
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -241,17 +243,6 @@ class Batch:
         return total
 
     @classmethod
-    def from_data(cls, data: Sequence[WeightedDatum]) -> "Batch":
-        if len(data) == 0:
-            raise EmptyBatch("batch must contain at least one record")
-        kind = data[0].x.kind
-        dim = data[0].x.dim
-        for d in data:
-            if d.x.kind is not kind or d.x.dim != dim:
-                raise KindMismatch("all records in a batch must share one kind")
-        return cls.from_values(kind, [d.x.value for d in data], [d.weight for d in data], dim=dim)
-
-    @classmethod
     def from_values(
         cls,
         kind: Kind,
@@ -292,7 +283,11 @@ class EmptyState:
 
 @dataclass(frozen=True, eq=False)
 class MomentState:
-    """The compact accumulator; immutable, and all that persistence keeps."""
+    """The compact accumulator; immutable, and all that persistence keeps.
+
+    A vector state's mean and moment arrays are made read-only here, on
+    every path that builds a state.
+    """
 
     kind: Kind
     dim: int | None
@@ -307,8 +302,12 @@ class MomentState:
         if set(stored) != set(self.ladder.orders):
             raise LadderMismatch("stored moment orders do not match the ladder")
         object.__setattr__(self, "moments", MappingProxyType(stored))
+        if self.kind is Kind.VECTOR:
+            for value in (self.mean, *stored.values()):
+                value.flags.writeable = False
 
-    def moment_payload(self, order: float) -> Payload:
+    def moment(self, order: float) -> Payload:
+        """M_order; orders 0 and 1 are the exact constants 1 and 0."""
         o = float(order)
         if o == 0.0:
             return one_payload(self.kind, self.dim)
@@ -318,13 +317,6 @@ class MomentState:
             return self.moments[o]
         except KeyError:
             raise OrderNotInLadder(f"order {order} is not in the ladder") from None
-
-    def moment(self, order: float) -> ElementValue:
-        return ElementValue(self.kind, self.moment_payload(order))
-
-    @property
-    def mean_element(self) -> ElementValue:
-        return ElementValue(self.kind, self.mean)
 
 
 AnyState = Union[MomentState, EmptyState]
@@ -504,11 +496,11 @@ def _advance_mean(state: MomentState, batch: Batch, zp: float) -> Payload:
     return (state.z / zp) * state.mean + swx / zp
 
 
-def update_mean(state: MomentState, batch: Batch, zp: float) -> ElementValue:
+def update_mean(state: MomentState, batch: Batch, zp: float) -> Payload:
     """New mean from the old mean and the batch alone."""
     _require_nonempty(state)
     _check_state_batch(state, batch)
-    return ElementValue(state.kind, _advance_mean(state, batch, zp))
+    return _advance_mean(state, batch, zp)
 
 
 def _shift_powers(kind: Kind, dim: int | None, shift: Payload, max_k: int) -> list[Payload]:
@@ -686,7 +678,7 @@ def update_fractional(
     order: float,
     cutoff: int = DEFAULT_FRACTIONAL_CUTOFF,
     tol: float = DEFAULT_FRACTIONAL_TOL,
-) -> tuple[ElementValue, ConvergenceReport]:
+) -> tuple[Payload, ConvergenceReport]:
     """Advance one (typically non-integer) moment order using only the batch.
 
     The single-order entry point; ``append_batch`` advances a whole ladder
@@ -715,7 +707,7 @@ def update_fractional(
     zp, meanp, shift, spow = _recenter(state, batch, cutoff)
     partial, report = _fractional_series(state, forder, cutoff, tol, shift, spow)
     (bsum,) = _fractional_power_sums(batch, meanp, (forder,))
-    return ElementValue(state.kind, (state.z / zp) * partial + bsum / zp), report
+    return (state.z / zp) * partial + bsum / zp, report
 
 
 def merge_states(a: AnyState, b: AnyState) -> AnyState:
@@ -725,18 +717,14 @@ def merge_states(a: AnyState, b: AnyState) -> AnyState:
     binomial bracket the append update uses; only integer ladders merge.
     Commutative bit-for-bit.
     """
-    if isinstance(a, EmptyState) or isinstance(b, EmptyState):
-        sa, sb = (a, b) if isinstance(a, EmptyState) else (b, a)
-        if a.kind is not b.kind or a.dim != b.dim:
-            raise KindMismatch("merging states of different kinds")
-        if a.ladder.orders != b.ladder.orders:
-            raise LadderMismatch("merging states with different ladders")
-        return sb
-
     if a.kind is not b.kind or a.dim != b.dim:
         raise KindMismatch("merging states of different kinds")
     if a.ladder.orders != b.ladder.orders:
         raise LadderMismatch("merging states with different ladders")
+    if isinstance(a, EmptyState):
+        return b
+    if isinstance(b, EmptyState):
+        return a
     if a.ladder.fractional_orders:
         raise LadderMismatch("only integer ladders can be merged")
 

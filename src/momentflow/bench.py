@@ -443,7 +443,7 @@ def fractional_convergence_sweep(
                 ),
                 oracle_ladder,
             ).moments[order]
-            err = abs(last_value.value - oracle) / max(abs(oracle), 1e-300)
+            err = abs(last_value - oracle) / max(abs(oracle), 1e-300)
 
             m2 = 0.0
             for v, w in zip(values, weights):
@@ -451,7 +451,7 @@ def fractional_convergence_sweep(
             cells.append(
                 SweepCell(
                     spread_rms=(m2 / state.z) ** 0.5,
-                    mean_shift=abs(state.mean - new_mean.value),
+                    mean_shift=abs(state.mean - new_mean),
                     min_converged_cutoff=min_cutoff,
                     terminal_rel_error=err,
                     terminal_converged=last_report.converged,

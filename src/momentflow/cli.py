@@ -180,7 +180,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     elif args.mean:
         print(_format_payload(state.kind, state.mean))
     elif args.order is not None:
-        value = state.moment_payload(args.order)
+        value = state.moment(args.order)
         print(_format_payload(state.kind, value))
     else:
         raise ValidationError("pass --order, --z, --mean or --count")
@@ -200,7 +200,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
     else:
         result = metric_from_moments(state, spec)
     print(
-        f"value={_format_payload(state.kind, result.value.value)} "
+        f"value={_format_payload(state.kind, result.value)} "
         f"n_star={result.truncation_order} "
         f"tail_estimate={result.tail_estimate!r} "
         f"converged={result.converged}"
@@ -220,7 +220,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if oracle.count != state.count:
         print(f"count mismatch: state={state.count} data={oracle.count}")
         failures += 1
-    m2_scale = norm_payload(oracle.kind, oracle.moment_payload(2.0)) if 2.0 in state.ladder else 0.0
+    m2_scale = norm_payload(oracle.kind, oracle.moment(2.0)) if 2.0 in state.ladder else 0.0
     for order in state.ladder.orders:
         rel = relative_error(
             state.kind, state.moments[order], oracle.moments[order], m2_scale, order

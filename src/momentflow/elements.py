@@ -8,19 +8,20 @@ are plain ``float``, ``complex`` and 1-D ``numpy.ndarray`` values so the
 native ``+``, ``-``, ``*`` operators implement the componentwise semantics
 directly.
 
-Values are immutable after construction and safe to share between threads.
+The payload is the only value type: moments, means and metric values are
+all payloads. A vector payload held by a Batch or a MomentState is made
+read-only there, so stored values are safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import BadKindSpec, DomainError, KindMismatch, ValidationError
+from .errors import BadKindSpec, DomainError
 
 # Smallest real base accepted under a fractional or negative exponent.
 # Below this, log-based powers of real values degenerate; the complex kind
@@ -88,7 +89,7 @@ def pow_payload(kind: Kind, value: Payload, order: float) -> Payload:
     if forder.is_integer() and forder >= 0:
         k = int(forder)
         if k == 0:
-            return one_payload(kind, _payload_dim(kind, value))
+            return one_payload(kind, len(value) if kind is Kind.VECTOR else None)
         r = value
         for _ in range(k - 1):
             r = r * value
@@ -179,105 +180,3 @@ def relative_error(kind: Kind, got: Payload, want: Payload, m2: float, order: fl
     aug = m2 ** (order / 2.0) if (m2 > 0 and order >= 2) else 0.0
     scale = max(norm_payload(kind, want), aug, 1e-300)
     return norm_payload(kind, got - want) / scale
-
-
-def _payload_dim(kind: Kind, value: Payload) -> int | None:
-    return len(value) if kind is Kind.VECTOR else None
-
-
-def _freeze(kind: Kind, value: Payload) -> Payload:
-    if kind is Kind.VECTOR and isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    return value
-
-
-@dataclass(frozen=True)
-class ElementValue:
-    """One immutable data value together with its kind tag."""
-
-    kind: Kind
-    value: Payload
-
-    def __post_init__(self) -> None:
-        _freeze(self.kind, self.value)
-
-    @property
-    def dim(self) -> int | None:
-        return _payload_dim(self.kind, self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ElementValue):
-            return NotImplemented
-        if self.kind is not other.kind:
-            return False
-        if self.kind is Kind.VECTOR:
-            return bool(np.array_equal(self.value, other.value))
-        return self.value == other.value
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"ElementValue({self.kind.value}, {self.value!r})"
-
-
-def scalar(x: float) -> ElementValue:
-    return ElementValue(Kind.SCALAR, float(x))
-
-
-def complex_scalar(z: complex) -> ElementValue:
-    return ElementValue(Kind.COMPLEX, complex(z))
-
-
-def vector(components: Sequence[float]) -> ElementValue:
-    arr = np.array(components, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError("vector payload must be a non-empty 1-D sequence")
-    return ElementValue(Kind.VECTOR, arr)
-
-
-def zero(kind: Kind, dim: int | None = None) -> ElementValue:
-    return ElementValue(kind, zero_payload(kind, dim))
-
-
-def one(kind: Kind, dim: int | None = None) -> ElementValue:
-    return ElementValue(kind, one_payload(kind, dim))
-
-
-def _check_same_kind(a: ElementValue, b: ElementValue) -> None:
-    if a.kind is not b.kind:
-        raise KindMismatch(f"cannot combine {a.kind.value} with {b.kind.value}")
-    if a.kind is Kind.VECTOR and a.dim != b.dim:
-        raise KindMismatch(f"vector dimensions differ: {a.dim} vs {b.dim}")
-
-
-def elem_add(a: ElementValue, b: ElementValue) -> ElementValue:
-    """Componentwise sum of two values of the same kind."""
-    _check_same_kind(a, b)
-    return ElementValue(a.kind, a.value + b.value)
-
-
-def elem_mul(a: ElementValue, b: ElementValue) -> ElementValue:
-    """Componentwise (Hadamard) product of two values of the same kind."""
-    _check_same_kind(a, b)
-    return ElementValue(a.kind, a.value * b.value)
-
-
-def elem_pow(a: ElementValue, order: float) -> ElementValue:
-    """Componentwise real power; see pow_payload for domain rules."""
-    return ElementValue(a.kind, pow_payload(a.kind, a.value, order))
-
-
-def elem_norm(a: ElementValue) -> float:
-    return norm_payload(a.kind, a.value)
-
-
-@dataclass(frozen=True)
-class WeightedDatum:
-    """One record of a weighted dataset: a value and its real weight."""
-
-    x: ElementValue
-    weight: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.weight):
-            raise ValidationError(f"weight must be finite, got {self.weight!r}")

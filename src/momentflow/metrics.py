@@ -23,7 +23,7 @@ import numpy as np
 
 from .accumulator import Batch, MomentState, _recenter, tail_converged
 from .binomial import MAX_EXACT_ORDER, binomial_row
-from .elements import ElementValue, Kind, Payload, norm_payload, one_payload, zero_payload
+from .elements import Kind, Payload, norm_payload, zero_payload
 from .errors import LadderTooShort, ValidationError
 
 DEFAULT_TRUNCATION = 14
@@ -168,7 +168,7 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class MetricResult:
-    value: ElementValue
+    value: Payload
     truncation_order: int
     tail_estimate: float
     converged: bool
@@ -181,14 +181,6 @@ def _require_cover(state: MomentState, n_star: int) -> None:
             f"metric truncated at {n_star} but ladder only stores integer "
             f"orders up to {top}"
         )
-
-
-def _implicit_moment(state: MomentState, n: int) -> Payload:
-    if n == 0:
-        return one_payload(state.kind, state.dim)
-    if n == 1:
-        return zero_payload(state.kind, state.dim)
-    return state.moments[float(n)]
 
 
 def _truncation_is_exact(
@@ -215,7 +207,7 @@ def metric_from_moments(
     running: list[float] = []
     last_term = None
     for n in range(spec.n_star + 1):
-        term = coeffs[n] * _implicit_moment(state, n)
+        term = coeffs[n] * state.moment(n)
         acc = term if acc is None else acc + term
         last_term = term
         term_norms.append(norm_payload(kind, term))
@@ -225,7 +217,7 @@ def metric_from_moments(
         spec.provider, state.mean, spec.n_star, kind
     )
     return MetricResult(
-        value=ElementValue(kind, acc),
+        value=acc,
         truncation_order=spec.n_star,
         tail_estimate=norm_payload(kind, last_term),
         converged=converged,
@@ -262,7 +254,7 @@ def metric_update(
         row = binomial_row(n)
         inner = None
         for k in range(n + 1):
-            t = row[k] * (_implicit_moment(state, n - k) * spow[k])
+            t = row[k] * (state.moment(n - k) * spow[k])
             inner = t if inner is None else inner + t
         term = coeffs[n] * inner
         acc = acc + term
@@ -283,7 +275,7 @@ def metric_update(
         spec.provider, meanp, n_star, kind
     )
     return MetricResult(
-        value=ElementValue(kind, value),
+        value=value,
         truncation_order=n_star,
         tail_estimate=term_norms[-1],
         converged=converged,
@@ -302,7 +294,7 @@ class CoefficientTailReport:
 
 
 def check_coefficient_convergence(
-    spec: MetricSpec, center: ElementValue, probe_depth: int
+    spec: MetricSpec, kind: Kind, center: Payload, probe_depth: int
 ) -> CoefficientTailReport:
     """Probe whether coefficient magnitudes keep shrinking past n_star.
 
@@ -321,8 +313,7 @@ def check_coefficient_convergence(
         raise ValidationError(
             f"probe depth {probe_depth} is below the truncation order {spec.n_star}"
         )
-    kind = center.kind
-    coeffs = spec.provider.coefficients(center.value, probe_depth)
+    coeffs = spec.provider.coefficients(center, probe_depth)
     norms = [norm_payload(kind, c) for c in coeffs]
     threshold = 1e-12 * norms[0] + 1e-12
     tail = tuple(norms[spec.n_star :])

@@ -67,9 +67,7 @@ def _decode_payload(kind: Kind, v: Any, dim: int | None) -> Payload:
         return complex(_decode_float(v[0]), _decode_float(v[1]))
     if not isinstance(v, list) or len(v) != dim:
         raise IntegrityError(f"vector value must be a list of {dim} numbers")
-    arr = np.array([_decode_float(c) for c in v], dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+    return np.array([_decode_float(c) for c in v], dtype=np.float64)
 
 
 def _document_dict(state: AnyState, mode: str) -> dict[str, Any]:

@@ -53,18 +53,18 @@ def swapped_metric_update(state, batch, spec):
     per shift power) instead of coefficient-major. The index set is the same
     triangle, so the two agree to rounding; a cross-check oracle."""
     zp = update_normalizer(state, batch)
-    meanp = update_mean(state, batch, zp).value
+    meanp = update_mean(state, batch, zp)
     shift = state.mean - meanp
     n_star = spec.n_star
     coeffs = spec.provider.coefficients(meanp, n_star)
-    spow = [state.moment_payload(0)]
+    spow = [state.moment(0)]
     for _ in range(n_star):
         spow.append(spow[-1] * shift)
     acc = zero_payload(state.kind, state.dim)
     for k in range(n_star + 1):
         col = zero_payload(state.kind, state.dim)
         for n in range(k, n_star + 1):
-            col = col + (coeffs[n] * binomial_row(n)[k]) * state.moment_payload(n - k)
+            col = col + (coeffs[n] * binomial_row(n)[k]) * state.moment(n - k)
         acc = acc + col * spow[k]
     batch_acc = zero_payload(state.kind, state.dim)
     for x, w in zip(*batch.records):

@@ -101,7 +101,7 @@ def test_criterion_2_normalizer_and_mean_updates():
             base, extra, joined = _draw_case(rng, kind, dim)
             state = from_batch(base, OrderLadder([2]))
             zp = update_normalizer(state, extra)
-            mp = update_mean(state, extra, zp).value
+            mp = update_mean(state, extra, zp)
             z_direct = sum(joined.weights)
             acc = None
             for x, w in zip(joined.values, joined.weights):
@@ -248,7 +248,7 @@ def test_criterion_6_metric_engine():
         zall = math.fsum(bw + ew)
         direct = math.fsum(w * g.evaluate(x) for x, w in zip(bv + ev, bw + ew)) / zall
         magnitude = math.fsum(w * abs(g.evaluate(x)) for x, w in zip(bv + ev, bw + ew)) / zall
-        rel = abs(res.value.value - direct) / max(abs(direct), magnitude, 1e-300)
+        rel = abs(res.value - direct) / max(abs(direct), magnitude, 1e-300)
         worst_poly = max(worst_poly, rel)
         assert rel <= 1e-10
 
@@ -262,7 +262,7 @@ def test_criterion_6_metric_engine():
         res = metric_update(state, Batch.from_values(Kind.SCALAR, ev, ew), MetricSpec(g, n_star=14))
         zall = math.fsum(bw + ew)
         direct = math.fsum(w * math.exp(x) for x, w in zip(bv + ev, bw + ew)) / zall
-        rel = abs(res.value.value - direct) / abs(direct)
+        rel = abs(res.value - direct) / abs(direct)
         worst_exp = max(worst_exp, rel)
         assert rel <= 1e-9
 
@@ -274,7 +274,7 @@ def test_criterion_6_metric_engine():
         state = from_batch(Batch.from_values(Kind.SCALAR, bv, bw), OrderLadder.integer_range(2, 12))
         batch = Batch.from_values(Kind.SCALAR, ev, ew)
         spec = MetricSpec(ExponentialMetric(1.0, 1.0), n_star=12)
-        a = metric_update(state, batch, spec).value.value
+        a = metric_update(state, batch, spec).value
         b = swapped_metric_update(state, batch, spec)
         diff = abs(a - b) / max(1.0, abs(a))
         worst_swap = max(worst_swap, diff)
@@ -314,7 +314,7 @@ def test_criterion_7_fractional_path():
         for order in (2.0, 3.0, 5.0, 8.0):
             got, _ = update_fractional(state, extra, order, cutoff=12)
             want = advanced.moments[order]
-            rel = abs(got.value - want) / max(abs(want), 1e-300)
+            rel = abs(got - want) / max(abs(want), 1e-300)
             worst_int = max(worst_int, rel)
             assert rel <= 1e-12
 
@@ -332,7 +332,7 @@ def test_criterion_7_fractional_path():
             Batch.from_values(Kind.COMPLEX, values + [nv], weights + [1.0]),
             OrderLadder([order]),
         ).moments[order]
-        rel = abs(got.value - oracle) / abs(oracle)
+        rel = abs(got - oracle) / abs(oracle)
         worst_frac = max(worst_frac, rel)
         assert rel <= 1e-4 and report.converged
 

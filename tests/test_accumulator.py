@@ -7,18 +7,18 @@ from momentflow import (
     Batch,
     EmptyState,
     Kind,
+    MomentState,
     OrderLadder,
-    WeightedDatum,
     append_batch,
+    dumps_state,
     expand_fractional_targets,
     fractional_chain,
     from_batch,
+    loads_state,
     merge_states,
-    scalar,
     update_integer,
     update_mean,
     update_normalizer,
-    vector,
 )
 from momentflow.elements import norm_payload, relative_error
 from momentflow.errors import (
@@ -99,10 +99,35 @@ def test_from_batch_vector_componentwise():
     assert np.array_equal(s.moments[2.0], [1.0, 100.0])
 
 
+def test_vector_states_are_read_only():
+    ladder = OrderLadder([2, 3])
+    b = Batch.from_values(Kind.VECTOR, [[1, 10], [3, 30], [4, 20]], [1, 1, 2])
+    nb = Batch.from_values(Kind.VECTOR, [[2, 5]], [1])
+    base = from_batch(b, ladder)
+    mutable = MomentState(
+        kind=Kind.VECTOR, dim=2, ladder=ladder, z=1.0, mean=np.array([1.0, 2.0]),
+        count=1, moments={2.0: np.array([1.0, 1.0]), 3.0: np.array([0.0, 0.0])},
+    )
+    states = {
+        "from_batch": base,
+        "update_integer": update_integer(base, nb),
+        "append_batch": append_batch(base, nb)[0],
+        "append_batch to empty": append_batch(EmptyState(Kind.VECTOR, 2, ladder), b)[0],
+        "merge_states": merge_states(base, from_batch(nb, ladder)),
+        "loads_state": loads_state(dumps_state(base)),
+        "MomentState": mutable,
+    }
+    for path, s in states.items():
+        for array in (s.mean, *s.moments.values()):
+            with pytest.raises(ValueError):
+                array[0] = 99.0
+        assert s.moment(2) is s.moments[2.0], path
+
+
 def test_moment_0_and_1_are_exact_and_never_stored():
     s = from_batch(Batch.from_values(Kind.SCALAR, [1, 2], [1, 1]), OrderLadder([2]))
-    assert s.moment(0).value == 1.0
-    assert s.moment(1).value == 0.0
+    assert s.moment(0) == 1.0 and type(s.moment(0)) is float
+    assert s.moment(1) == 0.0 and type(s.moment(1)) is float
     assert 0.0 not in s.moments and 1.0 not in s.moments
     with pytest.raises(OrderNotInLadder):
         s.moment(7)
@@ -144,7 +169,7 @@ def test_update_normalizer_degenerate_cancellation():
 def test_update_mean_scalar():
     s = _state([1, 2], [1, 1])
     zp = update_normalizer(s, Batch.from_values(Kind.SCALAR, [3], [1]))
-    assert update_mean(s, Batch.from_values(Kind.SCALAR, [3], [1]), zp).value == pytest.approx(
+    assert update_mean(s, Batch.from_values(Kind.SCALAR, [3], [1]), zp) == pytest.approx(
         2.0, rel=1e-14
     )
 
@@ -154,7 +179,7 @@ def test_update_mean_vector():
     s = from_batch(b, OrderLadder([2]))  # mean [1,1], Z=2
     nb = Batch.from_values(Kind.VECTOR, [[4, 0]], [2], dim=2)
     zp = update_normalizer(s, nb)
-    assert np.array_equal(update_mean(s, nb, zp).value, [2.5, 0.5])
+    assert np.array_equal(update_mean(s, nb, zp), [2.5, 0.5])
 
 
 def test_batch_is_columnar_and_read_only():
@@ -187,14 +212,16 @@ def test_batch_rejects_malformed_columns():
     with pytest.raises(ValidationError):
         Batch.from_values(Kind.SCALAR, [1.0, 2.0], [1.0, float("nan")])
     with pytest.raises(ValidationError):
+        Batch.from_values(Kind.SCALAR, [1.0, 2.0], [float("inf"), 1.0])
+    with pytest.raises(ValidationError):
+        Batch.from_values(Kind.SCALAR, [1.0] * 40, [1.0] * 39 + [float("-inf")])
+    with pytest.raises(ValidationError):
         Batch(kind=Kind.SCALAR, dim=None, values=(1.0, 2.0), weights=(1.0, 1.0))
 
 
 def test_empty_batch_rejected():
     with pytest.raises(EmptyBatch):
         Batch.from_values(Kind.SCALAR, [], [])
-    with pytest.raises(EmptyBatch):
-        Batch.from_data([])
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +357,20 @@ def test_merge_mismatches():
         merge_states(a, c)
 
 
+def test_merge_with_empty_checks_kind_and_ladder():
+    a = _state([1, 2], [1, 1])
+    other_ladder = EmptyState(kind=Kind.SCALAR, dim=None, ladder=OrderLadder([2, 3]))
+    other_kind = EmptyState(kind=Kind.COMPLEX, dim=None, ladder=a.ladder)
+    other_dim = EmptyState(kind=Kind.VECTOR, dim=3, ladder=a.ladder)
+    vec = from_batch(Batch.from_values(Kind.VECTOR, [[1, 2], [3, 4]], [1, 1]), a.ladder)
+    for x, y in [(a, other_ladder), (other_ladder, a)]:
+        with pytest.raises(LadderMismatch):
+            merge_states(x, y)
+    for x, y in [(a, other_kind), (other_kind, a), (vec, other_dim), (other_dim, vec)]:
+        with pytest.raises(KindMismatch):
+            merge_states(x, y)
+
+
 # ---------------------------------------------------------------------------
 # ladders
 # ---------------------------------------------------------------------------
@@ -359,6 +400,18 @@ def test_ladder_accepts_fractional_and_negative_noninteger():
 
 def test_ladder_dedupes():
     assert OrderLadder([2, 2.0, 3]).orders == (2.0, 3.0)
+
+
+def test_ladder_orders_are_computed_once_and_stay_field_based():
+    lad = OrderLadder([2, 3, 2.5, -0.5])
+    fresh = OrderLadder([2, 3, 2.5, -0.5])
+    assert lad.integer_orders is lad.integer_orders
+    assert lad.fractional_orders is lad.fractional_orders
+    assert (2 in lad, 2.0 in lad, 2.5 in lad, -0.5 in lad) == (True, True, True, True)
+    assert (1 in lad, 0.5 in lad, 4.0 in lad) == (False, False, False)
+    # the cached views add nothing to equality, hashing or repr
+    assert lad == fresh and hash(lad) == hash(fresh)
+    assert repr(lad) == repr(fresh) == "OrderLadder(orders=(-0.5, 2.0, 2.5, 3.0))"
 
 
 def test_fractional_chain_and_expansion():
@@ -402,13 +455,3 @@ def test_append_batch_mixed_ladder_advances_everything(rng):
     )
     assert new_state.moments[2.0] == pytest.approx(oracle.moments[2.0], rel=1e-10)
     assert new_state.moments[2.5] == pytest.approx(oracle.moments[2.5], rel=1e-6)
-
-
-def test_weighted_datum_batch_roundtrip():
-    data = [WeightedDatum(scalar(1.0), 1.0), WeightedDatum(scalar(2.0), 0.5)]
-    b = Batch.from_data(data)
-    assert b.size == 2
-    assert b.values.tolist() == [1.0, 2.0]
-    assert b.weights.tolist() == [1.0, 0.5]
-    with pytest.raises(KindMismatch):
-        Batch.from_data([WeightedDatum(scalar(1.0), 1.0), WeightedDatum(vector([1, 2]), 1.0)])

@@ -4,72 +4,86 @@ import math
 import numpy as np
 import pytest
 
-from momentflow import (
-    Kind,
-    WeightedDatum,
-    complex_scalar,
-    elem_add,
-    elem_mul,
-    elem_norm,
-    elem_pow,
-    one,
-    parse_kind_spec,
-    scalar,
-    vector,
-    zero,
+from momentflow import Batch, Kind, parse_kind_spec
+from momentflow.elements import (
+    POW_FLOOR,
+    norm_payload,
+    one_payload,
+    pow_payload,
+    pow_records,
+    zero_payload,
 )
-from momentflow.elements import pow_payload, pow_records
-from momentflow.errors import BadKindSpec, DomainError, KindMismatch, ValidationError
+from momentflow.errors import BadKindSpec, DomainError
+
+
+def _payloads(kind, values, dim=None):
+    """The per-record payloads a batch of these values hands its loops."""
+    return Batch.from_values(kind, values, [1.0] * len(values), dim=dim).records[0]
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
 
 
 def test_add_scalars():
-    assert elem_add(scalar(2), scalar(3)) == scalar(5)
+    a, b = _payloads(Kind.SCALAR, [2, 3])
+    assert _same(a + b, 5.0)
 
 
 def test_add_vectors_componentwise():
-    assert elem_add(vector([1, 0, 2]), vector([0, 1, 1])) == vector([1, 1, 3])
+    a, b = _payloads(Kind.VECTOR, [[1, 0, 2], [0, 1, 1]])
+    assert _same(a + b, np.array([1.0, 1.0, 3.0]))
 
 
 def test_add_complex():
-    assert elem_add(complex_scalar(1 + 2j), complex_scalar(3 - 1j)) == complex_scalar(4 + 1j)
+    a, b = _payloads(Kind.COMPLEX, [1 + 2j, 3 - 1j])
+    assert _same(a + b, 4 + 1j)
 
 
 def test_mul_scalars():
-    assert elem_mul(scalar(2), scalar(3)) == scalar(6)
+    a, b = _payloads(Kind.SCALAR, [2, 3])
+    assert _same(a * b, 6.0)
 
 
 def test_mul_vectors_hadamard():
-    assert elem_mul(vector([2, 3]), vector([4, 5])) == vector([8, 15])
+    a, b = _payloads(Kind.VECTOR, [[2, 3], [4, 5]])
+    assert _same(a * b, np.array([8.0, 15.0]))
 
 
 @pytest.mark.parametrize(
     "a",
-    [scalar(3.7), complex_scalar(1.5 - 0.25j), vector([0.5, -2.0, 7.0])],
+    [(Kind.SCALAR, 3.7), (Kind.COMPLEX, 1.5 - 0.25j), (Kind.VECTOR, [0.5, -2.0, 7.0])],
 )
 def test_multiplicative_identity(a):
-    assert elem_mul(a, one(a.kind, a.dim)) == a
-    assert elem_add(a, zero(a.kind, a.dim)) == a
+    kind, value = a
+    dim = len(value) if kind is Kind.VECTOR else None
+    (x,) = _payloads(kind, [value], dim)
+    assert _same(x * one_payload(kind, dim), x)
+    assert _same(x + zero_payload(kind, dim), x)
 
 
 def test_pow_integer():
-    assert elem_pow(scalar(2), 3) == scalar(8)
-    assert elem_pow(scalar(-2), 3) == scalar(-8)
-    assert elem_pow(vector([2, 3]), 2) == vector([4, 9])
+    assert _same(pow_payload(Kind.SCALAR, 2.0, 3), 8.0)
+    assert _same(pow_payload(Kind.SCALAR, -2.0, 3), -8.0)
+    assert _same(pow_payload(Kind.VECTOR, np.array([2.0, 3.0]), 2), np.array([4.0, 9.0]))
 
 
 def test_pow_zero_gives_one():
-    assert elem_pow(scalar(5.0), 0) == scalar(1.0)
-    assert elem_pow(vector([2, 3]), 0) == one(Kind.VECTOR, 2)
+    assert _same(pow_payload(Kind.SCALAR, 5.0, 0), one_payload(Kind.SCALAR))
+    assert _same(pow_payload(Kind.COMPLEX, 0j, 0), one_payload(Kind.COMPLEX))
+    assert _same(pow_payload(Kind.VECTOR, np.array([2.0, 3.0]), 0), one_payload(Kind.VECTOR, 2))
 
 
 def test_pow_sqrt():
-    assert elem_pow(scalar(4), 0.5) == scalar(2.0)
+    assert _same(pow_payload(Kind.SCALAR, 4.0, 0.5), 2.0)
 
 
 def test_pow_complex_principal_branch():
     # exp(0.5 * log(-1)) with Arg in (-pi, pi]
     expected = cmath.exp(0.5 * cmath.log(-1))
-    got = elem_pow(complex_scalar(-1), 0.5).value
+    got = pow_payload(Kind.COMPLEX, -1 + 0j, 0.5)
     assert got == expected
     assert abs(got.real) < 1e-15
     assert got.imag == pytest.approx(1.0, rel=1e-15)
@@ -77,36 +91,31 @@ def test_pow_complex_principal_branch():
 
 def test_pow_real_negative_base_fractional_rejected():
     with pytest.raises(DomainError):
-        elem_pow(scalar(-2.0), 0.5)
+        pow_payload(Kind.SCALAR, -2.0, 0.5)
     with pytest.raises(DomainError):
-        elem_pow(vector([1.0, -1.0]), 2.5)
+        pow_payload(Kind.VECTOR, np.array([1.0, -1.0]), 2.5)
     with pytest.raises(DomainError):
-        elem_pow(scalar(0.0), 2.5)
+        pow_payload(Kind.SCALAR, 0.0, 2.5)
+    with pytest.raises(DomainError):
+        pow_payload(Kind.SCALAR, POW_FLOOR, 2.5)
 
 
 def test_pow_negative_exponent():
-    assert elem_pow(scalar(2.0), -1) == scalar(0.5)
+    assert _same(pow_payload(Kind.SCALAR, 2.0, -1), 0.5)
     with pytest.raises(DomainError):
-        elem_pow(scalar(-2.0), -1)
+        pow_payload(Kind.SCALAR, -2.0, -1)
 
 
 def test_pow_complex_zero_base():
-    assert elem_pow(complex_scalar(0), 2.5) == complex_scalar(0)
+    assert _same(pow_payload(Kind.COMPLEX, 0j, 2.5), 0j)
     with pytest.raises(DomainError):
-        elem_pow(complex_scalar(0), -0.5)
+        pow_payload(Kind.COMPLEX, 0j, -0.5)
 
 
 def test_norm():
-    assert elem_norm(scalar(-3)) == 3.0
-    assert elem_norm(vector([3, 4])) == 5.0
-    assert elem_norm(complex_scalar(3 + 4j)) == 5.0
-
-
-def test_kind_mismatch():
-    with pytest.raises(KindMismatch):
-        elem_add(scalar(1), complex_scalar(1))
-    with pytest.raises(KindMismatch):
-        elem_mul(vector([1, 2]), vector([1, 2, 3]))
+    assert norm_payload(Kind.SCALAR, -3.0) == 3.0
+    assert norm_payload(Kind.VECTOR, np.array([3.0, 4.0])) == 5.0
+    assert norm_payload(Kind.COMPLEX, 3 + 4j) == 5.0
 
 
 def _dyadics(rng, n, kind, dim=None):
@@ -114,31 +123,27 @@ def _dyadics(rng, n, kind, dim=None):
     def draw():
         return rng.integers(-(2**20), 2**20, endpoint=True) / 64.0
 
-    out = []
-    for _ in range(n):
-        if kind is Kind.SCALAR:
-            out.append(scalar(draw()))
-        elif kind is Kind.COMPLEX:
-            out.append(complex_scalar(complex(draw(), draw())))
-        else:
-            out.append(vector([draw() for _ in range(dim)]))
-    return out
+    if kind is Kind.SCALAR:
+        values = [draw() for _ in range(n)]
+    elif kind is Kind.COMPLEX:
+        values = [complex(draw(), draw()) for _ in range(n)]
+    else:
+        values = [[draw() for _ in range(dim)] for _ in range(n)]
+    return _payloads(kind, values, dim)
 
 
 @pytest.mark.parametrize("kind,dim", [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 3)])
 def test_add_associative_bit_exact_on_dyadics(rng, kind, dim):
     for _ in range(300):
         a, b, c = _dyadics(rng, 3, kind, dim)
-        left = elem_add(elem_add(a, b), c)
-        right = elem_add(a, elem_add(b, c))
-        assert left == right
+        assert _same((a + b) + c, a + (b + c))
 
 
 @pytest.mark.parametrize("kind,dim", [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 3)])
 def test_add_commutative_bit_exact(rng, kind, dim):
     for _ in range(300):
         a, b = _dyadics(rng, 2, kind, dim)
-        assert elem_add(a, b) == elem_add(b, a)
+        assert _same(a + b, b + a)
 
 
 @pytest.mark.parametrize("kind,dim", [(Kind.SCALAR, None), (Kind.VECTOR, 3)])
@@ -146,51 +151,35 @@ def test_mul_distributes_over_add_bit_exact_on_dyadics(rng, kind, dim):
     # products of two 26-bit dyadics still fit a double exactly
     for _ in range(300):
         a, b, c = _dyadics(rng, 3, kind, dim)
-        left = elem_mul(a, elem_add(b, c))
-        right = elem_add(elem_mul(a, b), elem_mul(a, c))
-        assert left == right
+        assert _same(a * (b + c), a * b + a * c)
 
 
 @pytest.mark.parametrize("base", [0.5, -0.5, 1.5, 2.0, -3.0])
 def test_pow_adds_exponents_exactly(base):
-    a = scalar(base)
     for m in range(0, 9):
         for k in range(0, 9 - m):
-            assert elem_pow(a, m + k) == elem_mul(elem_pow(a, m), elem_pow(a, k))
+            product = pow_payload(Kind.SCALAR, base, m) * pow_payload(Kind.SCALAR, base, k)
+            assert _same(pow_payload(Kind.SCALAR, base, m + k), product)
 
 
 @pytest.mark.parametrize("kind,dim", [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 4)])
 def test_triangle_inequality(rng, kind, dim):
     for _ in range(10_000):
         if kind is Kind.SCALAR:
-            a, b = scalar(rng.normal()), scalar(rng.normal())
+            a, b = float(rng.normal()), float(rng.normal())
         elif kind is Kind.COMPLEX:
-            a = complex_scalar(complex(rng.normal(), rng.normal()))
-            b = complex_scalar(complex(rng.normal(), rng.normal()))
+            a = complex(rng.normal(), rng.normal())
+            b = complex(rng.normal(), rng.normal())
         else:
-            a, b = vector(rng.normal(size=dim)), vector(rng.normal(size=dim))
-        lhs = elem_norm(elem_add(a, b))
-        rhs = elem_norm(a) + elem_norm(b)
+            a, b = rng.normal(size=dim), rng.normal(size=dim)
+        lhs = norm_payload(kind, a + b)
+        rhs = norm_payload(kind, a) + norm_payload(kind, b)
         assert lhs <= rhs * (1 + 1e-12)
 
 
 def test_norm_zero_iff_zero():
-    assert elem_norm(zero(Kind.VECTOR, 3)) == 0.0
-    assert elem_norm(vector([0.0, 1e-300, 0.0])) > 0.0
-
-
-def test_weighted_datum_requires_finite_weight():
-    WeightedDatum(scalar(1.0), 2.0)
-    with pytest.raises(ValidationError):
-        WeightedDatum(scalar(1.0), math.nan)
-    with pytest.raises(ValidationError):
-        WeightedDatum(scalar(1.0), math.inf)
-
-
-def test_element_values_are_frozen():
-    v = vector([1.0, 2.0])
-    with pytest.raises(ValueError):
-        v.value[0] = 5.0
+    assert norm_payload(Kind.VECTOR, zero_payload(Kind.VECTOR, 3)) == 0.0
+    assert norm_payload(Kind.VECTOR, np.array([0.0, 1e-300, 0.0])) > 0.0
 
 
 def test_parse_kind_spec():

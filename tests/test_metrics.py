@@ -15,7 +15,6 @@ from momentflow import (
     from_batch,
     metric_from_moments,
     metric_update,
-    scalar,
     update_integer,
 )
 from momentflow.errors import LadderTooShort, ValidationError
@@ -43,8 +42,8 @@ def test_square_metric_on_small_state():
     s = _scalar_state([1, 2, 3], [1, 1, 1])
     spec = MetricSpec(PolynomialMetric([0, 0, 1]), n_star=2)
     res = metric_from_moments(s, spec)
-    assert res.value.value == pytest.approx(14 / 3, rel=1e-14)
-    assert res.value.value == pytest.approx(direct_metric([1, 2, 3], [1, 1, 1], lambda x: x * x))
+    assert res.value == pytest.approx(14 / 3, rel=1e-14)
+    assert res.value == pytest.approx(direct_metric([1, 2, 3], [1, 1, 1], lambda x: x * x))
     assert res.converged  # finite series, lossless truncation
     assert res.tail_estimate == pytest.approx(2 / 3)
 
@@ -52,7 +51,7 @@ def test_square_metric_on_small_state():
 def test_constant_metric_is_one():
     s = _scalar_state([3.7, -1.2, 9.0], [1.0, 2.0, 0.5])
     res = metric_from_moments(s, MetricSpec(PolynomialMetric([1.0]), n_star=2))
-    assert res.value.value == 1.0
+    assert res.value == 1.0
     assert res.tail_estimate == 0.0
     assert res.converged
 
@@ -60,7 +59,23 @@ def test_constant_metric_is_one():
 def test_identity_metric_recovers_mean():
     s = _scalar_state([1.0, 2.0, 4.5], [1.0, 1.0, 2.0])
     res = metric_from_moments(s, MetricSpec(PolynomialMetric([0.0, 1.0]), n_star=2))
-    assert res.value.value == s.mean
+    assert res.value == s.mean
+
+
+@pytest.mark.parametrize(
+    "kind,dim,payload_type",
+    [(Kind.SCALAR, None, float), (Kind.COMPLEX, None, complex), (Kind.VECTOR, 2, np.ndarray)],
+)
+def test_metric_values_are_payloads_of_the_state_kind(rng, kind, dim, payload_type):
+    ladder = OrderLadder.integer_range(2, 4)
+    state = from_batch(random_batch(rng, kind, 6, dim=dim), ladder)
+    extra = random_batch(rng, kind, 3, dim=dim)
+    spec = MetricSpec(PolynomialMetric([0.5, 0.0, 1.0]), n_star=4)
+    for res in (metric_from_moments(state, spec), metric_update(state, extra, spec)):
+        assert type(res.value) is payload_type
+    # the square metric read off the moments is M_2 + mean**2 + 0.5
+    want = state.moment(2) + state.mean * state.mean + 0.5
+    assert np.allclose(metric_from_moments(state, spec).value, want, rtol=1e-13, atol=0)
 
 
 def test_ladder_too_short():
@@ -125,7 +140,7 @@ def test_polynomial_update_is_lossless():
     batch = Batch.from_values(Kind.SCALAR, [3], [1])
     spec = MetricSpec(PolynomialMetric([0, 0, 1]), n_star=2)
     res = metric_update(s, batch, spec)
-    assert res.value.value == pytest.approx(14 / 3, rel=1e-12)
+    assert res.value == pytest.approx(14 / 3, rel=1e-12)
     assert res.converged
 
 
@@ -141,7 +156,7 @@ def test_polynomial_update_random_cases(rng):
         res = metric_update(state, extra, MetricSpec(g, n_star=n_star))
         joined = concat_batches(base, extra)
         want = direct_metric(joined.values, joined.weights, g.evaluate)
-        assert res.value.value == pytest.approx(want, rel=1e-10, abs=1e-12)
+        assert res.value == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_mean_pinned_batch_collapses_shift_column():
@@ -154,7 +169,7 @@ def test_mean_pinned_batch_collapses_shift_column():
     cs = spec.provider.coefficients(2.0, 4)
     bracket = cs[0] + sum(cs[n] * s.moments[float(n)] for n in range(2, 5))
     want = 0.75 * bracket + 0.25 * spec.provider.evaluate(2.0)
-    assert res.value.value == res.value.value == pytest.approx(want, rel=1e-14)
+    assert res.value == pytest.approx(want, rel=1e-14)
 
 
 def test_exponential_update_matches_direct(rng):
@@ -167,7 +182,7 @@ def test_exponential_update_matches_direct(rng):
         res = metric_update(state, extra, spec)
         joined = concat_batches(base, extra)
         want = direct_metric(joined.values, joined.weights, g.evaluate)
-        assert abs(res.value.value - want) / abs(want) < 1e-9
+        assert abs(res.value - want) / abs(want) < 1e-9
         assert res.converged
 
 
@@ -180,8 +195,8 @@ def test_summation_orders_agree(rng):
         state = from_batch(base, OrderLadder.integer_range(2, 12))
         row = metric_update(state, extra, spec)
         swapped = swapped_metric_update(state, extra, spec)
-        assert abs(row.value.value - swapped) <= 1e-12 * max(
-            1.0, abs(row.value.value)
+        assert abs(row.value - swapped) <= 1e-12 * max(
+            1.0, abs(row.value)
         )
 
 
@@ -194,8 +209,8 @@ def test_update_then_read_consistency(rng):
     state = from_batch(base, OrderLadder.integer_range(2, 14))
     upd = metric_update(state, extra, spec)
     readback = metric_from_moments(update_integer(state, extra), spec)
-    bound = upd.tail_estimate + readback.tail_estimate + 1e-12 * abs(upd.value.value)
-    assert abs(upd.value.value - readback.value.value) <= bound
+    bound = upd.tail_estimate + readback.tail_estimate + 1e-12 * abs(upd.value)
+    assert abs(upd.value - readback.value) <= bound
 
 
 def test_vector_metric_update(rng):
@@ -207,7 +222,7 @@ def test_vector_metric_update(rng):
     joined = concat_batches(base, extra)
     z = sum(joined.weights)
     want = sum(w * (v * v) for w, v in zip(joined.weights, joined.values)) / z
-    assert res.value.value == pytest.approx(want, rel=1e-10)
+    assert res.value == pytest.approx(want, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +241,27 @@ class _OnesProvider:
 
 def test_tail_probe_polynomial_converges():
     spec = MetricSpec(PolynomialMetric([1, 2, 3]), n_star=4)
-    rep = check_coefficient_convergence(spec, scalar(0.7), probe_depth=12)
+    rep = check_coefficient_convergence(spec, Kind.SCALAR, 0.7, probe_depth=12)
     assert rep.converged
     assert all(t == 0.0 for t in rep.tail_norms)
 
 
 def test_tail_probe_exponential_converges():
     spec = MetricSpec(ExponentialMetric(1.0, 1.0), n_star=14)
-    rep = check_coefficient_convergence(spec, scalar(0.0), probe_depth=40)
+    rep = check_coefficient_convergence(spec, Kind.SCALAR, 0.0, probe_depth=40)
     assert rep.converged
 
 
 def test_tail_probe_constant_coefficients_diverge():
     spec = MetricSpec(_OnesProvider(), n_star=4)
-    rep = check_coefficient_convergence(spec, scalar(0.0), probe_depth=20)
+    rep = check_coefficient_convergence(spec, Kind.SCALAR, 0.0, probe_depth=20)
     assert not rep.converged
 
 
 def test_tail_probe_requires_depth_past_cutoff():
     spec = MetricSpec(ExponentialMetric(1.0, 1.0), n_star=14)
     with pytest.raises(ValidationError):
-        check_coefficient_convergence(spec, scalar(0.0), probe_depth=10)
+        check_coefficient_convergence(spec, Kind.SCALAR, 0.0, probe_depth=10)
 
 
 def test_spec_validates_truncation_order():

@@ -119,7 +119,7 @@ def test_whole_array_passes_agree_with_per_record_passes(kind, dim, n_base, n_ex
     assert max(errs.values()) <= 1e-12, errs
 
     spec = MetricSpec(ExponentialMetric(1.0, 0.1), n_star=8)
-    m_rec, m_arr = _both_forms(lambda: metric_update(state, extra, spec).value.value)
+    m_rec, m_arr = _both_forms(lambda: metric_update(state, extra, spec).value)
     assert np.all(np.abs(np.atleast_1d(m_arr - m_rec)) <= 1e-12 * np.abs(np.atleast_1d(m_rec)))
 
 
