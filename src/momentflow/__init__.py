@@ -34,7 +34,7 @@ from .bench import (
     storage_report,
     write_records_csv,
 )
-from .binomial import MAX_EXACT_ORDER, exact_binomial, generalized_binomial
+from .binomial import MAX_EXACT_ORDER
 from .elements import Kind, parse_kind_spec
 from .metrics import (
     CoefficientTailReport,
@@ -79,12 +79,10 @@ __all__ = [
     "check_coefficient_convergence",
     "compute_digest",
     "dumps_state",
-    "exact_binomial",
     "expand_fractional_targets",
     "fractional_chain",
     "fractional_convergence_sweep",
     "from_batch",
-    "generalized_binomial",
     "load_state",
     "loads_state",
     "merge_states",

@@ -1,10 +1,9 @@
-"""Binomial coefficients, exact and generalized.
+"""Exact binomial coefficients.
 
-Integer coefficients are computed with the multiplicative recurrence in
-exact integer arithmetic and capped at order 62, the largest order whose
-central coefficient still fits a 64-bit integer; exactness here beats any
-drift a floating recurrence would accumulate. The generalized coefficient
-extends the same recurrence to real upper index.
+Coefficients are computed with the multiplicative recurrence in exact
+integer arithmetic and capped at order 62, the largest order whose central
+coefficient still fits a 64-bit integer; exactness here beats any drift a
+floating recurrence would accumulate.
 """
 
 from __future__ import annotations
@@ -32,22 +31,3 @@ def binomial_row(n: int) -> tuple[int, ...]:
         row.append(c)
     return tuple(row)
 
-
-def exact_binomial(n: int, k: int) -> int:
-    if not 0 <= k <= n:
-        return 0
-    return binomial_row(n)[k]
-
-
-def generalized_binomial(order: float, k: int) -> float:
-    """(order choose k) for real order and integer k >= 0.
-
-    For non-negative integer order this vanishes exactly once k > order:
-    the running product hits the factor (order - order) = 0.
-    """
-    if k < 0:
-        raise ValueError(f"lower index must be non-negative, got {k}")
-    c = 1.0
-    for j in range(k):
-        c *= (order - j) / (j + 1)
-    return c

@@ -52,8 +52,6 @@ from .metrics import (
     metric_update,
 )
 from .statefile import (
-    DECIMAL,
-    HEX,
     load_state,
     loads_state,
     read_document,
@@ -137,7 +135,7 @@ def cmd_init(args: argparse.Namespace) -> int:
     with state_lock(path):
         if path.exists() and not args.force:
             raise ValidationError(f"{path} already exists (use --force to overwrite)")
-        save_state(path, EmptyState(kind=kind, dim=dim, ladder=ladder), encoding=args.encoding)
+        save_state(path, EmptyState(kind=kind, dim=dim, ladder=ladder))
     print(f"initialized {format_kind(kind, dim)} state with {len(ladder)} orders at {path}")
     return 0
 
@@ -148,7 +146,7 @@ def cmd_append(args: argparse.Namespace) -> int:
         state = load_state(path)
         batch = read_batch_csv(args.batch, state.kind, state.dim)
         new_state, reports = append_batch(state, batch, cutoff=args.n_star, tol=args.tol)
-        save_state(path, new_state, encoding=args.encoding)
+        save_state(path, new_state)
     for order, rep in sorted(reports.items()):
         if not rep.converged:
             print(
@@ -293,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_FRACTIONAL_CUTOFF,
         help="series depth stored for each fractional order (default %(default)s)",
     )
-    p.add_argument("--encoding", choices=[HEX, DECIMAL], default=HEX)
     p.add_argument("--force", action="store_true", help="overwrite an existing document")
     p.set_defaults(handler=cmd_init)
 
@@ -302,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", required=True, help="batch CSV path")
     p.add_argument("--n-star", type=int, default=DEFAULT_FRACTIONAL_CUTOFF)
     p.add_argument("--tol", type=float, default=DEFAULT_FRACTIONAL_TOL)
-    p.add_argument("--encoding", choices=[HEX, DECIMAL], default=HEX)
     p.set_defaults(handler=cmd_append)
 
     p = sub.add_parser("query", help="print a stored quantity")

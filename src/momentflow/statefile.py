@@ -6,9 +6,20 @@ content digest and the state's invariants are verified on every load, a
 state holding a non-finite number is never written, and writes are atomic
 (temp file + fsync + rename) so a crash can never leave a torn document.
 
-Numbers are serialized either as hex floats (the normative form; digests
-are always computed over the hex-float canonical serialization regardless
-of the on-disk mode) or as shortest round-trip decimals for human reading.
+A version-2 document is one line of canonical JSON: sorted keys, the
+separators ``,`` and ``:``, every float a hex-float string, and
+``moments`` a list aligned with ``orders``. Its body is that object
+without the ``content_digest`` member, and the digest is the SHA-256 of
+the body's bytes. ``content_digest`` sorts first, so the document is
+``{"content_digest":"<digest>",`` followed by the body after its opening
+brace. A save builds the body once; a load hashes the body bytes as they
+were read, so no document is rebuilt to check one.
+
+Version-1 documents (indented, hex or decimal numbers, ``[order, value]``
+moment pairs, a digest over a hex-float form rebuilt from the state) are
+still read, because a state cannot be rebuilt from its data; the next
+save writes version 2.
+
 Writers (init and append) take an advisory lock per state file; reads are
 lock-free against the last committed document.
 """
@@ -24,7 +35,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Union
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -32,63 +43,50 @@ from .accumulator import AnyState, EmptyState, MomentState, OrderLadder
 from .elements import Kind, Payload
 from .errors import DigestMismatch, IntegrityError, LockHeld, NumericError, ValidationError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-HEX = "hex"
-DECIMAL = "decimal"
+_DIGEST_PREFIX = '{"content_digest":"'
+_V2_HEADER_KEYS = frozenset(
+    {"content_digest", "count", "element_kind", "format_version", "orders"}
+)
+_V2_MOMENT_KEYS = frozenset({"mean", "moments", "z"})
 
-
-def _encode_float(x: float, mode: str) -> Union[str, float]:
-    return float(x).hex() if mode == HEX else float(x)
-
-
-def _decode_float(v: Any) -> float:
-    if isinstance(v, str):
-        return float.fromhex(v)
-    if isinstance(v, (int, float)):
-        return float(v)
-    raise IntegrityError(f"unreadable number {v!r} in state document")
+Number = Callable[[Any], float]
 
 
-def _encode_payload(kind: Kind, p: Payload, mode: str) -> Any:
+def _hex_writer(kind: Kind) -> Callable[[Payload], Any]:
+    """Writes one payload of ``kind`` in hex floats."""
     if kind is Kind.SCALAR:
-        return _encode_float(p, mode)
+        return float.hex
     if kind is Kind.COMPLEX:
-        return [_encode_float(p.real, mode), _encode_float(p.imag, mode)]
-    return [_encode_float(c, mode) for c in p]
+        return lambda p: [float.hex(p.real), float.hex(p.imag)]
+    return lambda p: [float.hex(c) for c in p.tolist()]
 
 
-def _decode_payload(kind: Kind, v: Any, dim: int | None) -> Payload:
-    if kind is Kind.SCALAR:
-        return _decode_float(v)
-    if kind is Kind.COMPLEX:
-        if not isinstance(v, list) or len(v) != 2:
-            raise IntegrityError("complex value must be a [re, im] pair")
-        return complex(_decode_float(v[0]), _decode_float(v[1]))
-    if not isinstance(v, list) or len(v) != dim:
-        raise IntegrityError(f"vector value must be a list of {dim} numbers")
-    return np.array([_decode_float(c) for c in v], dtype=np.float64)
-
-
-def _document_dict(state: AnyState, mode: str) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
+def _body_dict(state: AnyState) -> dict[str, Any]:
+    body: dict[str, Any] = {
+        "count": 0,
         "element_kind": state.kind.value,
-        "orders": [_encode_float(o, mode) for o in state.ladder.orders],
+        "format_version": FORMAT_VERSION,
+        "orders": [float.hex(o) for o in state.ladder.orders],
     }
     if state.kind is Kind.VECTOR:
-        doc["vector_dim"] = state.dim
-    if isinstance(state, EmptyState):
-        doc["count"] = 0
-        return doc
-    doc["count"] = state.count
-    doc["z"] = _encode_float(state.z, mode)
-    doc["mean"] = _encode_payload(state.kind, state.mean, mode)
-    doc["moments"] = [
-        [_encode_float(o, mode), _encode_payload(state.kind, state.moments[o], mode)]
-        for o in state.ladder.orders
-    ]
-    return doc
+        body["vector_dim"] = state.dim
+    if isinstance(state, MomentState):
+        write = _hex_writer(state.kind)
+        body["count"] = state.count
+        body["z"] = float.hex(state.z)
+        body["mean"] = write(state.mean)
+        body["moments"] = [write(state.moments[o]) for o in state.ladder.orders]
+    return body
+
+
+def _canonical(doc: dict[str, Any]) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _is_finite(kind: Kind, p: Payload) -> bool:
@@ -127,64 +125,134 @@ def _require_finite(state: AnyState) -> None:
         )
 
 
-def canonical_bytes(state: AnyState) -> bytes:
-    """The digest input: hex-float document, sorted keys, fixed separators."""
-    doc = _document_dict(state, HEX)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
-
-
 def compute_digest(state: AnyState) -> str:
-    return hashlib.sha256(canonical_bytes(state)).hexdigest()
+    """The version-2 content digest: SHA-256 of the state's canonical body."""
+    return _sha256(_canonical(_body_dict(state)))
 
 
-def dumps_state(state: AnyState, encoding: str = HEX) -> str:
-    if encoding not in (HEX, DECIMAL):
-        raise ValidationError(f"unknown number encoding {encoding!r}")
-    doc = _document_dict(state, encoding)
-    doc["number_encoding"] = encoding
-    doc["content_digest"] = compute_digest(state)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def dumps_state(state: AnyState) -> str:
+    """The version-2 document: one line, its digest member first."""
+    body = _canonical(_body_dict(state))
+    return f'{_DIGEST_PREFIX}{_sha256(body)}",{body[1:].decode("ascii")}\n'
 
 
-def loads_state(text: str) -> AnyState:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise IntegrityError(f"state document is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise IntegrityError("state document must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise IntegrityError(
-            f"unsupported format_version {doc.get('format_version')!r}"
-        )
-    try:
-        kind = Kind(doc["element_kind"])
-        dim = int(doc["vector_dim"]) if kind is Kind.VECTOR else None
-        ladder = OrderLadder(_decode_float(o) for o in doc["orders"])
-        count = int(doc["count"])
-        if count == 0:
-            state: AnyState = EmptyState(kind=kind, dim=dim, ladder=ladder)
-        else:
-            moments = {}
-            for pair in doc["moments"]:
-                order = _decode_float(pair[0])
-                moments[order] = _decode_payload(kind, pair[1], dim)
-            state = MomentState(
-                kind=kind,
-                dim=dim,
-                ladder=ladder,
-                z=_decode_float(doc["z"]),
-                mean=_decode_payload(kind, doc["mean"], dim),
-                count=count,
-                moments=moments,
-            )
-        if isinstance(state, MomentState):
-            _check_invariants(state)
-    except (KeyError, TypeError, IndexError, ValueError, ValidationError) as e:
-        raise IntegrityError(f"state document is structurally invalid: {e}") from None
+def _v1_number(v: Any) -> float:
+    if isinstance(v, str):
+        return float.fromhex(v)
+    if type(v) in (int, float):
+        return float(v)
+    raise IntegrityError(f"unreadable number {v!r} in state document")
 
+
+def _integer(doc: dict[str, Any], key: str) -> int:
+    v = doc[key]
+    if type(v) is not int:
+        raise IntegrityError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
+def _payload_reader(kind: Kind, dim: int | None, number: Number) -> Callable[[Any], Payload]:
+    """Reads one payload of ``kind`` whose numbers ``number`` reads."""
+    if kind is Kind.SCALAR:
+        return number
+    width = 2 if kind is Kind.COMPLEX else dim
+
+    def read(v: Any) -> Payload:
+        if not isinstance(v, list) or len(v) != width:
+            raise IntegrityError(f"{kind.value} value must be a list of {width} numbers")
+        if kind is Kind.COMPLEX:
+            return complex(number(v[0]), number(v[1]))
+        return np.array([number(c) for c in v], dtype=np.float64)
+
+    return read
+
+
+def _header(doc: dict[str, Any], number: Number) -> tuple[Kind, int | None, OrderLadder, int]:
+    """Kind, vector dimension, ladder and count: what every state has."""
+    kind = Kind(doc["element_kind"])
+    dim = None
+    if kind is Kind.VECTOR:
+        dim = _integer(doc, "vector_dim")
+        if dim < 1:
+            raise IntegrityError(f"vector_dim must be >= 1, got {dim}")
+    if not isinstance(doc["orders"], list):
+        raise IntegrityError("orders must be a list")
+    orders = tuple(number(o) for o in doc["orders"])
+    ladder = OrderLadder(orders)
+    if ladder.orders != orders:
+        raise IntegrityError("orders must be sorted and distinct")
+    return kind, dim, ladder, _integer(doc, "count")
+
+
+def _moment_state(
+    doc: dict[str, Any],
+    header: tuple[Kind, int | None, OrderLadder, int],
+    number: Number,
+    moments: Iterable[tuple[float, Any]],
+) -> MomentState:
+    kind, dim, ladder, count = header
+    read = _payload_reader(kind, dim, number)
+    state = MomentState(
+        kind=kind,
+        dim=dim,
+        ladder=ladder,
+        z=number(doc["z"]),
+        mean=read(doc["mean"]),
+        count=count,
+        moments={o: read(v) for o, v in moments},
+    )
+    _check_invariants(state)
+    return state
+
+
+def _read_v2(text: str, doc: dict[str, Any]) -> AnyState:
     recorded = doc.get("content_digest")
-    actual = compute_digest(state)
+    prefix = f'{_DIGEST_PREFIX}{recorded}",'
+    if not (isinstance(recorded, str) and text.startswith(prefix) and text.endswith("}\n")):
+        raise IntegrityError(
+            "version-2 state document is not canonical: it must open with its "
+            "content_digest and end in one newline"
+        )
+    actual = _sha256(("{" + text[len(prefix):-1]).encode("ascii"))
+    if actual != recorded:
+        raise DigestMismatch(
+            f"state document digest mismatch: recorded {recorded!r}, content {actual!r}"
+        )
+    header = _header(doc, float.fromhex)
+    kind, dim, ladder, count = header
+    expected = _V2_HEADER_KEYS
+    if kind is Kind.VECTOR:
+        expected = expected | {"vector_dim"}
+    if count != 0:
+        expected = expected | _V2_MOMENT_KEYS
+    if doc.keys() != expected:
+        raise IntegrityError(
+            f"state document has keys {sorted(doc)}, expected {sorted(expected)}"
+        )
+    if count == 0:
+        return EmptyState(kind=kind, dim=dim, ladder=ladder)
+    values = doc["moments"]
+    if not isinstance(values, list) or len(values) != len(ladder):
+        raise IntegrityError("moments must be a list aligned with orders")
+    return _moment_state(doc, header, float.fromhex, zip(ladder.orders, values))
+
+
+def _read_v1(doc: dict[str, Any]) -> AnyState:
+    """A version-1 document: numbers are hex-float strings or JSON numbers,
+    moments are ``[order, value]`` pairs, and the digest covers the
+    hex-float form of the state with those pairs."""
+    header = _header(doc, _v1_number)
+    kind, dim, ladder, count = header
+    if count == 0:
+        state: AnyState = EmptyState(kind=kind, dim=dim, ladder=ladder)
+    else:
+        pairs = ((_v1_number(o), v) for o, v in doc["moments"])
+        state = _moment_state(doc, header, _v1_number, pairs)
+    v1 = _body_dict(state)
+    v1["format_version"] = 1
+    if "moments" in v1:
+        v1["moments"] = [list(pair) for pair in zip(v1["orders"], v1["moments"])]
+    recorded, actual = doc.get("content_digest"), _sha256(_canonical(v1))
     if recorded != actual:
         raise DigestMismatch(
             f"state document digest mismatch: recorded {recorded!r}, content {actual!r}"
@@ -192,19 +260,43 @@ def loads_state(text: str) -> AnyState:
     return state
 
 
-def save_state(path: str | Path, state: AnyState, encoding: str = HEX) -> None:
+def loads_state(text: str) -> AnyState:
+    """The state a document holds, checked; any damage raises IntegrityError."""
+    if not text.isascii():
+        raise IntegrityError("state document is not ASCII")
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise IntegrityError(f"state document is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise IntegrityError("state document must be a JSON object")
+    version = doc.get("format_version")
+    try:
+        if version == FORMAT_VERSION and type(version) is int:
+            return _read_v2(text, doc)
+        if version == 1 and type(version) is int:
+            return _read_v1(doc)
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError, ValidationError) as e:
+        raise IntegrityError(f"state document is structurally invalid: {e}") from None
+    raise IntegrityError(f"unsupported format_version {version!r}")
+
+
+def save_state(path: str | Path, state: AnyState) -> None:
     """Atomically replace the document: temp file, fsync, rename."""
     path = Path(path)
     _require_finite(state)
-    text = dumps_state(state, encoding)
+    data = dumps_state(state).encode("ascii")
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent or Path(".")
     )
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -217,7 +309,7 @@ def save_state(path: str | Path, state: AnyState, encoding: str = HEX) -> None:
 def read_document(path: str | Path) -> str:
     """The document's text, unchecked; ``loads_state`` checks it."""
     try:
-        return Path(path).read_text(encoding="ascii")
+        return Path(path).read_bytes().decode("ascii")
     except FileNotFoundError:
         raise ValidationError(f"state file not found: {path}") from None
     except UnicodeDecodeError as e:

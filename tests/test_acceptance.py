@@ -398,7 +398,7 @@ def test_criterion_8_persistence_and_sessions(tmp_path, monkeypatch):
     for i in range(1000):
         kind, dim = [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 3)][i % 3]
         st = _random_state(rt_rng, kind, dim)
-        _assert_states_bit_equal(st, loads_state(dumps_state(st, "hex")))
+        _assert_states_bit_equal(st, loads_state(dumps_state(st)))
 
     # (c) an injected crash between temp-write and rename never corrupts
     state = str(tmp_path / "crash.json")

@@ -222,9 +222,12 @@ def test_init_append_query_session(tmp_path, capsys):
 def test_query_full_doc(tmp_path, capsys):
     state, _ = _session(tmp_path, capsys)
     assert main(["query", "--state", state, "--format", "full-doc"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("}\n")  # one compact line
+    doc = json.loads(out)
     assert doc["count"] == 3
     assert doc["element_kind"] == "scalar"
+    assert doc["format_version"] == 2
 
 
 def test_query_order_not_in_ladder(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from momentflow import (
     save_state,
     state_lock,
 )
+from momentflow.cli import main
 from momentflow.errors import (
     DigestMismatch,
     IntegrityError,
@@ -27,7 +30,16 @@ from momentflow.errors import (
     ValidationError,
 )
 
-from conftest import random_batch
+from conftest import random_batch, v1_document
+
+DATA = Path(__file__).parent / "data"
+
+# Signed zeros, the smallest subnormal, a subnormal, the smallest normal and
+# numbers at the top of the range.
+SPECIAL_FLOATS = (
+    -0.0, 0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308,
+)
 
 
 def _random_float(rng):
@@ -39,29 +51,46 @@ def _random_float(rng):
             return x
 
 
-def _random_state(rng, kind, dim=None):
+def _random_state(rng, kind, dim=None, special=()):
+    """A state of arbitrary finite doubles; about half are drawn from
+    ``special`` when it is given."""
     n_orders = int(rng.integers(1, 5))
     orders = [float(n) for n in range(2, 2 + n_orders)]
     if rng.random() < 0.4:
         orders += [2.5, 1.5, 0.5, -0.5]
     ladder = OrderLadder(orders)
 
+    def number():
+        if special and rng.random() < 0.5:
+            return special[int(rng.integers(len(special)))]
+        return _random_float(rng)
+
     def payload():
         if kind is Kind.SCALAR:
-            return _random_float(rng)
+            return number()
         if kind is Kind.COMPLEX:
-            return complex(_random_float(rng), _random_float(rng))
-        return np.array([_random_float(rng) for _ in range(dim)])
+            return complex(number(), number())
+        return np.array([number() for _ in range(dim)])
 
     return MomentState(
         kind=kind,
         dim=dim,
         ladder=ladder,
-        z=_random_float(rng) or 1.0,
+        z=number() or 1.0,
         mean=payload(),
         count=int(rng.integers(1, 10**9)),
         moments={o: payload() for o in ladder.orders},
     )
+
+
+def _bits(kind, p):
+    """A payload's exact bits, as hex floats: unlike ``==`` this tells -0.0
+    from 0.0."""
+    if kind is Kind.SCALAR:
+        return (float.hex(p),)
+    if kind is Kind.COMPLEX:
+        return (float.hex(p.real), float.hex(p.imag))
+    return tuple(float.hex(c) for c in p.tolist())
 
 
 def _assert_states_bit_equal(a, b):
@@ -70,36 +99,89 @@ def _assert_states_bit_equal(a, b):
     if isinstance(a, EmptyState):
         assert isinstance(b, EmptyState)
         return
-    assert a.z == b.z or (a.z != a.z and b.z != b.z)
+    assert float.hex(a.z) == float.hex(b.z)
     assert a.count == b.count
     for o in a.ladder.orders:
-        va, vb = a.moments[o], b.moments[o]
-        if a.kind is Kind.VECTOR:
-            assert np.array_equal(va, vb)
-        else:
-            assert va == vb
-    if a.kind is Kind.VECTOR:
-        assert np.array_equal(a.mean, b.mean)
-    else:
-        assert a.mean == b.mean
+        assert _bits(a.kind, a.moments[o]) == _bits(b.kind, b.moments[o])
+    assert _bits(a.kind, a.mean) == _bits(b.kind, b.mean)
+
+
+def _document(doc, seal=False):
+    """Serialise a parsed version-2 document canonically. ``seal`` puts in
+    the digest of the body as it now stands, so the damage a test made
+    reaches the structural checks instead of failing the digest."""
+    body = {k: v for k, v in doc.items() if k != "content_digest"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return _with_digest(text, seal, doc.get("content_digest"))
+
+
+def _with_digest(body, seal, digest=None):
+    if seal:
+        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    if digest is None:
+        return body + "\n"
+    return '{"content_digest":"' + digest + '",' + body[1:] + "\n"
 
 
 @pytest.mark.parametrize("encoding", ["hex", "decimal"])
 def test_round_trip_bit_exact_fuzz(rng, encoding):
-    # 10k random states across kinds and both encodings
+    # 10k random states across kinds: "hex" through the version-2 writer,
+    # "decimal" through version-1 decimal documents (the v1 writer oracle)
     kinds = [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 3)]
     for i in range(5000):
         kind, dim = kinds[i % 3]
         state = _random_state(rng, kind, dim)
-        back = loads_state(dumps_state(state, encoding))
-        _assert_states_bit_equal(state, back)
+        text = dumps_state(state) if encoding == "hex" else v1_document(state, "decimal")
+        _assert_states_bit_equal(state, loads_state(text))
 
 
-def test_digest_stable_across_encodings(rng):
-    state = _random_state(rng, Kind.COMPLEX)
-    d_hex = json.loads(dumps_state(state, "hex"))["content_digest"]
-    d_dec = json.loads(dumps_state(state, "decimal"))["content_digest"]
-    assert d_hex == d_dec == compute_digest(state)
+def test_round_trip_keeps_signed_zeros_subnormals_and_extremes(rng):
+    kinds = [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 3)]
+    for i in range(1500):
+        kind, dim = kinds[i % 3]
+        state = _random_state(rng, kind, dim, special=SPECIAL_FLOATS)
+        _assert_states_bit_equal(state, loads_state(dumps_state(state)))
+        _assert_states_bit_equal(state, loads_state(v1_document(state, "decimal")))
+
+
+def test_document_bytes_are_stable(rng):
+    kinds = [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 3)]
+    texts = [
+        dumps_state(EmptyState(kind=kind, dim=dim, ladder=OrderLadder([2, 3, 2.5])))
+        for kind, dim in kinds
+    ]
+    for i in range(300):
+        kind, dim = kinds[i % 3]
+        texts.append(dumps_state(_random_state(rng, kind, dim, special=SPECIAL_FLOATS)))
+    for text in texts:
+        assert dumps_state(loads_state(text)) == text
+
+
+def test_document_is_one_canonical_line_with_digest_over_its_body(rng):
+    state = _random_state(rng, Kind.VECTOR, 3)
+    text = dumps_state(state)
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    body = {k: v for k, v in doc.items() if k != "content_digest"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert doc["content_digest"] == hashlib.sha256(canonical).hexdigest() == compute_digest(state)
+    assert doc["format_version"] == 2
+    assert len(doc["moments"]) == len(doc["orders"]) == len(state.ladder)
+    assert all(isinstance(o, str) for o in doc["orders"])
+
+
+def test_digest_stable_across_encodings():
+    # One state, written by the version-1 writer in both encodings: both
+    # record one digest and load to one state. Version 2 has one encoding,
+    # and its recorded digest is compute_digest's.
+    hex_path = DATA / "v1_hex_complex_2-8_2.5.json"
+    dec_path = DATA / "v1_decimal_complex_2-8_2.5.json"
+    d_hex = json.loads(hex_path.read_text())["content_digest"]
+    d_dec = json.loads(dec_path.read_text())["content_digest"]
+    assert d_hex == d_dec
+    state = load_state(hex_path)
+    _assert_states_bit_equal(state, load_state(dec_path))
+    assert json.loads(dumps_state(state))["content_digest"] == compute_digest(state)
 
 
 def test_empty_state_round_trip(tmp_path):
@@ -122,10 +204,10 @@ def test_save_load_real_session(tmp_path, rng):
 def test_tampered_document_fails_digest(tmp_path, rng):
     state = from_batch(random_batch(rng, Kind.SCALAR, 8), OrderLadder([2, 3]))
     path = tmp_path / "s.json"
-    save_state(path, state, encoding="decimal")
+    save_state(path, state)
     doc = json.loads(path.read_text())
-    doc["moments"][0][1] = doc["moments"][0][1] + 1e-3
-    path.write_text(json.dumps(doc))
+    doc["moments"][0] = float.hex(float.fromhex(doc["moments"][0]) + 1e-3)
+    path.write_text(_document(doc))
     with pytest.raises(DigestMismatch):
         load_state(path)
 
@@ -174,10 +256,10 @@ def test_lock_excludes_second_writer(tmp_path):
 
 def test_unknown_format_version(tmp_path, rng):
     state = from_batch(random_batch(rng, Kind.SCALAR, 4), OrderLadder([2]))
-    doc = json.loads(dumps_state(state, "decimal"))
+    doc = json.loads(dumps_state(state))
     doc["format_version"] = 99
-    with pytest.raises(IntegrityError):
-        loads_state(json.dumps(doc))
+    with pytest.raises(IntegrityError, match="unsupported format_version"):
+        loads_state(_document(doc, seal=True))
 
 
 def _drop_moment(doc):
@@ -189,23 +271,33 @@ def _unknown_kind(doc):
 
 
 def _order_one_in_ladder(doc):
-    doc["orders"].append(1.0)
-    doc["moments"].append([1.0, 0.0])
+    doc["orders"].insert(0, float.hex(1.0))
+    doc["moments"].insert(0, float.hex(0.0))
 
 
 def _count_not_a_number(doc):
     doc["count"] = "many"
 
 
+def _orders_unsorted(doc):
+    # each moment stays beside its order, but a reader that sorted the
+    # orders would pair them with the wrong moments
+    doc["orders"].reverse()
+    doc["moments"].reverse()
+
+
 @pytest.mark.parametrize(
-    "damage", [_drop_moment, _unknown_kind, _order_one_in_ladder, _count_not_a_number]
+    "damage",
+    [_drop_moment, _unknown_kind, _order_one_in_ladder, _count_not_a_number, _orders_unsorted],
 )
 def test_structurally_damaged_document_is_integrity_error(rng, damage):
+    # sealed: the digest matches, so the structural checks must refuse it
     state = from_batch(random_batch(rng, Kind.SCALAR, 6), OrderLadder([2, 3, 4]))
-    doc = json.loads(dumps_state(state, "decimal"))
+    doc = json.loads(dumps_state(state))
     damage(doc)
-    with pytest.raises(IntegrityError):
-        loads_state(json.dumps(doc))
+    with pytest.raises(IntegrityError) as caught:
+        loads_state(_document(doc, seal=True))
+    assert not isinstance(caught.value, DigestMismatch)
 
 
 @pytest.mark.parametrize(
@@ -249,3 +341,142 @@ def test_save_refuses_non_finite_state(tmp_path, rng, field):
         save_state(path, bad)
     assert path.read_bytes() == before
     assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
+# ---------------------------------------------------------------------------
+# damaged documents exit 4 through the CLI and are left as they were
+# ---------------------------------------------------------------------------
+
+
+def _exits_4_unchanged(tmp_path, capsys, text):
+    path = tmp_path / "s.json"
+    path.write_text(text, encoding="ascii")
+    batch = tmp_path / "b.csv"
+    batch.write_text("x,weight\n0.5,1.0\n")
+    assert main(["query", "--state", str(path), "--count"]) == 4
+    assert main(["append", "--state", str(path), "--batch", str(batch)]) == 4
+    assert "integrity error" in capsys.readouterr().err
+    assert path.read_text(encoding="ascii") == text
+    assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
+def _v2_doc(kind, dim=None, empty=False):
+    ladder = OrderLadder([2, 3, 4])
+    if empty:
+        state = EmptyState(kind=kind, dim=dim, ladder=ladder)
+    else:
+        state = from_batch(random_batch(np.random.default_rng(11), kind, 6, dim=dim), ladder)
+    return json.loads(dumps_state(state))
+
+
+# a changed value per key of a non-empty vector document (all nine keys)
+_FLIPS = {
+    "content_digest": lambda v: v[::-1],
+    "count": lambda v: v + 1,
+    "element_kind": lambda v: "complex",
+    "format_version": lambda v: 1,
+    "mean": lambda v: v[::-1],
+    "moments": lambda v: v[::-1],
+    "orders": lambda v: v[::-1],
+    "vector_dim": lambda v: v + 1,
+    "z": lambda v: float.hex(2 * float.fromhex(v)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_FLIPS))
+def test_flipped_key_exits_4(tmp_path, capsys, key):
+    doc = _v2_doc(Kind.VECTOR, 3)
+    doc[key] = _FLIPS[key](doc[key])
+    _exits_4_unchanged(tmp_path, capsys, _document(doc))
+
+
+_DROPS = [(k, False) for k in sorted(_FLIPS)]
+# sealing would put a dropped digest back
+_DROPS += [(k, True) for k in sorted(_FLIPS) if k != "content_digest"]
+
+
+@pytest.mark.parametrize("key,seal", _DROPS)
+def test_dropped_key_exits_4(tmp_path, capsys, key, seal):
+    doc = _v2_doc(Kind.VECTOR, 3)
+    del doc[key]
+    _exits_4_unchanged(tmp_path, capsys, _document(doc, seal))
+
+
+@pytest.mark.parametrize("seal", [False, True], ids=["stale-digest", "sealed"])
+@pytest.mark.parametrize(
+    "shape,key,value",
+    [
+        ("scalar", "number_encoding", "hex"),
+        ("scalar", "health", {}),
+        ("scalar", "vector_dim", 1),
+        ("empty", "z", float.hex(1.0)),
+        ("empty", "moments", []),
+    ],
+)
+def test_added_key_exits_4(tmp_path, capsys, shape, key, value, seal):
+    doc = _v2_doc(Kind.SCALAR, empty=shape == "empty")
+    doc[key] = value
+    _exits_4_unchanged(tmp_path, capsys, _document(doc, seal))
+
+
+def _v2_body(doc):
+    return json.dumps(
+        {k: v for k, v in doc.items() if k != "content_digest"},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+@pytest.mark.parametrize("key", ["count", "vector_dim"])
+@pytest.mark.parametrize("number", ["1e999", "-1e999", "3.5", "3.0", "true"])
+def test_count_or_dim_that_is_not_an_integer_exits_4(tmp_path, capsys, key, number):
+    # 1e999 used to raise OverflowError in int(); 3.0 used to be truncated
+    doc = _v2_doc(Kind.VECTOR, 3)
+    body = _v2_body(doc).replace(f'"{key}":{doc[key]}', f'"{key}":{number}')
+    assert number in body
+    _exits_4_unchanged(tmp_path, capsys, _with_digest(body, seal=True))
+
+
+@pytest.mark.parametrize("key", ["count", "vector_dim"])
+@pytest.mark.parametrize("number", ["1e999", "3.0"])
+def test_v1_count_or_dim_that_is_not_an_integer_exits_4(tmp_path, capsys, key, number):
+    text = (DATA / "v1_hex_vector3_2-8.json").read_text()
+    value = json.loads(text)[key]
+    damaged = text.replace(f'"{key}": {value},', f'"{key}": {number},')
+    assert damaged != text
+    _exits_4_unchanged(tmp_path, capsys, damaged)
+
+
+def test_v1_order_too_large_for_a_float_exits_4(tmp_path, capsys):
+    text = (DATA / "v1_decimal_complex_2-8_2.5.json").read_text()
+    damaged = text.replace("-9.5", "1" + "0" * 400, 1)
+    _exits_4_unchanged(tmp_path, capsys, damaged)
+
+
+@pytest.mark.parametrize("where", ["top", "v1-mean", "v2-mean"])
+def test_deeply_nested_json_exits_4(tmp_path, capsys, where):
+    # json.loads raised RecursionError on these
+    deep = "[" * 100000 + "]" * 100000
+    if where == "top":
+        text = deep
+    elif where == "v1-mean":
+        text = (DATA / "v1_hex_scalar_2-20.json").read_text()
+        head, sep, tail = text.partition('"mean": ')
+        text = head + sep + deep + tail[tail.index(","):]
+    else:
+        doc = _v2_doc(Kind.SCALAR)
+        body = _v2_body(doc).replace(f'"mean":"{doc["mean"]}"', f'"mean":{deep}')
+        text = _with_digest(body, seal=True)
+    _exits_4_unchanged(tmp_path, capsys, text)
+
+
+def test_non_ascii_document_is_integrity_error(tmp_path, capsys):
+    # version 1: number_encoding is outside the digest, so only the ASCII
+    # check refuses this text
+    text = (DATA / "v1_hex_scalar_2-20.json").read_text()
+    with pytest.raises(IntegrityError, match="not ASCII"):
+        loads_state(text.replace('"number_encoding": "hex"', '"number_encoding": "héx"'))
+    path = tmp_path / "s.json"
+    path.write_bytes(_document(_v2_doc(Kind.SCALAR)).replace("scalar", "scälar").encode("utf-8"))
+    assert main(["query", "--state", str(path), "--count"]) == 4
+    assert "not ASCII" in capsys.readouterr().err
