@@ -8,12 +8,16 @@ data may be discarded.
 Two evaluation routes exist and are kept deliberately independent:
 
 * ``from_batch`` is the reference path. It evaluates every ladder order
-  directly as (1/Z) * sum_i w_i * (x_i - mean)**n over the full dataset.
+  directly as (1/Z) * sum_i w_i * (x_i - mean)**n over the full dataset,
+  record by record at every size.
 * ``append_batch`` advances an existing state using only the appended
   batch, re-centering the stored moments onto the new mean through a
   binomial expansion. All orders share one pass over the batch, so cost is
   proportional to the batch size plus ladder work that does not depend on
-  how much data the state has absorbed.
+  how much data the state has absorbed. An empty state is filled with the
+  same direct sums as ``from_batch``, taken by the size-selected batch
+  passes: whole-array from COLUMNAR_MIN_RECORDS records up, and below it
+  the very loops ``from_batch`` runs.
 
 Every operation returns a new value; states are immutable and safe to share
 across threads. Concurrent merges of disjoint states need no coordination.
@@ -423,7 +427,7 @@ def _pole_guard(batch: Batch, mean: Payload, z: float) -> None:
     """Refuse negative-order moments when any deviation sits on the pole.
 
     A precondition check, not a moment sum, so it takes the whole-array form
-    at every size; only from_batch calls it.
+    at every size; from_batch and the first append call it.
     """
     with np.errstate(all="ignore"):
         ad = np.abs(batch.values - mean)
@@ -475,17 +479,21 @@ def from_batch(batch: Batch, ladder: OrderLadder) -> MomentState:
     )
 
 
+def _weight_sum_and_scale(batch: Batch) -> tuple[float, float]:
+    """sum_i w_i and max_i |w_i|: the batch's weight sum and the scale its
+    normalizer guard compares against."""
+    if batch.columnar:
+        with np.errstate(all="ignore"):
+            return float(batch.weights.sum()), float(np.abs(batch.weights).max())
+    weights = batch.records[1]
+    return sum(weights), max(abs(w) for w in weights)
+
+
 def update_normalizer(state: MomentState, batch: Batch) -> float:
     """New weight sum Z' = Z + sum of batch weights; touches only the batch."""
     _require_nonempty(state)
     _check_state_batch(state, batch)
-    if batch.columnar:
-        with np.errstate(all="ignore"):
-            wsum = float(batch.weights.sum())
-            wmax = float(np.abs(batch.weights).max())
-    else:
-        weights = batch.records[1]
-        wsum, wmax = sum(weights), max(abs(w) for w in weights)
+    wsum, wmax = _weight_sum_and_scale(batch)
     zp = state.z + wsum
     _guard_normalizer(zp, max(abs(state.z), wmax))
     return zp
@@ -766,6 +774,41 @@ def _available_depth(ladder: OrderLadder, order: float, cap: int) -> int:
     return depth
 
 
+def _fill(batch: Batch, ladder: OrderLadder) -> MomentState:
+    """The first append: from_batch's sums, taken by the size-selected passes.
+
+    Below COLUMNAR_MIN_RECORDS those passes are from_batch's own loops, so
+    the result is bit-identical to it; from there up they are the
+    whole-array forms and agree with it to rounding.
+    """
+    z, scale = _weight_sum_and_scale(batch)
+    _guard_normalizer(z, scale)
+    mean = _weighted_value_sum(batch) / z
+
+    moments: dict[float, Payload] = {}
+    ints = ladder.integer_orders
+    if ints:
+        sums = _integer_power_sums(batch, mean, ints[-1])
+        for n in ints:
+            moments[float(n)] = sums[n - 2] / z
+    fracs = ladder.fractional_orders
+    if fracs:
+        if any(q < 0 for q in fracs):
+            _pole_guard(batch, mean, z)
+        for q, s in zip(fracs, _fractional_power_sums(batch, mean, fracs)):
+            moments[q] = s / z
+
+    return MomentState(
+        kind=batch.kind,
+        dim=batch.dim,
+        ladder=ladder,
+        z=z,
+        mean=mean,
+        count=batch.size,
+        moments=moments,
+    )
+
+
 def append_batch(
     state: AnyState,
     batch: Batch,
@@ -774,16 +817,18 @@ def append_batch(
 ) -> tuple[MomentState, dict[float, ConvergenceReport]]:
     """Absorb a batch into a state of any ladder shape.
 
-    Empty states are filled from scratch. Integer orders advance through
-    the exact recurrence; each fractional order advances through its
-    truncated series at the deepest cutoff its chain of stored orders
-    supports (at most ``cutoff``). Every order reads one shared Z', mean,
-    shift-power and batch-deviation pass, and the result is bit-identical
-    to advancing each order on its own.
+    An empty state is filled with the batch's own moments through the same
+    size-selected passes the update uses, so the first append costs what
+    a later one does; from_batch stays the per-record reference. Integer
+    orders advance through the exact recurrence; each fractional order
+    advances through its truncated series at the deepest cutoff its chain
+    of stored orders supports (at most ``cutoff``). Every order reads one
+    shared Z', mean, shift-power and batch-deviation pass, and the result
+    is bit-identical to advancing each order on its own.
     """
     if isinstance(state, EmptyState):
         _check_state_batch(state, batch)
-        return from_batch(batch, state.ladder), {}
+        return _fill(batch, state.ladder), {}
 
     ladder = state.ladder
     fracs = ladder.fractional_orders

@@ -4,11 +4,12 @@ Column layout is fixed by the element kind. Scalar: ``x,weight``; complex:
 ``re,im,weight``; vector of dimension d: ``x0,...,x{d-1},weight``. The
 file must be UTF-8 text. Every field must parse as a finite decimal
 through Python's float(), so surrounding whitespace and digit-group
-underscores are accepted; quoting and line endings are the csv module's;
-blank rows are skipped. The fields of a large batch are parsed into one
-float64 table in a single pass; a small batch, or one whose table pass
-fails, is parsed row by row, which reports the first bad row by path and
-line.
+underscores are accepted; quoting and line endings are the csv module's,
+and a row it refuses (a field over its size limit, say) is a format error
+naming path and line; blank rows are skipped. The fields of a large batch
+are parsed into one float64 table in a single pass; a small batch, or one
+whose table pass fails, is parsed row by row, which reports the first bad
+row by path and line.
 """
 
 from __future__ import annotations
@@ -81,11 +82,14 @@ def read_batch_csv(path: str | Path, kind: Kind, dim: int | None = None) -> Batc
     except FileNotFoundError:
         raise BatchFormatError(f"batch file not found: {path}") from None
     with fh:
+        reader = csv.reader(fh)
         try:
-            rows = list(csv.reader(fh))
+            rows = list(reader)
         except UnicodeDecodeError as e:
             bad = " ".join(f"0x{b:02x}" for b in e.object[e.start : e.end])
             raise BatchFormatError(f"batch file {path} is not UTF-8 text (byte {bad})") from None
+        except csv.Error as e:  # a field over the csv field limit; a NUL before Python 3.11
+            raise BatchFormatError(f"{path}:{reader.line_num}: {e}") from None
     if not rows:
         raise EmptyBatch(f"batch file {path} is empty")
     got = [c.strip() for c in rows[0]]

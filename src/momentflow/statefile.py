@@ -32,8 +32,10 @@ import hashlib
 import json
 import math
 import os
+import stat
 import tempfile
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -52,6 +54,10 @@ _V2_HEADER_KEYS = frozenset(
 _V2_MOMENT_KEYS = frozenset({"mean", "moments", "z"})
 
 Number = Callable[[Any], float]
+
+# Each distinct orders tuple is built and validated into an OrderLadder
+# once per process; _header still checks the ladder against the document.
+_ladder = lru_cache(maxsize=32)(OrderLadder)
 
 
 def _hex_writer(kind: Kind) -> Callable[[Payload], Any]:
@@ -178,7 +184,7 @@ def _header(doc: dict[str, Any], number: Number) -> tuple[Kind, int | None, Orde
     if not isinstance(doc["orders"], list):
         raise IntegrityError("orders must be a list")
     orders = tuple(number(o) for o in doc["orders"])
-    ladder = OrderLadder(orders)
+    ladder = _ladder(orders)
     if ladder.orders != orders:
         raise IntegrityError("orders must be sorted and distinct")
     return kind, dim, ladder, _integer(doc, "count")
@@ -282,15 +288,25 @@ def loads_state(text: str) -> AnyState:
 
 
 def save_state(path: str | Path, state: AnyState) -> None:
-    """Atomically replace the document: temp file, fsync, rename."""
+    """Atomically replace the document: temp file, fsync, rename.
+
+    A replaced document keeps its permission bits; a new one is created
+    0600, readable by its owner alone.
+    """
     path = Path(path)
     _require_finite(state)
     data = dumps_state(state).encode("ascii")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent or Path(".")
     )
     try:
         try:
+            if mode is not None:
+                os.fchmod(fd, mode)
             written = 0
             while written < len(data):
                 written += os.write(fd, data[written:])

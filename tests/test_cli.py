@@ -493,7 +493,8 @@ def test_cli_subprocess_entry(tmp_path):
 @pytest.mark.parametrize(
     "fresh,records",
     [
-        (True, 2),  # first append: from_batch
+        (True, 2),  # first append, per-record passes
+        (True, COLUMNAR_MIN_RECORDS + 8),  # first append, whole-array passes
         (False, 2),  # per-record update passes
         (False, COLUMNAR_MIN_RECORDS + 8),  # whole-array passes, numpy overflow
     ],
@@ -514,6 +515,24 @@ def test_append_overflowing_batch_exits_3_and_keeps_document(tmp_path, capsys, f
     assert open(state, "rb").read() == before
     if not fresh:
         assert main(["query", "--state", state, "--order", "4"]) == 0
+
+
+def test_first_append_with_a_record_on_the_mean_exits_3_on_a_negative_order(tmp_path, capsys):
+    # integer parts sum exactly in any order, so the mean is exactly 0 and
+    # the record 0 sits on the pole of the negative orders
+    state = str(tmp_path / "s.json")
+    assert main(["init", "--state", state, "--orders", "2..8,2.5", "--kind", "complex"]) == 0
+    before = open(state, "rb").read()
+    half = COLUMNAR_MIN_RECORDS // 2 + 4
+    batch = tmp_path / "b.csv"
+    batch.write_text(
+        "re,im,weight\n" + "".join(f"{k}.0,0.0,1.0\n" for k in range(-half, half + 1))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["append", "--state", state, "--batch", str(batch)]) == 3
+    assert "pole" in capsys.readouterr().err
+    assert open(state, "rb").read() == before
 
 
 def test_damaged_document_exits_4(tmp_path, capsys):
@@ -572,6 +591,31 @@ def test_batch_file_that_is_not_utf8_exits_2(tmp_path, capsys, where, command):
     assert main([command[0], "--state", state, *command[1:], str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"batch file {bad} is not UTF-8 text (byte 0xff)" in err
+    assert open(state, "rb").read() == before
+
+
+@pytest.mark.parametrize(
+    "field,reason",
+    [
+        ("1" * 200_000, "field larger than field limit"),
+        ("2.\x000", ""),  # the csv module refuses a NUL before Python 3.11; float() after
+    ],
+    ids=["over-field-limit", "nul"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["append"], ["metric", "--provider", "poly:0,0,1", "--n-star", "2"]],
+    ids=["append", "metric"],
+)
+def test_batch_row_the_csv_module_refuses_exits_2(tmp_path, capsys, field, reason, command):
+    state, _ = _session(tmp_path, capsys)
+    before = open(state, "rb").read()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x,weight\n1.0,1.0\n{field},1.0\n")
+    assert main([command[0], "--state", state, *command[1:], "--batch", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}:3: {reason}" in err
+    assert "Traceback" not in err
     assert open(state, "rb").read() == before
 
 

@@ -16,23 +16,27 @@ from hypothesis import strategies as st
 
 from momentflow import (
     Batch,
+    EmptyState,
     ExponentialMetric,
     Kind,
     MetricSpec,
     OrderLadder,
     append_batch,
+    expand_fractional_targets,
     from_batch,
     metric_update,
     update_integer,
 )
 from momentflow import accumulator
 from momentflow.accumulator import COLUMNAR_MIN_RECORDS
+from momentflow.errors import NumericError
 
 from conftest import concat_batches
 
 KINDS = [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 3)]
 KIND_IDS = ["scalar", "complex", "vector3"]
 LADDER = OrderLadder.integer_range(2, 20)
+MIXED_LADDER = OrderLadder(expand_fractional_targets([*range(2, 9), 2.5]))
 TOL = 1e-9
 
 below = st.integers(1, COLUMNAR_MIN_RECORDS - 1)
@@ -64,6 +68,46 @@ def scaled_errors(got, want, data):
         diff = np.abs(np.atleast_1d(got.moments[order] - want.moments[order]))
         out[order] = float(np.max(diff / np.maximum(scale, 1e-300)))
     return out
+
+
+def _state_or_error(fn):
+    try:
+        return fn()
+    except NumericError as e:
+        return type(e)
+
+
+def _bytes(payload):
+    return np.asarray(payload).tobytes()
+
+
+@pytest.mark.parametrize("ladder", [LADDER, MIXED_LADDER], ids=["2..20", "2..8,2.5"])
+@pytest.mark.parametrize("kind,dim", KINDS, ids=KIND_IDS)
+@given(n=sizes, seed=seeds, drift=drifts)
+def test_first_append_equals_from_batch(kind, dim, ladder, n, seed, drift):
+    """The fill of an empty state is from_batch: bit for bit below the
+    crossover, within the scaled-error bound from it up. On the real kinds
+    the fractional orders refuse negative deviations, which any batch of
+    more than one record has; where from_batch refuses, the fill must
+    refuse with the same error."""
+    rng = np.random.default_rng(seed)
+    batch = gaussian_batch(rng, kind, dim, n, drift)
+    want = _state_or_error(lambda: from_batch(batch, ladder))
+    got = _state_or_error(lambda: append_batch(EmptyState(kind, dim, ladder), batch)[0])
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    assert got.count == want.count == n
+    if n < COLUMNAR_MIN_RECORDS:
+        assert float.hex(got.z) == float.hex(want.z)
+        assert _bytes(got.mean) == _bytes(want.mean)
+        for order in ladder.orders:
+            assert _bytes(got.moments[order]) == _bytes(want.moments[order]), order
+    else:
+        assert got.z == pytest.approx(want.z, rel=1e-14)
+        errs = scaled_errors(got, want, batch)
+        assert max(errs.values()) <= TOL, errs
 
 
 @pytest.mark.parametrize("kind,dim", KINDS, ids=KIND_IDS)

@@ -480,3 +480,46 @@ def test_non_ascii_document_is_integrity_error(tmp_path, capsys):
     path.write_bytes(_document(_v2_doc(Kind.SCALAR)).replace("scalar", "scälar").encode("utf-8"))
     assert main(["query", "--state", str(path), "--count"]) == 4
     assert "not ASCII" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the ladder of a document is validated once per distinct orders tuple
+# ---------------------------------------------------------------------------
+
+
+def test_loads_of_one_ladder_share_its_instance(rng):
+    a = loads_state(dumps_state(from_batch(random_batch(rng, Kind.SCALAR, 6), OrderLadder([2, 3]))))
+    b = loads_state(dumps_state(EmptyState(kind=Kind.COMPLEX, dim=None, ladder=OrderLadder([3, 2]))))
+    assert a.ladder is b.ladder
+
+
+def _orders_duplicated(doc):
+    doc["orders"].insert(1, doc["orders"][1])
+    doc["moments"].insert(1, doc["moments"][1])
+
+
+@pytest.mark.parametrize("damage", [_orders_unsorted, _orders_duplicated, _order_one_in_ladder])
+def test_cached_ladder_still_checks_every_document(tmp_path, capsys, damage):
+    good = _v2_doc(Kind.SCALAR)
+    assert loads_state(_document(good)).ladder.orders == (2.0, 3.0, 4.0)
+    damage(good)
+    for _ in range(2):  # the second load finds the ladder cached
+        _exits_4_unchanged(tmp_path, capsys, _document(good, seal=True))
+
+
+# ---------------------------------------------------------------------------
+# a save keeps the document's permission bits
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640])
+def test_append_keeps_document_mode(tmp_path, capsys, mode):
+    path = tmp_path / "s.json"
+    assert main(["init", "--state", str(path), "--orders", "2..4", "--kind", "scalar"]) == 0
+    assert path.stat().st_mode & 0o777 == 0o600
+    path.chmod(mode)
+    batch = tmp_path / "b.csv"
+    batch.write_text("x,weight\n0.5,1.0\n1.5,2.0\n")
+    for _ in range(2):  # the fill, then an update
+        assert main(["append", "--state", str(path), "--batch", str(batch)]) == 0
+        assert path.stat().st_mode & 0o777 == mode
