@@ -37,13 +37,11 @@ from .bench import (
 from .binomial import MAX_EXACT_ORDER
 from .elements import Kind, parse_kind_spec
 from .metrics import (
-    CoefficientTailReport,
     ExponentialMetric,
     MetricResult,
     MetricSpec,
     PolynomialMetric,
     SinusoidMetric,
-    check_coefficient_convergence,
     metric_from_moments,
     metric_update,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "Batch",
     "BenchRecord",
     "BenchScenario",
-    "CoefficientTailReport",
     "ConvergenceReport",
     "EmptyState",
     "ExponentialMetric",
@@ -76,7 +73,6 @@ __all__ = [
     "StorageReport",
     "SweepCell",
     "append_batch",
-    "check_coefficient_convergence",
     "compute_digest",
     "dumps_state",
     "expand_fractional_targets",

@@ -12,12 +12,13 @@ Two evaluation routes exist and are kept deliberately independent:
   record by record at every size.
 * ``append_batch`` advances an existing state using only the appended
   batch, re-centering the stored moments onto the new mean through a
-  binomial expansion. All orders share one pass over the batch, so cost is
-  proportional to the batch size plus ladder work that does not depend on
-  how much data the state has absorbed. An empty state is filled with the
-  same direct sums as ``from_batch``, taken by the size-selected batch
-  passes: whole-array from COLUMNAR_MIN_RECORDS records up, and below it
-  the very loops ``from_batch`` runs.
+  binomial expansion. All orders share one pass over the batch and one
+  call of the re-centering kernel that merges and metric updates share,
+  so cost is proportional to the batch size plus ladder work that does
+  not depend on how much data the state has absorbed. An empty state is
+  filled with the same direct sums as ``from_batch``, taken by the
+  size-selected batch passes: whole-array from COLUMNAR_MIN_RECORDS
+  records up, and below it the very loops ``from_batch`` runs.
 
 Every operation returns a new value; states are immutable and safe to share
 across threads. Concurrent merges of disjoint states need no coordination.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -37,7 +38,7 @@ from .binomial import MAX_EXACT_ORDER, binomial_row
 from .elements import (
     Kind,
     Payload,
-    norm_payload,
+    norm_rows,
     one_payload,
     pow_payload,
     pow_records,
@@ -511,66 +512,177 @@ def update_mean(state: MomentState, batch: Batch, zp: float) -> Payload:
     return _advance_mean(state, batch, zp)
 
 
-def _shift_powers(kind: Kind, dim: int | None, shift: Payload, max_k: int) -> list[Payload]:
-    powers: list[Payload] = [one_payload(kind, dim)]
-    p = powers[0]
+def _shift_powers(kind: Kind, dim: int | None, shift: Payload, max_k: int) -> np.ndarray:
+    """shift**0..shift**max_k by repeated multiplication, as one array."""
+    powers = [one_payload(kind, dim)]
     for _ in range(max_k):
-        p = p * shift
-        powers.append(p)
-    return powers
+        powers.append(powers[-1] * shift)
+    return np.array(powers, dtype=_VALUE_DTYPE[kind])
 
 
-def _recenter_bracket(
-    moments: Mapping[float, Payload], n: int, spow: Sequence[Payload]
-) -> Payload:
-    """shift**n + sum_{k=0}^{n-2} C(n,k) * M_{n-k} * shift**k.
-
-    Evaluated in descending k so the smallest terms accumulate first; the
-    identity is exact but floating-point cancellation grows with n.
-    """
-    row = binomial_row(n)
-    acc = spow[n]
-    for k in range(n - 2, -1, -1):
-        acc = acc + row[k] * (moments[float(n - k)] * spow[k])
-    return acc
-
-
-def _recenter(
-    state: MomentState, batch: Batch, max_k: int
-) -> tuple[float, Payload, Payload, list[Payload]]:
-    """Z', the new mean, the mean shift and shift**0..shift**max_k: what
-    every order of one append shares, from one pass over the batch."""
+def _recenter(state: MomentState, batch: Batch) -> tuple[float, Payload, Payload]:
+    """Z', the new mean and the mean shift (old mean minus new): what every
+    order of one append shares, from one pass over the batch."""
     zp = update_normalizer(state, batch)
     meanp = _advance_mean(state, batch, zp)
-    shift = state.mean - meanp
-    return zp, meanp, shift, _shift_powers(state.kind, state.dim, shift, max_k)
+    return zp, meanp, state.mean - meanp
 
 
-def _advance_integer_orders(
-    state: MomentState,
-    ints: Sequence[int],
-    batch: Batch,
-    zp: float,
-    meanp: Payload,
-    spow: Sequence[Payload],
-) -> dict[float, Payload]:
-    """The integer orders ``ints`` (the whole integer ladder) advanced onto
-    the new mean, highest first; the recurrence reads only the old moments."""
-    bsums = _integer_power_sums(batch, meanp, ints[-1])
-    ratio = state.z / zp
-    return {
-        float(n): ratio * _recenter_bracket(state.moments, n, spow) + bsums[n - 2] / zp
-        for n in reversed(ints)
-    }
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """Coefficient and moment-index tables for a set of series rows.
+
+    Row r re-centres order q = ``orders[r]`` through the terms
+    k = 0..``depths[r]``: ``coef[r, k]`` is C(q, k), exact for an integer q
+    and generalized otherwise, zero past the depth; ``index[r, k]`` is the
+    position of M_(q-k) in the gathered moments, so a row's last column
+    is its sum through its depth. ``fractional`` lists the rows of
+    non-integer orders.
+    """
+
+    orders: tuple[float, ...]
+    depths: np.ndarray
+    coef: np.ndarray
+    index: np.ndarray
+    fractional: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _table(ladder: OrderLadder, rows: tuple[tuple[float, int], ...]) -> _Table:
+    """The table of ``rows``, (order, depth) pairs, over ``ladder``'s moments
+    gathered as M_0 = 1, M_1 = 0, the integer orders ascending (M_n at
+    position n), then the fractional orders. Read-only, since it is shared."""
+    top = ladder.max_integer_order or 1
+    position = {float(n): n for n in range(top + 1)}
+    position.update((q, top + 1 + i) for i, q in enumerate(ladder.fractional_orders))
+    coef = np.zeros((len(rows), max(depth for _, depth in rows) + 1))
+    index = np.zeros(coef.shape, dtype=np.intp)
+    for r, (order, depth) in enumerate(rows):
+        exact = binomial_row(int(order)) if _is_integer_order(order) and order >= 0 else None
+        c = 1.0
+        for k in range(depth + 1):
+            if exact is not None:
+                c = exact[k] if k < len(exact) else 0
+            elif k:
+                c *= (order - (k - 1)) / k
+            if not c:
+                continue
+            if order - k not in position:
+                raise LadderMismatch(
+                    f"updating order {order} at cutoff {depth} needs ladder order {order - k}"
+                )
+            coef[r, k], index[r, k] = c, position[order - k]
+    depths = np.array([depth for _, depth in rows], dtype=np.intp)
+    fractional = np.flatnonzero([not _is_integer_order(order) for order, _ in rows])
+    for a in (coef, index, depths, fractional):
+        a.flags.writeable = False
+    return _Table(tuple(order for order, _ in rows), depths, coef, index, fractional)
+
+
+@lru_cache(maxsize=32)
+def _ladder_table(ladder: OrderLadder, cutoff: int = 0) -> _Table:
+    """Every ladder order's row: integer order n through its n + 1 terms, and
+    each fractional order as deep as its chain of stored orders reaches, at
+    most ``cutoff`` (which an integer ladder does not use)."""
+    rows = [(float(n), n) for n in ladder.integer_orders]
+    rows += [(q, _available_depth(ladder, q, cutoff)) for q in ladder.fractional_orders]
+    return _table(ladder, tuple(rows))
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, complex products from their real and imaginary
+    parts: numpy's complex multiply fuses multiply and add in some loops and
+    not others, so a moment would depend on which orders share its table."""
+    if a.dtype.kind != "c":
+        return a * b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=a.dtype)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _recentered(
+    state: MomentState, shift: Payload, table: _Table
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The re-centering kernel: the old moments of ``table``'s orders moved
+    onto a mean ``shift`` away, every order and element kind in one pass.
+
+    Returns the term matrix T[r, k] = coef[r, k] * (M[index[r, k]] *
+    shift**k), its partial sums along k taken strictly left to right, and
+    each row's sum: an integer order's bracket, a fractional order's
+    truncated series. A row's value depends only on its own terms, not on
+    which rows share the table. A non-integer order whose stored moment
+    (its k = 0 term) is exactly 0 belongs to a zero-spread state, every
+    record on the mean: the row starts from its exact value shift**order.
+    Callers hold np.errstate(all="ignore"), as an overflow is refused later.
+    """
+    kind, dim, m = state.kind, state.dim, state.moments
+    moments = np.array(
+        [
+            one_payload(kind, dim),
+            zero_payload(kind, dim),
+            *(m[n] for n in state.ladder.integer_orders),
+            *(m[q] for q in state.ladder.fractional_orders),
+        ],
+        dtype=_VALUE_DTYPE[kind],
+    )
+    spow = _shift_powers(kind, dim, shift, table.coef.shape[1] - 1)
+    coef = table.coef[..., None] if kind is Kind.VECTOR else table.coef
+    terms = coef * _times(moments[table.index], spow)
+    running = np.cumsum(terms, axis=1)
+    if len(table.fractional):
+        first = terms[table.fractional, 0].reshape(-1, dim or 1)
+        for r in table.fractional[~first.any(axis=1)]:
+            running[r] += pow_payload(kind, shift, table.orders[r])
+    return terms, running, running[:, -1]
+
+
+def _payloads(kind: Kind, values: np.ndarray) -> list[Payload]:
+    """An array's rows as payloads: floats, complex numbers or read-only arrays."""
+    if kind is Kind.VECTOR:
+        values.flags.writeable = False
+        return list(values)
+    return values.tolist()
+
+
+def _advance_ladder(
+    state: MomentState, batch: Batch, table: _Table, tol: float
+) -> tuple[MomentState, dict[float, ConvergenceReport]]:
+    """Every order of ``table`` (the whole ladder) advanced from one pass
+    over the batch and one kernel call: Z/Z' times the re-centred old moment
+    plus the batch's own power sum over Z'."""
+    ladder = state.ladder
+    zp, meanp, shift = _recenter(state, batch)
+    ints, fracs = ladder.integer_orders, ladder.fractional_orders
+    bsums = _integer_power_sums(batch, meanp, ints[-1]) if ints else []
+    if fracs:
+        bsums += _fractional_power_sums(batch, meanp, fracs)
+    with np.errstate(all="ignore"):
+        terms, running, recentered = _recentered(state, shift, table)
+        values = (state.z / zp) * recentered + np.array(bsums) / zp
+    reports = {}
+    if fracs:
+        reports = _series_reports(state.kind, table, table.fractional, terms, running, shift, tol)
+    new_state = MomentState(
+        kind=state.kind,
+        dim=state.dim,
+        ladder=ladder,
+        z=zp,
+        mean=meanp,
+        count=state.count + batch.size,
+        moments=dict(zip(table.orders, _payloads(state.kind, values))),
+    )
+    return new_state, reports
 
 
 def update_integer(state: MomentState, batch: Batch) -> MomentState:
     """Advance every integer ladder order using only the batch.
 
-    Each new moment combines (a) the old moments re-centered onto the new
-    mean through a binomial expansion and (b) one weighted power sum over
-    the appended records. Runtime is O((n_max - 1) * batch) plus ladder
-    work independent of the absorbed count.
+    Each new moment combines (a) the old moments re-centred onto the new
+    mean through their binomial bracket, all orders in one array pass, and
+    (b) one weighted power sum over the appended records. Runtime is
+    O((n_max - 1) * batch) plus O(n_max**2) ladder work independent of the
+    absorbed count.
     """
     _require_nonempty(state)
     _check_state_batch(state, batch)
@@ -578,17 +690,7 @@ def update_integer(state: MomentState, batch: Batch) -> MomentState:
         raise LadderMismatch(
             "ladder carries fractional orders; advance them with append_batch"
         )
-    ints = state.ladder.integer_orders
-    zp, meanp, _, spow = _recenter(state, batch, ints[-1])
-    return MomentState(
-        kind=state.kind,
-        dim=state.dim,
-        ladder=state.ladder,
-        z=zp,
-        mean=meanp,
-        count=state.count + batch.size,
-        moments=_advance_integer_orders(state, ints, batch, zp, meanp, spow),
-    )
+    return _advance_ladder(state, batch, _ladder_table(state.ladder), DEFAULT_FRACTIONAL_TOL)[0]
 
 
 @dataclass(frozen=True)
@@ -615,19 +717,6 @@ def tail_converged(term_norms: Sequence[float], running: Sequence[float], tol: f
     return all(term_norms[-1 - i] <= tol * running[-1 - i] for i in range(window))
 
 
-def _required_chain_orders(order: float, cutoff: int) -> list[float]:
-    needed = []
-    is_int = _is_integer_order(order)
-    for k in range(cutoff + 1):
-        q = float(order) - k
-        if q == 0.0 or q == 1.0:
-            continue  # exact implicit constants
-        if is_int and k > order:
-            break  # generalized coefficients vanish from here on
-        needed.append(q)
-    return needed
-
-
 def _check_series_args(cutoff: int, tol: float) -> None:
     if cutoff < 0:
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
@@ -635,49 +724,28 @@ def _check_series_args(cutoff: int, tol: float) -> None:
         raise ValidationError(f"tol must be positive, got {tol}")
 
 
-def _fractional_series(
-    state: MomentState,
-    order: float,
-    cutoff: int,
-    tol: float,
+def _series_reports(
+    kind: Kind,
+    table: _Table,
+    rows: Sequence[int],
+    terms: np.ndarray,
+    running: np.ndarray,
     shift: Payload,
-    spow: Sequence[Payload],
-) -> tuple[Payload, ConvergenceReport]:
-    """The old moment of ``order`` re-centered onto the new mean through
-    its series truncated at ``cutoff`` terms (``spow`` holds at least
-    shift**0..shift**cutoff), and the series' report."""
-    kind, dim = state.kind, state.dim
-    term_norms: list[float] = []
-    if norm_payload(kind, shift) == 0.0:
-        # Exact collapse: every k >= 1 term carries a factor shift**k = 0.
-        partial = state.moments[order]
-        term_norms.append(norm_payload(kind, partial))
-        term_norms.extend(0.0 for _ in range(cutoff))
-        converged = True
-    else:
-        if _is_integer_order(order):
-            partial = zero_payload(kind, dim)
-        else:
-            # Continuation of the order-0 slot of the integer expansion.
-            partial = pow_payload(kind, shift, order)
-        running = []
-        coeff = 1.0
-        for k in range(cutoff + 1):
-            if k:
-                coeff *= (order - (k - 1)) / k
-            q = order - k
-            if q == 1.0 or coeff == 0.0:
-                term_norms.append(0.0)
-                running.append(norm_payload(kind, partial))
-                continue
-            mq = one_payload(kind, dim) if q == 0.0 else state.moments[q]
-            term = coeff * (mq * spow[k])
-            partial = partial + term
-            term_norms.append(norm_payload(kind, term))
-            running.append(norm_payload(kind, partial))
-        converged = tail_converged(term_norms, running, tol)
-
-    return partial, ConvergenceReport(order, cutoff, tol, tuple(term_norms), converged)
+    tol: float,
+) -> dict[float, ConvergenceReport]:
+    """The convergence report of each of ``rows``, series rows of ``table``,
+    from its term and running norms through its depth. A zero shift is an
+    exact collapse at any depth: every k >= 1 term carries shift**k = 0."""
+    collapsed = not np.any(shift)
+    term_norms = norm_rows(kind, terms[rows]).tolist()
+    running_norms = norm_rows(kind, running[rows]).tolist()
+    reports = {}
+    for r, tn, rn in zip(rows, term_norms, running_norms):
+        order, depth = table.orders[r], int(table.depths[r])
+        tn, rn = tn[: depth + 1], rn[: depth + 1]
+        converged = collapsed or tail_converged(tn, rn, tol)
+        reports[order] = ConvergenceReport(order, depth, tol, tuple(tn), converged)
+    return reports
 
 
 def update_fractional(
@@ -690,39 +758,36 @@ def update_fractional(
     """Advance one (typically non-integer) moment order using only the batch.
 
     The single-order entry point; ``append_batch`` advances a whole ladder
-    through the same helpers with one pass over the batch.
+    through the same re-centering kernel with one pass over the batch.
 
-    The re-centering expansion becomes an infinite series under a
-    non-integer order; it is truncated at ``cutoff`` terms with generalized
-    binomial coefficients, and a continuation term shift**order stands in
-    for the order-0 slot the integer expansion would have reached. Passing
-    an integer-valued order reproduces the integer update: the generalized
-    coefficients beyond it vanish exactly.
-
-    A mean shift of exactly zero collapses the series to its k=0 term; no
-    power of zero is ever formed in that case.
+    Under a non-integer order the re-centering expansion is an infinite
+    series, truncated at ``cutoff`` terms with generalized binomial
+    coefficients and summed in ascending k; it holds while the mean shift is
+    below every absorbed record's distance from the mean, and the report
+    tells whether its tail died out. It starts at zero, or for a zero-spread
+    state at its exact value shift**order. An integer-valued order takes
+    the exact binomial row, reproducing the integer update. A zero shift
+    leaves only the k=0 term, the stored moment.
     """
     _require_nonempty(state)
     _check_state_batch(state, batch)
     _check_series_args(cutoff, tol)
     forder = float(order)
-    for q in _required_chain_orders(forder, cutoff):
-        if q not in state.ladder:
-            raise LadderMismatch(
-                f"updating order {forder} at cutoff {cutoff} needs ladder order {q}"
-            )
-
-    zp, meanp, shift, spow = _recenter(state, batch, cutoff)
-    partial, report = _fractional_series(state, forder, cutoff, tol, shift, spow)
-    (bsum,) = _fractional_power_sums(batch, meanp, (forder,))
-    return (state.z / zp) * partial + bsum / zp, report
+    table = _table(state.ladder, ((forder, cutoff),))
+    zp, meanp, shift = _recenter(state, batch)
+    bsums = _fractional_power_sums(batch, meanp, (forder,))
+    with np.errstate(all="ignore"):
+        terms, running, recentered = _recentered(state, shift, table)
+        value = (state.z / zp) * recentered + np.array(bsums) / zp
+    (report,) = _series_reports(state.kind, table, [0], terms, running, shift, tol).values()
+    return _payloads(state.kind, value)[0], report
 
 
 def merge_states(a: AnyState, b: AnyState) -> AnyState:
     """Combine two accumulators as if their datasets were concatenated.
 
-    Each side's moments are re-centered onto the merged mean with the same
-    binomial bracket the append update uses; only integer ladders merge.
+    Each side's moments are re-centred onto the merged mean by the same
+    kernel the append update uses; only integer ladders merge.
     Commutative bit-for-bit.
     """
     if a.kind is not b.kind or a.dim != b.dim:
@@ -741,16 +806,11 @@ def merge_states(a: AnyState, b: AnyState) -> AnyState:
     wa, wb = a.z / zp, b.z / zp
     meanp = wa * a.mean + wb * b.mean
 
-    ints = a.ladder.integer_orders
-    imax = ints[-1]
-    spow_a = _shift_powers(a.kind, a.dim, a.mean - meanp, imax)
-    spow_b = _shift_powers(b.kind, b.dim, b.mean - meanp, imax)
-
-    moments: dict[float, Payload] = {}
-    for n in reversed(ints):
-        moments[float(n)] = wa * _recenter_bracket(a.moments, n, spow_a) + (
-            wb * _recenter_bracket(b.moments, n, spow_b)
-        )
+    table = _ladder_table(a.ladder)
+    with np.errstate(all="ignore"):
+        _, _, ra = _recentered(a, a.mean - meanp, table)
+        _, _, rb = _recentered(b, b.mean - meanp, table)
+        values = wa * ra + wb * rb
 
     return MomentState(
         kind=a.kind,
@@ -759,18 +819,15 @@ def merge_states(a: AnyState, b: AnyState) -> AnyState:
         z=zp,
         mean=meanp,
         count=a.count + b.count,
-        moments=moments,
+        moments=dict(zip(table.orders, _payloads(a.kind, values))),
     )
 
 
 def _available_depth(ladder: OrderLadder, order: float, cap: int) -> int:
+    """How far past k = 0 the stored chain of a non-integer order reaches."""
     depth = 0
-    while depth < cap:
-        q = float(order) - (depth + 1)
-        if q == 0.0 or q == 1.0 or q in ladder:
-            depth += 1
-        else:
-            break
+    while depth < cap and order - (depth + 1) in ladder:
+        depth += 1
     return depth
 
 
@@ -819,43 +876,19 @@ def append_batch(
 
     An empty state is filled with the batch's own moments through the same
     size-selected passes the update uses, so the first append costs what
-    a later one does; from_batch stays the per-record reference. Integer
-    orders advance through the exact recurrence; each fractional order
-    advances through its truncated series at the deepest cutoff its chain
-    of stored orders supports (at most ``cutoff``). Every order reads one
-    shared Z', mean, shift-power and batch-deviation pass, and the result
-    is bit-identical to advancing each order on its own.
+    a later one does; from_batch stays the per-record reference. Otherwise
+    every order is re-centred by one kernel call over a table cached per
+    ladder and cutoff: integer orders through their exact binomial bracket,
+    each fractional order through its truncated series at the deepest
+    cutoff its chain of stored orders supports (at most ``cutoff``). Every
+    order reads one shared Z', mean, shift and batch-deviation pass, and the
+    result is bit-identical to advancing each order on its own.
     """
     if isinstance(state, EmptyState):
         _check_state_batch(state, batch)
         return _fill(batch, state.ladder), {}
 
-    ladder = state.ladder
-    fracs = ladder.fractional_orders
-    if not fracs:
+    if not state.ladder.fractional_orders:
         return update_integer(state, batch), {}
-
     _check_series_args(cutoff, tol)
-    # Each order's series goes as deep as its chain of stored orders
-    # reaches, so no chain order can be missing here.
-    depths = [_available_depth(ladder, q, cutoff) for q in fracs]
-    ints = ladder.integer_orders
-    zp, meanp, shift, spow = _recenter(state, batch, max([*depths, *ints[-1:]]))
-    moments = _advance_integer_orders(state, ints, batch, zp, meanp, spow) if ints else {}
-    reports: dict[float, ConvergenceReport] = {}
-    ratio = state.z / zp
-    bsums = _fractional_power_sums(batch, meanp, fracs)
-    for q, depth, bsum in zip(fracs, depths, bsums):
-        partial, reports[q] = _fractional_series(state, q, depth, tol, shift, spow)
-        moments[q] = ratio * partial + bsum / zp
-
-    new_state = MomentState(
-        kind=state.kind,
-        dim=state.dim,
-        ladder=ladder,
-        z=zp,
-        mean=meanp,
-        count=state.count + batch.size,
-        moments=moments,
-    )
-    return new_state, reports
+    return _advance_ladder(state, batch, _ladder_table(state.ladder, cutoff), tol)

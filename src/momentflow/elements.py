@@ -169,6 +169,14 @@ def norm_payload(kind: Kind, value: Payload) -> float:
     return abs(value)
 
 
+def norm_rows(kind: Kind, values: np.ndarray) -> np.ndarray:
+    """norm_payload of every payload in an array of them; a vector kind's
+    components run along the last axis."""
+    if kind is Kind.VECTOR:
+        return np.hypot.reduce(values, axis=-1, initial=0.0)
+    return np.abs(values)
+
+
 def relative_error(kind: Kind, got: Payload, want: Payload, m2: float, order: float) -> float:
     """|got - want| relative to the natural size of an order-``order`` moment.
 

@@ -5,8 +5,9 @@ convergent Taylor series about the dataset mean can be read off the moment
 ladder: W = sum_n c_n * M_n, with the coefficients c_n always taken about
 the mean (the expansion point is not a free choice; the update algebra
 below re-centers through it). Appending a batch updates W from the old
-moments plus the batch alone, via a truncated double sum over coefficient
-and re-centering indices.
+moments plus the batch alone: the old moments are re-centred onto the new
+mean by the accumulator's one re-centering kernel, and the metric is the
+single sum sum_n c_n * R_n over them.
 
 Coefficient providers must be deterministic and re-entrant; everything in
 this module is a pure function over immutable inputs.
@@ -21,9 +22,10 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .accumulator import Batch, MomentState, _recenter, tail_converged
+from .accumulator import Batch, MomentState, tail_converged
+from .accumulator import _payloads, _recenter, _recentered, _table
 from .binomial import MAX_EXACT_ORDER, binomial_row
-from .elements import Kind, Payload, norm_payload, zero_payload
+from .elements import Kind, Payload, norm_payload
 from .errors import LadderTooShort, ValidationError
 
 DEFAULT_TRUNCATION = 14
@@ -168,10 +170,16 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class MetricResult:
+    """A metric value, read-only like every stored payload."""
+
     value: Payload
     truncation_order: int
     tail_estimate: float
     converged: bool
+
+    def __post_init__(self) -> None:
+        if isinstance(self.value, np.ndarray):
+            self.value.flags.writeable = False
 
 
 def _require_cover(state: MomentState, n_star: int) -> None:
@@ -192,6 +200,22 @@ def _truncation_is_exact(
     return all(norm_payload(kind, c) == 0.0 for c in probe[n_star + 1 :])
 
 
+def _metric_sum(
+    kind: Kind, coeffs: Sequence[Payload], moments: Sequence[Payload]
+) -> tuple[Payload, list[float], list[float]]:
+    """sum_n c_n * M_n in ascending n, with each term's norm and the norm of
+    the running sum after it, for the tail monitor."""
+    acc = None
+    term_norms: list[float] = []
+    running: list[float] = []
+    for c, m in zip(coeffs, moments):
+        term = c * m
+        acc = term if acc is None else acc + term
+        term_norms.append(norm_payload(kind, term))
+        running.append(norm_payload(kind, acc))
+    return acc, term_norms, running
+
+
 def metric_from_moments(
     state: MomentState, spec: MetricSpec, tol: float = TAIL_TOL
 ) -> MetricResult:
@@ -202,24 +226,15 @@ def metric_from_moments(
     if len(coeffs) != spec.n_star + 1:
         raise ValidationError("provider returned the wrong number of coefficients")
 
-    acc = None
-    term_norms: list[float] = []
-    running: list[float] = []
-    last_term = None
-    for n in range(spec.n_star + 1):
-        term = coeffs[n] * state.moment(n)
-        acc = term if acc is None else acc + term
-        last_term = term
-        term_norms.append(norm_payload(kind, term))
-        running.append(norm_payload(kind, acc))
-
+    moments = [state.moment(n) for n in range(spec.n_star + 1)]
+    acc, term_norms, running = _metric_sum(kind, coeffs, moments)
     converged = tail_converged(term_norms, running, tol) or _truncation_is_exact(
         spec.provider, state.mean, spec.n_star, kind
     )
     return MetricResult(
         value=acc,
         truncation_order=spec.n_star,
-        tail_estimate=norm_payload(kind, last_term),
+        tail_estimate=term_norms[-1],
         converged=converged,
     )
 
@@ -232,34 +247,25 @@ def metric_update(
 ) -> MetricResult:
     """Metric of the appended dataset from old moments plus the batch.
 
-    The double sum re-centers the old moments onto the new mean while the
-    coefficients (of the possibly-new g) are taken about the new mean; the
-    appended records contribute their exact g values. The double sum runs
-    coefficient-major over its triangular index set. Runtime
-    O(n_star**2 + batch).
+    The append's kernel re-centres the old moments onto the new mean,
+    R_n = sum_k C(n, k) M_(n-k) shift**k (R_0 = 1, R_1 = shift), and with
+    coefficients (of the possibly-new g) about the new mean the metric is
+    W' = (Z/Z') sum_n c_n R_n plus the batch's exact g values over Z':
+    O(n_star**2 + batch) in one array pass, O(n_star) in Python.
     """
     _require_cover(state, spec.n_star)
-    kind, dim = state.kind, state.dim
+    kind = state.kind
     n_star = spec.n_star
 
-    zp, meanp, _, spow = _recenter(state, batch, n_star)
+    zp, meanp, shift = _recenter(state, batch)
     coeffs = spec.provider.coefficients(meanp, n_star)
     if len(coeffs) != n_star + 1:
         raise ValidationError("provider returned the wrong number of coefficients")
 
-    term_norms: list[float] = []
-    running: list[float] = []
-    acc = zero_payload(kind, dim)
-    for n in range(n_star + 1):
-        row = binomial_row(n)
-        inner = None
-        for k in range(n + 1):
-            t = row[k] * (state.moment(n - k) * spow[k])
-            inner = t if inner is None else inner + t
-        term = coeffs[n] * inner
-        acc = acc + term
-        term_norms.append(norm_payload(kind, term))
-        running.append(norm_payload(kind, acc))
+    rows = tuple((float(n), n) for n in range(n_star + 1))
+    with np.errstate(all="ignore"):
+        _, _, recentered = _recentered(state, shift, _table(state.ladder, rows))
+    acc, term_norms, running = _metric_sum(kind, coeffs, _payloads(kind, recentered))
 
     if batch.columnar:
         with np.errstate(all="ignore"):
@@ -279,50 +285,4 @@ def metric_update(
         truncation_order=n_star,
         tail_estimate=term_norms[-1],
         converged=converged,
-    )
-
-
-@dataclass(frozen=True)
-class CoefficientTailReport:
-    """Advisory probe of the coefficient tail beyond the truncation order."""
-
-    converged: bool
-    threshold: float
-    tail_norms: tuple[float, ...]
-    n_star: int
-    probe_depth: int
-
-
-def check_coefficient_convergence(
-    spec: MetricSpec, kind: Kind, center: Payload, probe_depth: int
-) -> CoefficientTailReport:
-    """Probe whether coefficient magnitudes keep shrinking past n_star.
-
-    The partial sums of |c_j| over j = n_star..probe_depth are Cauchy-like
-    when their increments fall below 1e-12 * |c_0| + 1e-12; the last three
-    probed increments decide the flag. Advisory only; never raises on a
-    divergent tail.
-
-    This is not ``tail_converged``: that monitor compares each term with
-    the running value of the sum, whereas a coefficient tail has no sum to
-    compare with (the moments that would weight it are not read here), so
-    it is held to a threshold fixed by |c_0|. A polynomial's coefficients
-    past its degree are exactly zero and pass either rule.
-    """
-    if probe_depth < spec.n_star:
-        raise ValidationError(
-            f"probe depth {probe_depth} is below the truncation order {spec.n_star}"
-        )
-    coeffs = spec.provider.coefficients(center, probe_depth)
-    norms = [norm_payload(kind, c) for c in coeffs]
-    threshold = 1e-12 * norms[0] + 1e-12
-    tail = tuple(norms[spec.n_star :])
-    window = min(3, len(tail))
-    converged = all(t < threshold for t in tail[len(tail) - window :])
-    return CoefficientTailReport(
-        converged=converged,
-        threshold=threshold,
-        tail_norms=tail,
-        n_star=spec.n_star,
-        probe_depth=probe_depth,
     )

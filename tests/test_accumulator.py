@@ -7,8 +7,10 @@ from momentflow import (
     Batch,
     EmptyState,
     Kind,
+    MetricSpec,
     MomentState,
     OrderLadder,
+    PolynomialMetric,
     append_batch,
     dumps_state,
     expand_fractional_targets,
@@ -16,10 +18,13 @@ from momentflow import (
     from_batch,
     loads_state,
     merge_states,
+    metric_update,
+    update_fractional,
     update_integer,
     update_mean,
     update_normalizer,
 )
+from momentflow.accumulator import COLUMNAR_MIN_RECORDS
 from momentflow.elements import norm_payload, relative_error
 from momentflow.errors import (
     BadLadderSpec,
@@ -122,6 +127,43 @@ def test_vector_states_are_read_only():
             with pytest.raises(ValueError):
                 array[0] = 99.0
         assert s.moment(2) is s.moments[2.0], path
+
+
+@pytest.mark.parametrize("n", [3, COLUMNAR_MIN_RECORDS + 8])
+@pytest.mark.parametrize(
+    "kind,dim,payload_type",
+    [(Kind.SCALAR, None, float), (Kind.COMPLEX, None, complex), (Kind.VECTOR, 2, np.ndarray)],
+)
+def test_updates_produce_payloads_of_the_state_kind(rng, kind, dim, payload_type, n):
+    # A negative weight pins the base mean at 0.5, below every record, so
+    # the real kinds' fractional orders see positive deviations only.
+    def batch(values, weights):
+        values = np.asarray(values, dtype=float)
+        if kind is Kind.VECTOR:
+            values = np.repeat(values[:, None], dim, axis=1)
+        return Batch.from_values(kind, values, weights, dim=dim)
+
+    base = batch([1.0, 2.0], [3.0, -1.0])
+    extra = batch(2.0 + rng.random(n), 0.05 + 0.05 * rng.random(n))
+    ladder = OrderLadder([2, 3, 4, 2.5, 1.5, 0.5])
+    state = from_batch(base, ladder)
+    appended, _ = append_batch(state, extra)
+    ints = OrderLadder.integer_range(2, 4)
+    merged = merge_states(from_batch(base, ints), from_batch(extra, ints))
+    spec = MetricSpec(PolynomialMetric([0.5, 0.0, 1.0]), n_star=4)
+    metric = metric_update(from_batch(base, ints), extra, spec)
+    payloads = [
+        appended.mean,
+        *appended.moments.values(),
+        update_fractional(state, extra, 2.5, cutoff=2)[0],
+        merged.mean,
+        *merged.moments.values(),
+        metric.value,
+    ]
+    for p in payloads:
+        assert type(p) is payload_type, p
+        if kind is Kind.VECTOR:
+            assert not p.flags.writeable
 
 
 def test_moment_0_and_1_are_exact_and_never_stored():

@@ -21,7 +21,7 @@ from momentflow.accumulator import _available_depth, tail_converged
 from momentflow.cli import main
 from momentflow.errors import DomainError, LadderMismatch, ValidationError
 
-from conftest import random_batch
+from conftest import concat_batches, random_batch
 
 
 def _complex_corpus(rng, n=12, base=100.0, spread=0.05, min_gap=0.15):
@@ -229,6 +229,32 @@ def test_append_batch_is_bit_identical_to_per_order_updates(ladder, size):
         assert dumps_state(got) == dumps_state(want)
         assert got_reports == want_reports
         state = got
+
+
+def test_series_starts_at_zero_on_gap_data():
+    # Records sit near +i and -i, so the mean stays near 0 with a gap around
+    # it, and no deviation is near the principal branch cut (the negative
+    # real axis). Every shift stays below every absorbed record's distance
+    # from the mean, so each series converges in exact arithmetic; a sum
+    # started at shift**order (right only for a zero-spread state) does not.
+    rng = np.random.default_rng(7)
+
+    def gap_batch(n=256):
+        values = 1j * rng.choice([-1.0, 1.0], n) + 0.05 * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        )
+        return Batch.from_values(Kind.COMPLEX, values, 0.5 + rng.random(n))
+
+    data = gap_batch()
+    state = from_batch(data, MIXED)
+    for _ in range(40):
+        batch = gap_batch()
+        new, _ = append_batch(state, batch)
+        assert abs(state.mean - new.mean) < np.min(np.abs(data.values - state.mean))
+        state, data = new, concat_batches(data, batch)
+    want = from_batch(data, MIXED)
+    scale = np.sum(data.weights * np.abs(data.values - want.mean) ** 2.5) / want.z
+    assert abs(state.moments[2.5] - want.moments[2.5]) <= 1e-9 * scale
 
 
 def _on_mean_case(n):

@@ -11,7 +11,6 @@ from momentflow import (
     OrderLadder,
     PolynomialMetric,
     SinusoidMetric,
-    check_coefficient_convergence,
     from_batch,
     metric_from_moments,
     metric_update,
@@ -223,45 +222,6 @@ def test_vector_metric_update(rng):
     z = sum(joined.weights)
     want = sum(w * (v * v) for w, v in zip(joined.weights, joined.values)) / z
     assert res.value == pytest.approx(want, rel=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# coefficient tail probe
-# ---------------------------------------------------------------------------
-
-
-class _OnesProvider:
-    def coefficients(self, center, max_order):
-        one = center * 0.0 + 1.0
-        return [one for _ in range(max_order + 1)]
-
-    def evaluate(self, x):
-        raise NotImplementedError
-
-
-def test_tail_probe_polynomial_converges():
-    spec = MetricSpec(PolynomialMetric([1, 2, 3]), n_star=4)
-    rep = check_coefficient_convergence(spec, Kind.SCALAR, 0.7, probe_depth=12)
-    assert rep.converged
-    assert all(t == 0.0 for t in rep.tail_norms)
-
-
-def test_tail_probe_exponential_converges():
-    spec = MetricSpec(ExponentialMetric(1.0, 1.0), n_star=14)
-    rep = check_coefficient_convergence(spec, Kind.SCALAR, 0.0, probe_depth=40)
-    assert rep.converged
-
-
-def test_tail_probe_constant_coefficients_diverge():
-    spec = MetricSpec(_OnesProvider(), n_star=4)
-    rep = check_coefficient_convergence(spec, Kind.SCALAR, 0.0, probe_depth=20)
-    assert not rep.converged
-
-
-def test_tail_probe_requires_depth_past_cutoff():
-    spec = MetricSpec(ExponentialMetric(1.0, 1.0), n_star=14)
-    with pytest.raises(ValidationError):
-        check_coefficient_convergence(spec, Kind.SCALAR, 0.0, probe_depth=10)
 
 
 def test_spec_validates_truncation_order():

@@ -24,6 +24,7 @@ from momentflow import (
     append_batch,
     expand_fractional_targets,
     from_batch,
+    merge_states,
     metric_update,
     update_integer,
 )
@@ -138,6 +139,27 @@ def test_chunks_straddling_the_crossover_leave_the_state_unchanged(
             chunked, _ = append_batch(chunked, part)
     assert chunked.count == once.count
     errs = scaled_errors(chunked, once, concat_batches(base, extra))
+    assert max(errs.values()) <= TOL, errs
+
+
+@pytest.mark.parametrize("kind,dim", KINDS, ids=KIND_IDS)
+@given(n_a=sizes, n_b=sizes, n_c=sizes, seed=seeds, drift=drifts)
+def test_merges_commute_associate_and_equal_from_batch(kind, dim, n_a, n_b, n_c, seed, drift):
+    rng = np.random.default_rng(seed)
+    a, b, c = (gaussian_batch(rng, kind, dim, n, drift * i) for i, n in enumerate((n_a, n_b, n_c)))
+    sa, sb, sc = (from_batch(x, LADDER) for x in (a, b, c))
+    ab, ba = merge_states(sa, sb), merge_states(sb, sa)
+    assert float.hex(ab.z) == float.hex(ba.z)
+    assert _bytes(ab.mean) == _bytes(ba.mean)
+    for order in LADDER.orders:
+        assert _bytes(ab.moments[order]) == _bytes(ba.moments[order]), order
+    data = concat_batches(concat_batches(a, b), c)
+    left = merge_states(ab, sc)
+    right = merge_states(sa, merge_states(sb, sc))
+    assert left.count == right.count == data.size
+    errs = scaled_errors(left, right, data)
+    assert max(errs.values()) <= TOL, errs
+    errs = scaled_errors(left, from_batch(data, LADDER), data)
     assert max(errs.values()) <= TOL, errs
 
 
