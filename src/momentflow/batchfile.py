@@ -2,21 +2,28 @@
 
 Column layout is fixed by the element kind. Scalar: ``x,weight``; complex:
 ``re,im,weight``; vector of dimension d: ``x0,...,x{d-1},weight``. The
-file must be UTF-8 text. Every field must parse as a finite decimal
-through Python's float(), so surrounding whitespace and digit-group
-underscores are accepted; quoting and line endings are the csv module's,
-and a row it refuses (a field over its size limit, say) is a format error
-naming path and line; blank rows are skipped. The fields of a large batch
-are parsed into one float64 table in a single pass; a small batch, or one
-whose table pass fails, is parsed row by row, which reports the first bad
-row by path and line.
+file must be readable UTF-8 text; a path that cannot be read (a
+directory, say) is a format error naming it. Every field must parse as a
+finite decimal through Python's float(), so surrounding whitespace and
+digit-group underscores are accepted; quoting and line endings are the
+csv module's, and a row it refuses (a field over its size limit, say) is
+a format error naming path and line; blank rows are skipped.
+
+A file of at least COLUMNAR_MIN_RECORDS records that the csv module
+would split exactly as ``str.split`` does (no quote, no NUL, no lone CR,
+no line over the csv field limit) is parsed in one pass by numpy's C text
+reader, which converts each field with the routine float() uses, so the
+values are bit-identical. Any other file, or one that reader refuses (an
+underscore, a non-ASCII digit, a row of the wrong width) or that holds a
+non-finite value, is parsed row by row through the csv module, which
+reports the first bad row by path and line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,21 +51,49 @@ def _parse_field(text: str, where: str) -> float:
     return v
 
 
-def _table(records: list[list[str]], ncol: int) -> np.ndarray | None:
-    """All fields as one (records, ncol) float64 table, each through float();
-    None if any row has the wrong width or any field fails to parse or is
-    not finite."""
-    if set(map(len, records)) != {ncol}:
+def _read_text(path: Path) -> str:
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise BatchFormatError(f"batch file not found: {path}") from None
+    except OSError as e:  # a directory, a file without read permission
+        raise BatchFormatError(f"cannot read batch file {path}: {e.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        bad = " ".join(f"0x{b:02x}" for b in e.object[e.start : e.end])
+        raise BatchFormatError(f"batch file {path} is not UTF-8 text (byte {bad})") from None
+
+
+def _table(text: str, header: list[str]) -> np.ndarray | None:
+    """All records as one (records, ncol) float64 table, read by numpy's C
+    text reader; None if there are fewer than COLUMNAR_MIN_RECORDS records,
+    the csv module might split the text otherwise than str.split, the
+    header differs, or the reader refuses a field or reads a non-finite one."""
+    # Counting newlines first keeps a small batch from splitting its text.
+    if text.count("\n") < COLUMNAR_MIN_RECORDS or '"' in text or "\0" in text:
+        return None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        return None
+    first, _, body = text.partition("\n")
+    if [c.strip() for c in first.split(",")] != header:
+        return None
+    records = list(filter(None, body.split("\n")))
+    if len(records) < COLUMNAR_MIN_RECORDS:
+        return None
+    limit = csv.field_size_limit()
+    if len(body) > limit and max(map(len, records)) > limit:
         return None
     try:
-        table = np.fromiter(
-            map(float, chain.from_iterable(records)), dtype=np.float64, count=len(records) * ncol
-        )
+        table = np.loadtxt(records, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:
         return None
-    if not np.isfinite(table).all():
+    # The shape check catches rows all one wrong width, and any line the
+    # reader would skip that the csv module counts as a record.
+    if table.shape != (len(records), len(header)) or not np.isfinite(table).all():
         return None
-    return table.reshape(len(records), ncol)
+    return table
 
 
 def _checked_rows(path: Path, body: list[list[str]], ncol: int) -> list[list[float]]:
@@ -77,45 +112,9 @@ def _checked_rows(path: Path, body: list[list[str]], ncol: int) -> list[list[flo
 def read_batch_csv(path: str | Path, kind: Kind, dim: int | None = None) -> Batch:
     path = Path(path)
     header = expected_header(kind, dim)
-    try:
-        fh = path.open(newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise BatchFormatError(f"batch file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            rows = list(reader)
-        except UnicodeDecodeError as e:
-            bad = " ".join(f"0x{b:02x}" for b in e.object[e.start : e.end])
-            raise BatchFormatError(f"batch file {path} is not UTF-8 text (byte {bad})") from None
-        except csv.Error as e:  # a field over the csv field limit; a NUL before Python 3.11
-            raise BatchFormatError(f"{path}:{reader.line_num}: {e}") from None
-    if not rows:
-        raise EmptyBatch(f"batch file {path} is empty")
-    got = [c.strip() for c in rows[0]]
-    if got != header:
-        raise BatchFormatError(
-            f"batch file {path} has header {got}, expected {header} for kind "
-            f"{kind.value}" + (f" (dim {dim})" if kind is Kind.VECTOR else "")
-        )
-    body = rows[1:]
-    records = [row for row in body if row]
-    if not records:
-        raise EmptyBatch(f"batch file {path} has a header but no records")
-    # A small batch is parsed row by row into Python lists, as numpy's fixed
-    # cost per call exceeds the whole parse; so is any batch whose table
-    # fails, to report its first bad row.
-    table = _table(records, len(header)) if len(records) >= COLUMNAR_MIN_RECORDS else None
-    if table is None:
-        parsed = _checked_rows(path, body, len(header))
-        weights = [r[-1] for r in parsed]
-        if kind is Kind.SCALAR:
-            values = [r[0] for r in parsed]
-        elif kind is Kind.COMPLEX:
-            values = [complex(r[0], r[1]) for r in parsed]
-        else:
-            values = [r[:-1] for r in parsed]
-    else:
+    text = _read_text(path)
+    table = _table(text, header)
+    if table is not None:
         weights = table[:, -1]
         if kind is Kind.SCALAR:
             values = table[:, 0]
@@ -125,4 +124,29 @@ def read_batch_csv(path: str | Path, kind: Kind, dim: int | None = None) -> Batc
             values.imag = table[:, 1]
         else:
             values = table[:, :-1]
+        return Batch.from_values(kind, values, weights, dim=dim)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as e:  # a field over the csv field limit; a NUL before Python 3.11
+        raise BatchFormatError(f"{path}:{reader.line_num}: {e}") from None
+    if not rows:
+        raise EmptyBatch(f"batch file {path} is empty")
+    got = [c.strip() for c in rows[0]]
+    if got != header:
+        raise BatchFormatError(
+            f"batch file {path} has header {got}, expected {header} for kind "
+            f"{kind.value}" + (f" (dim {dim})" if kind is Kind.VECTOR else "")
+        )
+    body = rows[1:]
+    if not any(body):
+        raise EmptyBatch(f"batch file {path} has a header but no records")
+    parsed = _checked_rows(path, body, len(header))
+    weights = [r[-1] for r in parsed]
+    if kind is Kind.SCALAR:
+        values = [r[0] for r in parsed]
+    elif kind is Kind.COMPLEX:
+        values = [complex(r[0], r[1]) for r in parsed]
+    else:
+        values = [r[:-1] for r in parsed]
     return Batch.from_values(kind, values, weights, dim=dim)

@@ -328,6 +328,8 @@ def read_document(path: str | Path) -> str:
         return Path(path).read_bytes().decode("ascii")
     except FileNotFoundError:
         raise ValidationError(f"state file not found: {path}") from None
+    except OSError as e:  # a directory, a file without read permission
+        raise ValidationError(f"cannot read state file {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise IntegrityError(f"state document {path} is not ASCII: {e}") from None
 

@@ -1,7 +1,10 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,9 +89,21 @@ def test_read_vector_batch(tmp_path):
 
 def test_batch_header_mismatch(tmp_path):
     p = tmp_path / "b.csv"
-    p.write_text("value,weight\n1,1\n")
-    with pytest.raises(BatchFormatError):
+    for records in (1, COLUMNAR_MIN_RECORDS + 8):
+        p.write_text("value,weight\n" + "1,1\n" * records)
+        with pytest.raises(BatchFormatError, match="has header"):
+            read_batch_csv(p, Kind.SCALAR)
+
+
+@pytest.mark.parametrize("records", [2, COLUMNAR_MIN_RECORDS + 8])
+def test_batch_rows_all_of_the_wrong_width_name_line_2(tmp_path, records):
+    p = tmp_path / "b.csv"
+    p.write_text("x,weight\n" + "1,2,3\n" * records)
+    with pytest.raises(BatchFormatError, match=f"{p}:2: expected 2 columns, got 3"):
         read_batch_csv(p, Kind.SCALAR)
+    p.write_text("re,im,weight\n" + "1,2\n" * records)
+    with pytest.raises(BatchFormatError, match=f"{p}:2: expected 3 columns, got 2"):
+        read_batch_csv(p, Kind.COMPLEX)
 
 
 def test_batch_rejects_non_finite(tmp_path):
@@ -118,15 +133,32 @@ def test_empty_batch_file(tmp_path):
 # rows on both sides of any size-dependent parsing strategy.
 
 
-@pytest.mark.parametrize("repeat", [1, 100])
-def test_csv_parse_contract_accepted_forms(tmp_path, repeat):
+ACCEPTED_FORMS = {
+    "": (' 1.5 , 1.0\r\n\r\n"2.5","0.5"\r\n1_0,\t2 \r\n', [1.5, 2.5, 10.0], [1.0, 0.5, 2.0]),
+    # Non-ASCII forms float() takes: NBSP padding, which numpy's text reader
+    # strips too, and a fullwidth digit, which it refuses.
+    "nbsp-": ("\xa01.5\xa0,1.0\n-2.5,\xa00.5\n", [1.5, -2.5], [1.0, 0.5]),
+    "fullwidth-digit-": ("\uff11.5,1.0\n-2.5,0.5\n", [1.5, -2.5], [1.0, 0.5]),
+    # A lone CR ends a row for the csv module.
+    "cr-": ("1.5,1.0\r-2.5,0.5\r", [1.5, -2.5], [1.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize(
+    "rows,values,weights,repeat",
+    [
+        pytest.param(*forms, repeat, id=f"{name}{repeat}")
+        for name, forms in ACCEPTED_FORMS.items()
+        for repeat in (1, 100)
+    ],
+)
+def test_csv_parse_contract_accepted_forms(tmp_path, repeat, rows, values, weights):
     p = tmp_path / "b.csv"
-    body = ' 1.5 , 1.0\r\n\r\n"2.5","0.5"\r\n1_0,\t2 \r\n' * repeat
-    p.write_bytes(("x , weight\r\n" + body).encode())
+    p.write_bytes(("x , weight\r\n" + rows * repeat).encode())
     b = read_batch_csv(p, Kind.SCALAR)
-    assert b.size == 3 * repeat
-    assert list(b.values) == [1.5, 2.5, 10.0] * repeat
-    assert list(b.weights) == [1.0, 0.5, 2.0] * repeat
+    assert b.size == len(values) * repeat
+    assert list(b.values) == values * repeat
+    assert list(b.weights) == weights * repeat
 
 
 @pytest.mark.parametrize("repeat", [1, 100])
@@ -178,6 +210,8 @@ def test_csv_bad_rows_name_path_and_line(tmp_path, kind, dim, header, row, good_
         (",".join(["0x10"] + row[1:]), "not a decimal number"),
         (",".join(row[:-1] + ["one"]), "not a decimal number"),
         (",".join(row[:-1] + [""]), "not a decimal number"),
+        (" \t ", "columns"),
+        (",".join(row[:-1] + ["1.0 #c"]), "not a decimal number"),
     ):
         p.write_text("\n".join(lead + [bad_row, good, "nan" + good]) + "\n")
         with pytest.raises(BatchFormatError, match=message) as exc:
@@ -570,7 +604,25 @@ def test_query_full_doc_prints_the_text_it_validated(tmp_path, capsys, monkeypat
     assert capsys.readouterr().out == text
 
 
-@pytest.mark.parametrize("where", ["header", "body"])
+# The good rows before and after the bad one: 1 and 0 make a 2-record
+# file; TABLE_SIZED makes a file the table pass tries, the bad row near
+# its end.
+TABLE_SIZED = (COLUMNAR_MIN_RECORDS + 6, 1)
+TABLE_SIZED_ID = f"{COLUMNAR_MIN_RECORDS + 8}-records"
+
+
+def _rows_around(bad_row, before, after):
+    return "".join(["1.0,1.0\n"] * before + [bad_row + "\n"] + ["1.0,1.0\n"] * after)
+
+
+@pytest.mark.parametrize(
+    "where,before,after",
+    [
+        pytest.param("header", 1, 0, id="header"),
+        pytest.param("body", 1, 0, id="body"),
+        pytest.param("body", *TABLE_SIZED, id=f"body-{TABLE_SIZED_ID}"),
+    ],
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -580,42 +632,101 @@ def test_query_full_doc_prints_the_text_it_validated(tmp_path, capsys, monkeypat
     ],
     ids=["append", "metric", "verify"],
 )
-def test_batch_file_that_is_not_utf8_exits_2(tmp_path, capsys, where, command):
+def test_batch_file_that_is_not_utf8_exits_2(tmp_path, capsys, where, command, before, after):
     state, _ = _session(tmp_path, capsys)
-    before = open(state, "rb").read()
+    before_doc = open(state, "rb").read()
     bad = tmp_path / "bad.csv"
     if where == "header":
-        bad.write_bytes(b"x,weig\xffht\n1.0,1.0\n")
+        text = "x,weig\xffht\n" + _rows_around("1.0,1.0", before, after)
     else:
-        bad.write_bytes(b"x,weight\n1.0,1.0\n2.\xff0,1.0\n")
+        text = "x,weight\n" + _rows_around("2.\xff0,1.0", before, after)
+    bad.write_bytes(text.encode("latin-1"))
     assert main([command[0], "--state", state, *command[1:], str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"batch file {bad} is not UTF-8 text (byte 0xff)" in err
-    assert open(state, "rb").read() == before
+    assert open(state, "rb").read() == before_doc
 
 
 @pytest.mark.parametrize(
-    "field,reason",
+    "field,reason,before,after",
     [
-        ("1" * 200_000, "field larger than field limit"),
-        ("2.\x000", ""),  # the csv module refuses a NUL before Python 3.11; float() after
+        pytest.param("1" * 200_000, "field larger than field limit", 1, 0, id="over-field-limit"),
+        # the csv module refuses a NUL before Python 3.11; float() after
+        pytest.param("2.\x000", "", 1, 0, id="nul"),
+        pytest.param(
+            "1" * 200_000, "field larger than field limit", *TABLE_SIZED,
+            id=f"over-field-limit-{TABLE_SIZED_ID}",
+        ),
+        # float() reads this field as 1.5: only the csv module's limit refuses it
+        pytest.param(
+            "0" * 200_000 + "1.5", "field larger than field limit", *TABLE_SIZED,
+            id=f"over-field-limit-finite-{TABLE_SIZED_ID}",
+        ),
+        pytest.param("2.\x000", "", *TABLE_SIZED, id=f"nul-{TABLE_SIZED_ID}"),
     ],
-    ids=["over-field-limit", "nul"],
 )
 @pytest.mark.parametrize(
     "command",
     [["append"], ["metric", "--provider", "poly:0,0,1", "--n-star", "2"]],
     ids=["append", "metric"],
 )
-def test_batch_row_the_csv_module_refuses_exits_2(tmp_path, capsys, field, reason, command):
+def test_batch_row_the_csv_module_refuses_exits_2(
+    tmp_path, capsys, field, reason, command, before, after
+):
     state, _ = _session(tmp_path, capsys)
-    before = open(state, "rb").read()
+    before_doc = open(state, "rb").read()
     bad = tmp_path / "bad.csv"
-    bad.write_text(f"x,weight\n1.0,1.0\n{field},1.0\n")
+    bad.write_text("x,weight\n" + _rows_around(f"{field},1.0", before, after))
     assert main([command[0], "--state", state, *command[1:], "--batch", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert f"error: {bad}:3: {reason}" in err
+    assert f"error: {bad}:{before + 2}: {reason}" in err
     assert "Traceback" not in err
+    assert open(state, "rb").read() == before_doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["append", "--state", "{state}", "--batch", "{unreadable}"],
+        ["metric", "--state", "{state}", "--provider", "poly:0,0,1", "--batch", "{unreadable}"],
+        ["verify", "--state", "{state}", "--data", "{unreadable}"],
+        ["query", "--state", "{unreadable}", "--count"],
+        ["append", "--state", "{unreadable}", "--batch", "{batch}"],
+    ],
+    ids=["append-batch", "metric-batch", "verify-data", "query-state", "append-state"],
+)
+def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys, argv):
+    state, _ = _session(tmp_path, capsys)
+    before = open(state, "rb").read()
+    unreadable = tmp_path / "dir"
+    unreadable.mkdir()
+    paths = {"state": state, "unreadable": unreadable, "batch": tmp_path / "b1.csv"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f" file {unreadable}: Is a directory" in err
+    assert "Traceback" not in err
+    assert open(state, "rb").read() == before
+    assert list(unreadable.iterdir()) == []
+
+
+@pytest.mark.parametrize("which", ["batch", "state"])
+def test_input_file_without_read_permission_exits_2(tmp_path, capsys, monkeypatch, which):
+    # Tests may run as root, whom chmod 000 does not stop, so the refusal is simulated.
+    state, _ = _session(tmp_path, capsys)
+    before = open(state, "rb").read()
+    batch = tmp_path / "b1.csv"
+    denied = batch if which == "batch" else Path(state)
+    read_bytes = Path.read_bytes
+
+    def refuse_denied(self):
+        if self == denied:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse_denied)
+    assert main(["append", "--state", state, "--batch", str(batch)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read {which} file {denied}: Permission denied" in err
     assert open(state, "rb").read() == before
 
 

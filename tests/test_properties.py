@@ -4,7 +4,8 @@ Hypothesis draws batch sizes, a data seed and a drift; the records are
 Gaussian. Sizes fall on both sides of COLUMNAR_MIN_RECORDS, so every
 property is checked on the per-record passes and on the whole-array ones.
 Errors are scaled as in the benchmark's result check: each order n by the
-absolute moment (1/Z) * sum_i w_i |x_i - mean|**n, componentwise.
+absolute moment (1/Z) * sum_i w_i |x_i - mean|**n, componentwise. The last
+property is the batch CSV parse: every field bit-identical to float().
 """
 
 from unittest import mock
@@ -30,6 +31,7 @@ from momentflow import (
 )
 from momentflow import accumulator
 from momentflow.accumulator import COLUMNAR_MIN_RECORDS
+from momentflow.batchfile import expected_header, read_batch_csv
 from momentflow.errors import NumericError
 
 from conftest import concat_batches
@@ -207,3 +209,51 @@ def test_fractional_batch_term_agrees_across_forms(kind, dim, n, seed, order):
     w = batch.weights.reshape((-1,) + (1,) * (batch.values.ndim - 1))
     scale = (w * np.abs(batch.values - center) ** order).sum(axis=0)
     assert np.all(np.abs(np.atleast_1d(per_record - whole_array)) <= 1e-12 * scale)
+
+
+# Finite doubles at the edges of the format: subnormals, magnitudes near the
+# exponent limits, both zeros and integers past 2**53, where adjacent
+# doubles are more than 1 apart.
+doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -0.0]),
+    st.builds(lambda s, i: float(s * i), st.sampled_from([1, -1]), st.integers(2**53 + 1, 2**70)),
+)
+FIELD_FORMATS = [repr, "%.17g".__mod__, "%.25e".__mod__, "%.6f".__mod__]
+PADS = ["", " ", "\t", "  ", " \t "]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@pytest.mark.parametrize("n", [8, COLUMNAR_MIN_RECORDS + 8])
+@pytest.mark.parametrize("kind,dim", KINDS, ids=KIND_IDS)
+@given(data=st.data(), layout=st.randoms(use_true_random=False))
+def test_batch_csv_fields_are_bit_identical_to_float(csv_dir, kind, dim, n, data, layout):
+    """Small batches take the csv module's rows, large ones numpy's table;
+    either way each value and weight is float() of its field, sign of zero
+    included. ``layout`` picks each field's format and padding."""
+    header = expected_header(kind, dim)
+    numbers = data.draw(st.lists(doubles, min_size=n * len(header), max_size=n * len(header)))
+    fields = [
+        layout.choice(PADS) + layout.choice(FIELD_FORMATS)(x) + layout.choice(PADS)
+        for x in numbers
+    ]
+    rows = [fields[i : i + len(header)] for i in range(0, len(fields), len(header))]
+    newline = layout.choice(["\n", "\r\n"])
+    path = csv_dir / "b.csv"
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    path.write_text(newline.join(lines) + newline, newline="")
+    batch = read_batch_csv(path, kind, dim)
+    want = np.array([float(f) for f in fields]).reshape(n, len(header))
+    if kind is Kind.SCALAR:
+        values = want[:, 0]
+    elif kind is Kind.COMPLEX:
+        values = np.array([complex(re, im) for re, im in want[:, :2].tolist()])
+    else:
+        values = want[:, :-1]
+    assert batch.values.tobytes() == values.tobytes()
+    assert batch.weights.tobytes() == want[:, -1].tobytes()
