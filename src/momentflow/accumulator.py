@@ -580,12 +580,11 @@ def _table(ladder: OrderLadder, rows: tuple[tuple[float, int], ...]) -> _Table:
 
 
 @lru_cache(maxsize=32)
-def _ladder_table(ladder: OrderLadder, cutoff: int = 0) -> _Table:
+def _ladder_table(ladder: OrderLadder) -> _Table:
     """Every ladder order's row: integer order n through its n + 1 terms, and
-    each fractional order as deep as its chain of stored orders reaches, at
-    most ``cutoff`` (which an integer ladder does not use)."""
+    each fractional order as deep as its chain of stored orders reaches."""
     rows = [(float(n), n) for n in ladder.integer_orders]
-    rows += [(q, _available_depth(ladder, q, cutoff)) for q in ladder.fractional_orders]
+    rows += [(q, _available_depth(ladder, q)) for q in ladder.fractional_orders]
     return _table(ladder, tuple(rows))
 
 
@@ -646,12 +645,13 @@ def _payloads(kind: Kind, values: np.ndarray) -> list[Payload]:
 
 
 def _advance_ladder(
-    state: MomentState, batch: Batch, table: _Table, tol: float
+    state: MomentState, batch: Batch
 ) -> tuple[MomentState, dict[float, ConvergenceReport]]:
-    """Every order of ``table`` (the whole ladder) advanced from one pass
-    over the batch and one kernel call: Z/Z' times the re-centred old moment
-    plus the batch's own power sum over Z'."""
+    """Every ladder order advanced from one pass over the batch and one
+    kernel call: Z/Z' times the re-centred old moment plus the batch's own
+    power sum over Z'."""
     ladder = state.ladder
+    table = _ladder_table(ladder)
     zp, meanp, shift = _recenter(state, batch)
     ints, fracs = ladder.integer_orders, ladder.fractional_orders
     bsums = _integer_power_sums(batch, meanp, ints[-1]) if ints else []
@@ -662,7 +662,9 @@ def _advance_ladder(
         values = (state.z / zp) * recentered + np.array(bsums) / zp
     reports = {}
     if fracs:
-        reports = _series_reports(state.kind, table, table.fractional, terms, running, shift, tol)
+        reports = _series_reports(
+            state.kind, table, table.fractional, terms, running, shift, DEFAULT_FRACTIONAL_TOL
+        )
     new_state = MomentState(
         kind=state.kind,
         dim=state.dim,
@@ -690,7 +692,7 @@ def update_integer(state: MomentState, batch: Batch) -> MomentState:
         raise LadderMismatch(
             "ladder carries fractional orders; advance them with append_batch"
         )
-    return _advance_ladder(state, batch, _ladder_table(state.ladder), DEFAULT_FRACTIONAL_TOL)[0]
+    return _advance_ladder(state, batch)[0]
 
 
 @dataclass(frozen=True)
@@ -715,13 +717,6 @@ def tail_converged(term_norms: Sequence[float], running: Sequence[float], tol: f
     after it. ``term_norms[i]`` and ``running[i]`` belong to term i."""
     window = min(3, len(term_norms))
     return all(term_norms[-1 - i] <= tol * running[-1 - i] for i in range(window))
-
-
-def _check_series_args(cutoff: int, tol: float) -> None:
-    if cutoff < 0:
-        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
 
 
 def _series_reports(
@@ -771,7 +766,10 @@ def update_fractional(
     """
     _require_nonempty(state)
     _check_state_batch(state, batch)
-    _check_series_args(cutoff, tol)
+    if cutoff < 0:
+        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
+    if tol <= 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
     forder = float(order)
     table = _table(state.ladder, ((forder, cutoff),))
     zp, meanp, shift = _recenter(state, batch)
@@ -823,10 +821,10 @@ def merge_states(a: AnyState, b: AnyState) -> AnyState:
     )
 
 
-def _available_depth(ladder: OrderLadder, order: float, cap: int) -> int:
+def _available_depth(ladder: OrderLadder, order: float) -> int:
     """How far past k = 0 the stored chain of a non-integer order reaches."""
     depth = 0
-    while depth < cap and order - (depth + 1) in ladder:
+    while order - (depth + 1) in ladder:
         depth += 1
     return depth
 
@@ -867,10 +865,7 @@ def _fill(batch: Batch, ladder: OrderLadder) -> MomentState:
 
 
 def append_batch(
-    state: AnyState,
-    batch: Batch,
-    cutoff: int = DEFAULT_FRACTIONAL_CUTOFF,
-    tol: float = DEFAULT_FRACTIONAL_TOL,
+    state: AnyState, batch: Batch
 ) -> tuple[MomentState, dict[float, ConvergenceReport]]:
     """Absorb a batch into a state of any ladder shape.
 
@@ -878,9 +873,9 @@ def append_batch(
     size-selected passes the update uses, so the first append costs what
     a later one does; from_batch stays the per-record reference. Otherwise
     every order is re-centred by one kernel call over a table cached per
-    ladder and cutoff: integer orders through their exact binomial bracket,
-    each fractional order through its truncated series at the deepest
-    cutoff its chain of stored orders supports (at most ``cutoff``). Every
+    ladder: integer orders through their exact binomial bracket, each
+    fractional order through its truncated series as deep as its chain of
+    stored orders reaches, so the document alone fixes the result. Every
     order reads one shared Z', mean, shift and batch-deviation pass, and the
     result is bit-identical to advancing each order on its own.
     """
@@ -890,5 +885,4 @@ def append_batch(
 
     if not state.ladder.fractional_orders:
         return update_integer(state, batch), {}
-    _check_series_args(cutoff, tol)
-    return _advance_ladder(state, batch, _ladder_table(state.ladder, cutoff), tol)
+    return _advance_ladder(state, batch)

@@ -19,10 +19,9 @@ afresh (CELL_ATTEMPTS in all) and rejected as noise if they never do.
 Absolute speedups are hardware-specific; trends and the predicted
 crossover order (N'/delta + 1) are what downstream checks assert.
 
-Cells run sequentially by default to keep timings clean; the opt-in
-parallel mode distributes whole cells across worker processes, each cell's
-timing still single-threaded. Per-cell seeding makes datasets identical
-either way.
+Cells run one after another in the calling process, so no two timings
+share the machine's cores; per-cell seeding makes each cell's data
+independent of the order the cells run in.
 """
 
 from __future__ import annotations
@@ -261,7 +260,8 @@ def _run_cell(scenario: BenchScenario, delta: int, order: int) -> BenchRecord:
 
 
 def _time_cell(scenario, delta, order, rng, ladder, dim, row, t_full, t_update) -> None:
-    # Cold worker processes need more warming than a long-running parent.
+    # A large cell warms up for a tenth of its repeats: the first cells of a
+    # fresh process need more than WARMUP_REPEATS.
     warmups = max(WARMUP_REPEATS, scenario.repeats // 10)
     for rep in range(scenario.repeats + warmups):
         base_values, base_weights = draw_dataset(rng, scenario, scenario.base_size)
@@ -303,20 +303,9 @@ def _time_cell(scenario, delta, order, rng, ladder, dim, row, t_full, t_update) 
             t_update.append((t2 - t1) / 1e9)
 
 
-def run_scenario(
-    scenario: BenchScenario, parallel: int | None = None
-) -> list[BenchRecord]:
+def run_scenario(scenario: BenchScenario) -> list[BenchRecord]:
     """All (delta, order) cells of one scenario, in deterministic row order."""
-    cells = [(d, n) for d in scenario.deltas for n in scenario.orders]
-    if parallel and parallel > 1:
-        # Imported here: concurrent.futures and multiprocessing cost every
-        # command's cold start, and only a parallel bench uses them.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = [pool.submit(_run_cell, scenario, d, n) for d, n in cells]
-            return [f.result() for f in futures]
-    return [_run_cell(scenario, d, n) for d, n in cells]
+    return [_run_cell(scenario, d, n) for d in scenario.deltas for n in scenario.orders]
 
 
 def write_records_csv(records: Sequence[BenchRecord], out: IO[str] | str | Path) -> None:

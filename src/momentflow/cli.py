@@ -18,7 +18,6 @@ from pathlib import Path
 from . import __version__
 from .accumulator import (
     DEFAULT_FRACTIONAL_CUTOFF,
-    DEFAULT_FRACTIONAL_TOL,
     EmptyState,
     OrderLadder,
     append_batch,
@@ -145,7 +144,7 @@ def cmd_append(args: argparse.Namespace) -> int:
     with state_lock(path):
         state = load_state(path)
         batch = read_batch_csv(args.batch, state.kind, state.dim)
-        new_state, reports = append_batch(state, batch, cutoff=args.n_star, tol=args.tol)
+        new_state, reports = append_batch(state, batch)
         save_state(path, new_state)
     for order, rep in sorted(reports.items()):
         if not rep.converged:
@@ -191,7 +190,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
     if isinstance(state, EmptyState):
         raise ValidationError("state is empty; metrics need absorbed data")
     provider = parse_provider_spec(args.provider)
-    spec = MetricSpec(provider=provider, n_star=args.n_star, name=args.provider)
+    spec = MetricSpec(provider=provider, n_star=args.n_star)
     if args.batch:
         batch = read_batch_csv(args.batch, state.kind, state.dim)
         result = metric_update(state, batch, spec)
@@ -255,7 +254,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         dim=dim if dim is not None else 4,
     )
-    records = run_scenario(scenario, parallel=args.parallel)
+    records = run_scenario(scenario)
     write_records_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
@@ -297,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("append", help="absorb a batch CSV into the state")
     add_state(p)
     p.add_argument("--batch", required=True, help="batch CSV path")
-    p.add_argument("--n-star", type=int, default=DEFAULT_FRACTIONAL_CUTOFF)
-    p.add_argument("--tol", type=float, default=DEFAULT_FRACTIONAL_TOL)
     p.set_defaults(handler=cmd_append)
 
     p = sub.add_parser("query", help="print a stored quantity")
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--parallel", type=int, default=None, help="worker processes for cells")
     p.set_defaults(handler=cmd_bench)
 
     return parser

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -159,7 +159,6 @@ class MetricSpec:
 
     provider: CoefficientProvider
     n_star: int = DEFAULT_TRUNCATION
-    name: str = ""
 
     def __post_init__(self) -> None:
         if not 2 <= self.n_star <= MAX_EXACT_ORDER:
@@ -191,20 +190,21 @@ def _require_cover(state: MomentState, n_star: int) -> None:
         )
 
 
-def _truncation_is_exact(
-    provider: CoefficientProvider, center: Payload, n_star: int, kind: Kind
-) -> bool:
-    """True when every coefficient just past the cutoff vanishes identically,
-    i.e. the series is finite and truncation drops nothing."""
-    probe = provider.coefficients(center, n_star + 3)
-    return all(norm_payload(kind, c) == 0.0 for c in probe[n_star + 1 :])
-
-
-def _metric_sum(
-    kind: Kind, coeffs: Sequence[Payload], moments: Sequence[Payload]
-) -> tuple[Payload, list[float], list[float]]:
-    """sum_n c_n * M_n in ascending n, with each term's norm and the norm of
-    the running sum after it, for the tail monitor."""
+def _metric_result(
+    kind: Kind,
+    spec: MetricSpec,
+    center: Payload,
+    moments: Sequence[Payload],
+    finish: Callable[[Payload], Payload] | None = None,
+) -> MetricResult:
+    """sum_n c_n * M_n with the coefficients about ``center``, summed in
+    ascending n and passed through ``finish``. It has converged when the
+    tail monitor sees the last terms die out against the running sum, or
+    when every coefficient just past the cutoff vanishes identically, so
+    the series is finite and truncation drops nothing."""
+    coeffs = spec.provider.coefficients(center, spec.n_star)
+    if len(coeffs) != spec.n_star + 1:
+        raise ValidationError("provider returned the wrong number of coefficients")
     acc = None
     term_norms: list[float] = []
     running: list[float] = []
@@ -213,38 +213,27 @@ def _metric_sum(
         acc = term if acc is None else acc + term
         term_norms.append(norm_payload(kind, term))
         running.append(norm_payload(kind, acc))
-    return acc, term_norms, running
-
-
-def metric_from_moments(
-    state: MomentState, spec: MetricSpec, tol: float = TAIL_TOL
-) -> MetricResult:
-    """W = sum_{n=0}^{n_star} c_n * M_n with coefficients about the mean."""
-    _require_cover(state, spec.n_star)
-    kind = state.kind
-    coeffs = spec.provider.coefficients(state.mean, spec.n_star)
-    if len(coeffs) != spec.n_star + 1:
-        raise ValidationError("provider returned the wrong number of coefficients")
-
-    moments = [state.moment(n) for n in range(spec.n_star + 1)]
-    acc, term_norms, running = _metric_sum(kind, coeffs, moments)
-    converged = tail_converged(term_norms, running, tol) or _truncation_is_exact(
-        spec.provider, state.mean, spec.n_star, kind
+    value = acc if finish is None else finish(acc)
+    probe = spec.provider.coefficients(center, spec.n_star + 3)
+    converged = tail_converged(term_norms, running, TAIL_TOL) or all(
+        norm_payload(kind, c) == 0.0 for c in probe[spec.n_star + 1 :]
     )
     return MetricResult(
-        value=acc,
+        value=value,
         truncation_order=spec.n_star,
         tail_estimate=term_norms[-1],
         converged=converged,
     )
 
 
-def metric_update(
-    state: MomentState,
-    batch: Batch,
-    spec: MetricSpec,
-    tol: float = TAIL_TOL,
-) -> MetricResult:
+def metric_from_moments(state: MomentState, spec: MetricSpec) -> MetricResult:
+    """W = sum_{n=0}^{n_star} c_n * M_n with coefficients about the mean."""
+    _require_cover(state, spec.n_star)
+    moments = [state.moment(n) for n in range(spec.n_star + 1)]
+    return _metric_result(state.kind, spec, state.mean, moments)
+
+
+def metric_update(state: MomentState, batch: Batch, spec: MetricSpec) -> MetricResult:
     """Metric of the appended dataset from old moments plus the batch.
 
     The append's kernel re-centres the old moments onto the new mean,
@@ -254,35 +243,20 @@ def metric_update(
     O(n_star**2 + batch) in one array pass, O(n_star) in Python.
     """
     _require_cover(state, spec.n_star)
-    kind = state.kind
-    n_star = spec.n_star
-
     zp, meanp, shift = _recenter(state, batch)
-    coeffs = spec.provider.coefficients(meanp, n_star)
-    if len(coeffs) != n_star + 1:
-        raise ValidationError("provider returned the wrong number of coefficients")
-
-    rows = tuple((float(n), n) for n in range(n_star + 1))
+    rows = tuple((float(n), n) for n in range(spec.n_star + 1))
     with np.errstate(all="ignore"):
         _, _, recentered = _recentered(state, shift, _table(state.ladder, rows))
-    acc, term_norms, running = _metric_sum(kind, coeffs, _payloads(kind, recentered))
 
-    if batch.columnar:
-        with np.errstate(all="ignore"):
-            batch_acc = batch.weighted_sum(spec.provider.evaluate(batch.values))
-    else:
-        batch_acc = None
-        for x, w in zip(*batch.records):
-            t = w * spec.provider.evaluate(x)
-            batch_acc = t if batch_acc is None else batch_acc + t
-    value = (state.z / zp) * acc + batch_acc / zp
+    def finish(acc: Payload) -> Payload:
+        if batch.columnar:
+            with np.errstate(all="ignore"):
+                batch_acc = batch.weighted_sum(spec.provider.evaluate(batch.values))
+        else:
+            batch_acc = None
+            for x, w in zip(*batch.records):
+                t = w * spec.provider.evaluate(x)
+                batch_acc = t if batch_acc is None else batch_acc + t
+        return (state.z / zp) * acc + batch_acc / zp
 
-    converged = tail_converged(term_norms, running, tol) or _truncation_is_exact(
-        spec.provider, meanp, n_star, kind
-    )
-    return MetricResult(
-        value=value,
-        truncation_order=n_star,
-        tail_estimate=term_norms[-1],
-        converged=converged,
-    )
+    return _metric_result(state.kind, spec, meanp, _payloads(state.kind, recentered), finish)

@@ -95,12 +95,26 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _is_finite(kind: Kind, p: Payload) -> bool:
+def _all_finite(kind: Kind, payloads: list[Payload]) -> bool:
     if kind is Kind.SCALAR:
-        return math.isfinite(p)
+        return all(map(math.isfinite, payloads))
     if kind is Kind.COMPLEX:
-        return cmath.isfinite(p)
-    return bool(np.isfinite(p).all())
+        return all(map(cmath.isfinite, payloads))
+    return bool(np.isfinite(payloads).all())
+
+
+def _non_finite(state: MomentState) -> str:
+    """The names of the state's non-finite numbers (z, mean, M<order>),
+    comma-separated; empty when every one is finite. A stored state is
+    nearly always finite, so one check over every payload comes first."""
+    kind, moments = state.kind, state.moments
+    if math.isfinite(state.z) and _all_finite(kind, [state.mean, *moments.values()]):
+        return ""
+    bad = [] if math.isfinite(state.z) else ["z"]
+    if not _all_finite(kind, [state.mean]):
+        bad.append("mean")
+    bad.extend(f"M{o:g}" for o, m in moments.items() if not _all_finite(kind, [m]))
+    return ", ".join(bad)
 
 
 def _check_invariants(state: MomentState) -> None:
@@ -108,26 +122,19 @@ def _check_invariants(state: MomentState) -> None:
     does not is damaged."""
     if state.count < 1:
         raise IntegrityError(f"non-empty state has count {state.count}")
-    if not math.isfinite(state.z) or state.z == 0.0:
-        raise IntegrityError(f"weight sum z must be finite and non-zero, got {state.z!r}")
-    if not _is_finite(state.kind, state.mean):
-        raise IntegrityError("state mean is not finite")
+    bad = _non_finite(state)
+    if bad:
+        raise IntegrityError(f"state document holds non-finite {bad}")
+    if state.z == 0.0:
+        raise IntegrityError("weight sum z must be non-zero")
 
 
 def _require_finite(state: AnyState) -> None:
     """Refuse to commit a state holding a non-finite number."""
-    if isinstance(state, EmptyState):
-        return
-    bad = [] if math.isfinite(state.z) else ["z"]
-    if not _is_finite(state.kind, state.mean):
-        bad.append("mean")
-    bad.extend(
-        f"M{order:g}" for order, m in state.moments.items() if not _is_finite(state.kind, m)
-    )
+    bad = "" if isinstance(state, EmptyState) else _non_finite(state)
     if bad:
         raise NumericError(
-            f"refusing to save a state with non-finite {', '.join(bad)}; "
-            "the document was left as it was"
+            f"refusing to save a state with non-finite {bad}; the document was left as it was"
         )
 
 
@@ -297,9 +304,13 @@ def save_state(path: str | Path, state: AnyState) -> None:
     _require_finite(state)
     data = dumps_state(state).encode("ascii")
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        st = os.stat(path)
     except FileNotFoundError:
         mode = None
+    else:
+        if stat.S_ISDIR(st.st_mode):
+            raise ValidationError(f"cannot replace {path}: it is a directory")
+        mode = stat.S_IMODE(st.st_mode)
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent or Path(".")
     )

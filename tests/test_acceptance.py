@@ -6,6 +6,7 @@ a failed assertion.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,13 +407,13 @@ def test_criterion_8_persistence_and_sessions(tmp_path, monkeypatch):
     b = tmp_path / "cb.csv"
     b.write_text("x,weight\n1.0,1.0\n2.0,1.0\n")
     assert main(["append", "--state", state, "--batch", str(b)]) == 0
-    before = open(state).read()
+    before = Path(state).read_text()
     monkeypatch.setattr("momentflow.statefile.os.replace",
                         lambda s, d: (_ for _ in ()).throw(OSError("crash")))
     with pytest.raises(OSError):
         main(["append", "--state", state, "--batch", str(b)])
     monkeypatch.undo()
-    assert open(state).read() == before
+    assert Path(state).read_text() == before
     assert main(["verify", "--state", state, "--data", str(b), "--tol", "1e-10"]) == 0
 
     _report(8, "200 fuzzed sessions verify clean; round-trip bit-exact; crash-safe", True)

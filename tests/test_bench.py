@@ -65,20 +65,6 @@ def test_run_scenario_vector_kind():
     assert records[0].kind == "vector:4"
 
 
-def test_run_scenario_parallel_mode():
-    for attempt in range(3):
-        try:
-            s = BenchScenario(
-                base_size=16, deltas=(1, 2), orders=(2, 3), repeats=40, seed=50 + attempt
-            )
-            records = run_scenario(s, parallel=2)
-            break
-        except TimingUnstable:
-            if attempt == 2:
-                raise
-    assert [(r.delta, r.order) for r in records] == [(1, 2), (1, 3), (2, 2), (2, 3)]
-
-
 def test_csv_writer_round_trip():
     s = BenchScenario(base_size=16, deltas=(1,), orders=(2, 3), repeats=10, seed=1)
     records = run_scenario(s)

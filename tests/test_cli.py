@@ -1,5 +1,7 @@
+import dataclasses
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentflow import Batch, Kind, __version__, from_batch, load_state, loads_state
-from momentflow.accumulator import (
-    COLUMNAR_MIN_RECORDS,
-    DEFAULT_FRACTIONAL_CUTOFF,
-    DEFAULT_FRACTIONAL_TOL,
+from momentflow import (
+    Batch,
+    Kind,
+    __version__,
+    dumps_state,
+    from_batch,
+    load_state,
+    loads_state,
 )
+from momentflow.accumulator import COLUMNAR_MIN_RECORDS
 from momentflow.batchfile import read_batch_csv
 from momentflow.cli import build_parser, main, parse_orders_spec, parse_provider_spec
 from momentflow.errors import BadLadderSpec, BadProviderSpec, BatchFormatError, EmptyBatch
@@ -297,10 +303,10 @@ def test_verify_flags_tampered_moment(tmp_path, capsys):
 
 def test_tamper_without_redigest_is_integrity_error(tmp_path, capsys):
     state, _ = _session(tmp_path, capsys)
-    text = open(state).read()
+    text = Path(state).read_text()
     doc = json.loads(text)
     doc["count"] = 999
-    open(state, "w").write(json.dumps(doc))
+    Path(state).write_text(json.dumps(doc))
     assert main(["query", "--state", state, "--count"]) == 4
 
 
@@ -444,7 +450,7 @@ def test_lock_held_exits_4(tmp_path, capsys):
 
 def test_crash_injection_via_cli_keeps_old_state(tmp_path, capsys, monkeypatch):
     state, _ = _session(tmp_path, capsys)
-    before = open(state).read()
+    before = Path(state).read_text()
     b = tmp_path / "b.csv"
     write_scalar_csv(b, [(9.0, 1.0)])
 
@@ -455,7 +461,7 @@ def test_crash_injection_via_cli_keeps_old_state(tmp_path, capsys, monkeypatch):
     with pytest.raises(OSError):
         main(["append", "--state", state, "--batch", str(b)])
     monkeypatch.undo()
-    assert open(state).read() == before
+    assert Path(state).read_text() == before
     st = load_state(state)
     assert st.count == 3
 
@@ -539,14 +545,14 @@ def test_append_overflowing_batch_exits_3_and_keeps_document(tmp_path, capsys, f
         assert main(["init", "--state", state, "--orders", "2..4", "--kind", "scalar"]) == 0
     else:
         state, _ = _session(tmp_path, capsys)
-    before = open(state, "rb").read()
+    before = Path(state).read_bytes()
     huge = tmp_path / "huge.csv"
     write_scalar_csv(huge, [(1e308 if i % 2 else -1e308, 1.0) for i in range(records)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy overflow must not reach stderr
         assert main(["append", "--state", state, "--batch", str(huge)]) == 3
     assert "non-finite" in capsys.readouterr().err
-    assert open(state, "rb").read() == before
+    assert Path(state).read_bytes() == before
     if not fresh:
         assert main(["query", "--state", state, "--order", "4"]) == 0
 
@@ -556,7 +562,7 @@ def test_first_append_with_a_record_on_the_mean_exits_3_on_a_negative_order(tmp_
     # the record 0 sits on the pole of the negative orders
     state = str(tmp_path / "s.json")
     assert main(["init", "--state", state, "--orders", "2..8,2.5", "--kind", "complex"]) == 0
-    before = open(state, "rb").read()
+    before = Path(state).read_bytes()
     half = COLUMNAR_MIN_RECORDS // 2 + 4
     batch = tmp_path / "b.csv"
     batch.write_text(
@@ -566,37 +572,72 @@ def test_first_append_with_a_record_on_the_mean_exits_3_on_a_negative_order(tmp_
         warnings.simplefilter("error")
         assert main(["append", "--state", state, "--batch", str(batch)]) == 3
     assert "pole" in capsys.readouterr().err
-    assert open(state, "rb").read() == before
+    assert Path(state).read_bytes() == before
 
 
 def test_damaged_document_exits_4(tmp_path, capsys):
     state, _ = _session(tmp_path, capsys)
-    doc = json.loads(open(state).read())
+    doc = json.loads(Path(state).read_text())
     doc["moments"].pop()
-    open(state, "w").write(json.dumps(doc))
+    Path(state).write_text(json.dumps(doc))
     assert main(["query", "--state", state, "--count"]) == 4
     assert main(["append", "--state", state, "--batch", str(tmp_path / "b2.csv")]) == 4
-    open(state, "wb").write(b'{"count": 3, "z": "\xff"}')
+    Path(state).write_bytes(b'{"count": 3, "z": "\xff"}')
     assert main(["query", "--state", state, "--count"]) == 4
 
 
 def test_init_force_takes_the_lock(tmp_path, capsys):
     state, _ = _session(tmp_path, capsys)
-    before = open(state).read()
+    before = Path(state).read_text()
     from momentflow.statefile import state_lock
 
     with state_lock(state):
         assert main(["init", "--state", state, "--orders", "2..3", "--kind", "scalar", "--force"]) == 4
-    assert open(state).read() == before
+    assert Path(state).read_text() == before
+
+
+def test_init_force_on_a_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "dir"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept\n")
+    argv = ["init", "--state", str(target), "--orders", "2..3", "--kind", "scalar", "--force"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot replace {target}: it is a directory" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "dir.lock"]
+    assert [p.name for p in target.iterdir()] == ["kept.txt"]
+    assert (target / "kept.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "--order", "3"],
+        ["metric", "--provider", "exp:1,1", "--n-star", "4"],
+        ["append", "--batch", "{batch}"],
+    ],
+    ids=["query", "metric", "append"],
+)
+def test_document_with_a_non_finite_moment_exits_4(tmp_path, capsys, argv):
+    state, _ = _session(tmp_path, capsys)
+    st = load_state(state)
+    damaged = dataclasses.replace(st, moments={**st.moments, 3.0: math.inf})
+    Path(state).write_text(dumps_state(damaged))
+    before = Path(state).read_bytes()
+    argv = [arg.format(batch=tmp_path / "b2.csv") for arg in argv]
+    assert main([argv[0], "--state", state, *argv[1:]]) == 4
+    assert "non-finite M3" in capsys.readouterr().err
+    assert Path(state).read_bytes() == before
 
 
 def test_query_full_doc_prints_the_text_it_validated(tmp_path, capsys, monkeypatch):
     state, _ = _session(tmp_path, capsys)
-    text = open(state).read()
+    text = Path(state).read_text()
 
     def validate_then_replace(doc_text):
         result = loads_state(doc_text)
-        open(state, "w").write("replaced by a concurrent writer\n")
+        Path(state).write_text("replaced by a concurrent writer\n")
         return result
 
     monkeypatch.setattr("momentflow.cli.loads_state", validate_then_replace)
@@ -634,7 +675,7 @@ def _rows_around(bad_row, before, after):
 )
 def test_batch_file_that_is_not_utf8_exits_2(tmp_path, capsys, where, command, before, after):
     state, _ = _session(tmp_path, capsys)
-    before_doc = open(state, "rb").read()
+    before_doc = Path(state).read_bytes()
     bad = tmp_path / "bad.csv"
     if where == "header":
         text = "x,weig\xffht\n" + _rows_around("1.0,1.0", before, after)
@@ -644,7 +685,7 @@ def test_batch_file_that_is_not_utf8_exits_2(tmp_path, capsys, where, command, b
     assert main([command[0], "--state", state, *command[1:], str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"batch file {bad} is not UTF-8 text (byte 0xff)" in err
-    assert open(state, "rb").read() == before_doc
+    assert Path(state).read_bytes() == before_doc
 
 
 @pytest.mark.parametrize(
@@ -674,14 +715,14 @@ def test_batch_row_the_csv_module_refuses_exits_2(
     tmp_path, capsys, field, reason, command, before, after
 ):
     state, _ = _session(tmp_path, capsys)
-    before_doc = open(state, "rb").read()
+    before_doc = Path(state).read_bytes()
     bad = tmp_path / "bad.csv"
     bad.write_text("x,weight\n" + _rows_around(f"{field},1.0", before, after))
     assert main([command[0], "--state", state, *command[1:], "--batch", str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"error: {bad}:{before + 2}: {reason}" in err
     assert "Traceback" not in err
-    assert open(state, "rb").read() == before_doc
+    assert Path(state).read_bytes() == before_doc
 
 
 @pytest.mark.parametrize(
@@ -697,7 +738,7 @@ def test_batch_row_the_csv_module_refuses_exits_2(
 )
 def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys, argv):
     state, _ = _session(tmp_path, capsys)
-    before = open(state, "rb").read()
+    before = Path(state).read_bytes()
     unreadable = tmp_path / "dir"
     unreadable.mkdir()
     paths = {"state": state, "unreadable": unreadable, "batch": tmp_path / "b1.csv"}
@@ -705,7 +746,7 @@ def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert f" file {unreadable}: Is a directory" in err
     assert "Traceback" not in err
-    assert open(state, "rb").read() == before
+    assert Path(state).read_bytes() == before
     assert list(unreadable.iterdir()) == []
 
 
@@ -713,7 +754,7 @@ def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys, argv):
 def test_input_file_without_read_permission_exits_2(tmp_path, capsys, monkeypatch, which):
     # Tests may run as root, whom chmod 000 does not stop, so the refusal is simulated.
     state, _ = _session(tmp_path, capsys)
-    before = open(state, "rb").read()
+    before = Path(state).read_bytes()
     batch = tmp_path / "b1.csv"
     denied = batch if which == "batch" else Path(state)
     read_bytes = Path.read_bytes
@@ -727,7 +768,8 @@ def test_input_file_without_read_permission_exits_2(tmp_path, capsys, monkeypatc
     assert main(["append", "--state", state, "--batch", str(batch)]) == 2
     err = capsys.readouterr().err
     assert f"error: cannot read {which} file {denied}: Permission denied" in err
-    assert open(state, "rb").read() == before
+    monkeypatch.undo()
+    assert Path(state).read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -741,12 +783,27 @@ def test_build_parser_returns_one_shared_parser():
 
 def test_parses_do_not_share_options():
     parser = build_parser()
-    first = parser.parse_args(["append", "--batch", "b.csv", "--n-star", "3", "--tol", "1e-3"])
-    second = parser.parse_args(["append", "--batch", "b.csv"])
-    assert first is not second
-    assert (first.n_star, first.tol) == (3, 1e-3)
-    assert (second.n_star, second.tol) == (DEFAULT_FRACTIONAL_CUTOFF, DEFAULT_FRACTIONAL_TOL)
-    assert second.state is None
+    metric, verify = ["metric", "--provider", "exp:1,1"], ["verify", "--data", "d.csv"]
+    first = parser.parse_args([*metric, "--n-star", "3"])
+    second = parser.parse_args([*verify, "--tol", "1e-3"])
+    assert (first.n_star, second.tol) == (3, 1e-3)
+    fresh = build_parser.__wrapped__()
+    for argv in (metric, verify):
+        again = parser.parse_args(argv)
+        assert again not in (first, second)
+        assert again == fresh.parse_args(argv)
+        assert again.state is None
+
+
+@pytest.mark.parametrize("option", [["--n-star", "3"], ["--tol", "1e-3"]])
+def test_append_takes_no_series_options(tmp_path, capsys, option):
+    # the stored chain of orders alone sets each fractional series' depth
+    state, _ = _session(tmp_path, capsys)
+    before = Path(state).read_bytes()
+    argv = ["append", "--state", state, "--batch", str(tmp_path / "b2.csv"), *option]
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert Path(state).read_bytes() == before
 
 
 def test_usage_error_and_version_leave_the_parser_working(tmp_path, capsys):

@@ -185,16 +185,14 @@ def _drifting_complex(rng, n):
     return Batch.from_values(Kind.COMPLEX, values, 0.5 + rng.random(n))
 
 
-def _per_order_append(state, batch, cutoff=12, tol=1e-10):
+def _per_order_append(state, batch):
     """append_batch composed from the single-order entry points: one
     update_fractional per fractional order, at the depth its chain allows,
     and update_integer on the integer orders alone."""
     ladder = state.ladder
     reports, fracs = {}, {}
     for q in ladder.fractional_orders:
-        value, reports[q] = update_fractional(
-            state, batch, q, _available_depth(ladder, q, cutoff), tol
-        )
+        value, reports[q] = update_fractional(state, batch, q, _available_depth(ladder, q))
         fracs[q] = value
     ints = ladder.integer_orders
     if ints:
@@ -228,7 +226,24 @@ def test_append_batch_is_bit_identical_to_per_order_updates(ladder, size):
         want, want_reports = _per_order_append(state, batch)
         assert dumps_state(got) == dumps_state(want)
         assert got_reports == want_reports
+        assert got_reports[2.5].cutoff == 12
         state = got
+
+
+README_LADDER = OrderLadder(expand_fractional_targets([2, 3, 2.5, -0.5]))
+
+
+@pytest.mark.parametrize(
+    "ladder,depth",
+    [(README_LADDER, 15), (OrderLadder(expand_fractional_targets([2.5], depth=16)), 16)],
+    ids=["2,3,2.5,-0.5", "frac-depth-16"],
+)
+def test_series_runs_as_deep_as_the_stored_chain(ladder, depth):
+    # on the README ladder 2.5's chain meets -0.5's and reaches -12.5
+    rng = np.random.default_rng(3)
+    state = from_batch(_drifting_complex(rng, 64), ladder)
+    _, reports = append_batch(state, _drifting_complex(rng, 8))
+    assert reports[2.5].cutoff == depth
 
 
 def test_series_starts_at_zero_on_gap_data():
@@ -237,24 +252,35 @@ def test_series_starts_at_zero_on_gap_data():
     # real axis). Every shift stays below every absorbed record's distance
     # from the mean, so each series converges in exact arithmetic; a sum
     # started at shift**order (right only for a zero-spread state) does not.
-    rng = np.random.default_rng(7)
+    # The README ladder runs 2.5's series to depth 15.
+    for ladder in (MIXED, README_LADDER):
+        rng = np.random.default_rng(7)
 
-    def gap_batch(n=256):
-        values = 1j * rng.choice([-1.0, 1.0], n) + 0.05 * (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        )
-        return Batch.from_values(Kind.COMPLEX, values, 0.5 + rng.random(n))
+        def gap_batch(n=256):
+            values = 1j * rng.choice([-1.0, 1.0], n) + 0.05 * (
+                rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            )
+            return Batch.from_values(Kind.COMPLEX, values, 0.5 + rng.random(n))
 
-    data = gap_batch()
-    state = from_batch(data, MIXED)
-    for _ in range(40):
-        batch = gap_batch()
-        new, _ = append_batch(state, batch)
-        assert abs(state.mean - new.mean) < np.min(np.abs(data.values - state.mean))
-        state, data = new, concat_batches(data, batch)
-    want = from_batch(data, MIXED)
-    scale = np.sum(data.weights * np.abs(data.values - want.mean) ** 2.5) / want.z
-    assert abs(state.moments[2.5] - want.moments[2.5]) <= 1e-9 * scale
+        data = gap_batch()
+        state = from_batch(data, ladder)
+        for _ in range(40):
+            batch = gap_batch()
+            new, _ = append_batch(state, batch)
+            assert abs(state.mean - new.mean) < np.min(np.abs(data.values - state.mean))
+            state, data = new, concat_batches(data, batch)
+        want = from_batch(data, ladder)
+        scale = np.sum(data.weights * np.abs(data.values - want.mean) ** 2.5) / want.z
+        assert abs(state.moments[2.5] - want.moments[2.5]) <= 1e-9 * scale
+
+
+def test_update_fractional_checks_series_arguments(rng):
+    state = from_batch(_drifting_complex(rng, 16), FRAC_ONLY)
+    batch = _drifting_complex(rng, 4)
+    with pytest.raises(ValidationError, match="cutoff must be >= 0"):
+        update_fractional(state, batch, 2.5, cutoff=-1)
+    with pytest.raises(ValidationError, match="tol must be positive"):
+        update_fractional(state, batch, 2.5, tol=0.0)
 
 
 def _on_mean_case(n):
@@ -266,15 +292,6 @@ def _on_mean_case(n):
     assert state.mean == 100.0 + 0j
     batch = Batch.from_values(Kind.COMPLEX, [100.0 + 0j] * n, [4.0 / n] * n)
     return state, batch
-
-
-def test_append_batch_checks_series_arguments(rng):
-    state = from_batch(_drifting_complex(rng, 16), MIXED)
-    batch = _drifting_complex(rng, 4)
-    with pytest.raises(ValidationError):
-        append_batch(state, batch, cutoff=-1)
-    with pytest.raises(ValidationError):
-        append_batch(state, batch, tol=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 32])
@@ -290,7 +307,7 @@ def _write_complex_csv(path, values, weights):
     path.write_text("re,im,weight\n" + "\n".join(rows) + "\n")
 
 
-def test_cli_append_errors_leave_the_document_unchanged(tmp_path, rng):
+def test_cli_append_errors_leave_the_document_unchanged(tmp_path):
     state = str(tmp_path / "s.json")
     assert main(["init", "--state", state, "--orders", "2..8,2.5", "--kind", "complex"]) == 0
     base = tmp_path / "base.csv"
@@ -298,11 +315,6 @@ def test_cli_append_errors_leave_the_document_unchanged(tmp_path, rng):
     assert main(["append", "--state", state, "--batch", str(base)]) == 0
     before = (tmp_path / "s.json").read_bytes()
 
-    good = tmp_path / "good.csv"
-    sample = _drifting_complex(rng, 4)
-    _write_complex_csv(good, sample.values.tolist(), sample.weights.tolist())
-    assert main(["append", "--state", state, "--batch", str(good), "--n-star", "-1"]) == 2
-    assert main(["append", "--state", state, "--batch", str(good), "--tol", "0"]) == 2
     on_mean = tmp_path / "on_mean.csv"
     _write_complex_csv(on_mean, [100.0 + 0j] * 32, [0.125] * 32)
     assert main(["append", "--state", state, "--batch", str(on_mean)]) == 3
