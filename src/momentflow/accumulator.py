@@ -16,9 +16,9 @@ Two evaluation routes exist and are kept deliberately independent:
   call of the re-centering kernel that merges and metric updates share,
   so cost is proportional to the batch size plus ladder work that does
   not depend on how much data the state has absorbed. An empty state is
-  filled with the same direct sums as ``from_batch``, taken by the
-  size-selected batch passes: whole-array from COLUMNAR_MIN_RECORDS
-  records up, and below it the very loops ``from_batch`` runs.
+  filled by ``from_batch``'s own body, with the size-selected batch passes
+  in their whole-array form from COLUMNAR_MIN_RECORDS records up; below
+  it they are the very loops ``from_batch`` runs.
 
 Every operation returns a new value; states are immutable and safe to share
 across threads. Concurrent merges of disjoint states need no coordination.
@@ -290,8 +290,9 @@ class EmptyState:
 class MomentState:
     """The compact accumulator; immutable, and all that persistence keeps.
 
-    A vector state's mean and moment arrays are made read-only here, on
-    every path that builds a state.
+    ``values`` holds the stored moments, one payload per order of
+    ``ladder.orders`` and in that order. A vector state's mean and moment
+    arrays are made read-only here, on every path that builds a state.
     """
 
     kind: Kind
@@ -300,16 +301,23 @@ class MomentState:
     z: float
     mean: Payload
     count: int
-    moments: Mapping[float, Payload]
+    values: tuple[Payload, ...]
 
     def __post_init__(self) -> None:
-        stored = dict(self.moments)
-        if set(stored) != set(self.ladder.orders):
-            raise LadderMismatch("stored moment orders do not match the ladder")
-        object.__setattr__(self, "moments", MappingProxyType(stored))
+        values = tuple(self.values)
+        if len(values) != len(self.ladder):
+            raise LadderMismatch(
+                f"{len(values)} stored moments for a ladder of {len(self.ladder)} orders"
+            )
+        object.__setattr__(self, "values", values)
         if self.kind is Kind.VECTOR:
-            for value in (self.mean, *stored.values()):
+            for value in (self.mean, *values):
                 value.flags.writeable = False
+
+    @cached_property
+    def moments(self) -> Mapping[float, Payload]:
+        """The stored moments by order, read-only; built on first use."""
+        return MappingProxyType(dict(zip(self.ladder.orders, self.values)))
 
     def moment(self, order: float) -> Payload:
         """M_order; orders 0 and 1 are the exact constants 1 and 0."""
@@ -348,31 +356,42 @@ def _guard_normalizer(z: float, scale: float) -> None:
         )
 
 
-def _weighted_value_sum(batch: Batch) -> Payload:
+# Each size-selected pass below takes its whole-array form when ``columnar``
+# is set and its per-record loop otherwise. Updates pass batch.columnar;
+# from_batch passes False, so it runs the loops at every size.
+
+
+def _weighted_value_sum(batch: Batch, columnar: bool) -> Payload:
     """sum_i w_i * x_i."""
-    if batch.columnar:
+    if columnar:
         with np.errstate(all="ignore"):
             return batch.weighted_sum(batch.values)
-    return _weighted_value_sum_loop(*batch.records)
-
-
-def _weighted_value_sum_loop(values: Sequence[Payload], weights: Sequence[float]) -> Payload:
     acc = None
-    for x, w in zip(values, weights):
+    for x, w in zip(*batch.records):
         wx = w * x
         acc = wx if acc is None else acc + wx
     return acc
 
 
-def _integer_power_sums(batch: Batch, center: Payload, max_order: int) -> list[Payload]:
+def _integer_power_sums(
+    batch: Batch, center: Payload, max_order: int, columnar: bool
+) -> list[Payload]:
     """sum_i w_i * (x_i - center)**n for n = 2..max_order, by index n-2.
 
     The whole-array pass keeps one running deviation power, one multiply per
     element per order, so its temporaries stay O(batch): no (records x orders)
     power matrix is ever formed.
     """
-    if not batch.columnar:
-        return _integer_power_sums_loop(*batch.records, center, max_order)
+    if not columnar:
+        sums: list = [None] * (max_order - 1)
+        for x, w in zip(*batch.records):
+            d = x - center
+            p = d
+            for j in range(max_order - 1):
+                p = p * d
+                wp = w * p
+                sums[j] = wp if sums[j] is None else sums[j] + wp
+        return sums
     sums = []
     with np.errstate(all="ignore"):
         d = batch.values - center
@@ -383,45 +402,39 @@ def _integer_power_sums(batch: Batch, center: Payload, max_order: int) -> list[P
     return sums
 
 
-def _integer_power_sums_loop(
-    values: Sequence[Payload],
-    weights: Sequence[float],
-    center: Payload,
-    max_order: int,
+def _fractional_power_sums(
+    batch: Batch, center: Payload, orders: Sequence[float], columnar: bool
 ) -> list[Payload]:
-    sums: list = [None] * (max_order - 1)
-    for x, w in zip(values, weights):
-        d = x - center
-        p = d
-        for j in range(max_order - 1):
-            p = p * d
-            wp = w * p
-            sums[j] = wp if sums[j] is None else sums[j] + wp
-    return sums
-
-
-def _fractional_power_sums(batch: Batch, center: Payload, orders: Sequence[float]) -> list[Payload]:
     """sum_i w_i * (x_i - center)**q for each q in ``orders``, under
     pow_payload's domain rules. The deviations are taken once for all
     orders; the whole-array form holds one power column at a time."""
-    if not batch.columnar:
+    if not columnar:
         values, weights = batch.records
         devs = [x - center for x in values]
-        return [_power_sum_loop(batch.kind, devs, weights, q) for q in orders]
+        sums = []
+        for q in orders:
+            acc = None
+            for d, w in zip(devs, weights):
+                t = w * pow_payload(batch.kind, d, q)
+                acc = t if acc is None else acc + t
+            sums.append(acc)
+        return sums
     with np.errstate(all="ignore"):
         return [
             batch.weighted_sum(p) for p in pow_records(batch.kind, batch.values - center, orders)
         ]
 
 
-def _power_sum_loop(
-    kind: Kind, devs: Sequence[Payload], weights: Sequence[float], order: float
-) -> Payload:
-    acc = None
-    for d, w in zip(devs, weights):
-        t = w * pow_payload(kind, d, order)
-        acc = t if acc is None else acc + t
-    return acc
+def _power_sums(
+    batch: Batch, center: Payload, ladder: OrderLadder, columnar: bool
+) -> list[Payload]:
+    """sum_i w_i * (x_i - center)**o for each o in ``ladder.orders``, in that
+    order: the integer orders from one running power, the fractional ones
+    from one set of deviations."""
+    ints, fracs = ladder.integer_orders, ladder.fractional_orders
+    isums = iter(_integer_power_sums(batch, center, ints[-1], columnar) if ints else ())
+    fsums = iter(_fractional_power_sums(batch, center, fracs, columnar) if fracs else ())
+    return [next(isums) if _is_integer_order(o) else next(fsums) for o in ladder.orders]
 
 
 def _pole_guard(batch: Batch, mean: Payload, z: float) -> None:
@@ -441,6 +454,36 @@ def _pole_guard(batch: Batch, mean: Payload, z: float) -> None:
         )
 
 
+def _weight_sum_and_scale(batch: Batch, columnar: bool) -> tuple[float, float]:
+    """sum_i w_i and max_i |w_i|: the batch's weight sum and the scale its
+    normalizer guard compares against."""
+    if columnar:
+        with np.errstate(all="ignore"):
+            return float(batch.weights.sum()), float(np.abs(batch.weights).max())
+    weights = batch.records[1]
+    return sum(weights), max(abs(w) for w in weights)
+
+
+def _direct(batch: Batch, ladder: OrderLadder, columnar: bool) -> MomentState:
+    """The batch's own state: every ladder order a direct weighted power sum
+    about the batch mean, by the size-selected passes in the form
+    ``columnar`` picks."""
+    z, scale = _weight_sum_and_scale(batch, columnar)
+    _guard_normalizer(z, scale)
+    mean = _weighted_value_sum(batch, columnar) / z
+    if any(q < 0 for q in ladder.fractional_orders):
+        _pole_guard(batch, mean, z)
+    return MomentState(
+        kind=batch.kind,
+        dim=batch.dim,
+        ladder=ladder,
+        z=z,
+        mean=mean,
+        count=batch.size,
+        values=[s / z for s in _power_sums(batch, mean, ladder, columnar)],
+    )
+
+
 def from_batch(batch: Batch, ladder: OrderLadder) -> MomentState:
     """Compute a full moment state from scratch over one batch.
 
@@ -449,59 +492,21 @@ def from_batch(batch: Batch, ladder: OrderLadder) -> MomentState:
     taken record by record at every batch size, so it shares no whole-array
     kernel with the update passes it checks.
     """
-    values, weights = batch.records
-    z = sum(weights)
-    scale = max(abs(w) for w in weights)
-    _guard_normalizer(z, scale)
-    mean = _weighted_value_sum_loop(values, weights) / z
-
-    moments: dict[float, Payload] = {}
-    ints = ladder.integer_orders
-    if ints:
-        sums = _integer_power_sums_loop(values, weights, mean, ints[-1])
-        for n in ints:
-            moments[float(n)] = sums[n - 2] / z
-    fracs = ladder.fractional_orders
-    if fracs:
-        if any(q < 0 for q in fracs):
-            _pole_guard(batch, mean, z)
-        devs = [x - mean for x in values]
-        for q in fracs:
-            moments[q] = _power_sum_loop(batch.kind, devs, weights, q) / z
-
-    return MomentState(
-        kind=batch.kind,
-        dim=batch.dim,
-        ladder=ladder,
-        z=z,
-        mean=mean,
-        count=batch.size,
-        moments=moments,
-    )
-
-
-def _weight_sum_and_scale(batch: Batch) -> tuple[float, float]:
-    """sum_i w_i and max_i |w_i|: the batch's weight sum and the scale its
-    normalizer guard compares against."""
-    if batch.columnar:
-        with np.errstate(all="ignore"):
-            return float(batch.weights.sum()), float(np.abs(batch.weights).max())
-    weights = batch.records[1]
-    return sum(weights), max(abs(w) for w in weights)
+    return _direct(batch, ladder, columnar=False)
 
 
 def update_normalizer(state: MomentState, batch: Batch) -> float:
     """New weight sum Z' = Z + sum of batch weights; touches only the batch."""
     _require_nonempty(state)
     _check_state_batch(state, batch)
-    wsum, wmax = _weight_sum_and_scale(batch)
+    wsum, wmax = _weight_sum_and_scale(batch, batch.columnar)
     zp = state.z + wsum
     _guard_normalizer(zp, max(abs(state.z), wmax))
     return zp
 
 
 def _advance_mean(state: MomentState, batch: Batch, zp: float) -> Payload:
-    swx = _weighted_value_sum(batch)
+    swx = _weighted_value_sum(batch, batch.columnar)
     return (state.z / zp) * state.mean + swx / zp
 
 
@@ -535,8 +540,8 @@ class _Table:
     Row r re-centres order q = ``orders[r]`` through the terms
     k = 0..``depths[r]``: ``coef[r, k]`` is C(q, k), exact for an integer q
     and generalized otherwise, zero past the depth; ``index[r, k]`` is the
-    position of M_(q-k) in the gathered moments, so a row's last column
-    is its sum through its depth. ``fractional`` lists the rows of
+    position of M_(q-k) in [M_0, M_1, *ladder.orders], so a row's last
+    column is its sum through its depth. ``fractional`` lists the rows of
     non-integer orders.
     """
 
@@ -550,11 +555,9 @@ class _Table:
 @lru_cache(maxsize=64)
 def _table(ladder: OrderLadder, rows: tuple[tuple[float, int], ...]) -> _Table:
     """The table of ``rows``, (order, depth) pairs, over ``ladder``'s moments
-    gathered as M_0 = 1, M_1 = 0, the integer orders ascending (M_n at
-    position n), then the fractional orders. Read-only, since it is shared."""
-    top = ladder.max_integer_order or 1
-    position = {float(n): n for n in range(top + 1)}
-    position.update((q, top + 1 + i) for i, q in enumerate(ladder.fractional_orders))
+    laid out as M_0 = 1, M_1 = 0, then the stored moments in ladder order.
+    Read-only, since it is shared."""
+    position = {o: i for i, o in enumerate((0.0, 1.0, *ladder.orders))}
     coef = np.zeros((len(rows), max(depth for _, depth in rows) + 1))
     index = np.zeros(coef.shape, dtype=np.intp)
     for r, (order, depth) in enumerate(rows):
@@ -581,11 +584,13 @@ def _table(ladder: OrderLadder, rows: tuple[tuple[float, int], ...]) -> _Table:
 
 @lru_cache(maxsize=32)
 def _ladder_table(ladder: OrderLadder) -> _Table:
-    """Every ladder order's row: integer order n through its n + 1 terms, and
-    each fractional order as deep as its chain of stored orders reaches."""
-    rows = [(float(n), n) for n in ladder.integer_orders]
-    rows += [(q, _available_depth(ladder, q)) for q in ladder.fractional_orders]
-    return _table(ladder, tuple(rows))
+    """Every ladder order's row, in ladder order: integer order n through its
+    n + 1 terms, and each fractional order as deep as its chain of stored
+    orders reaches."""
+    rows = tuple(
+        (o, int(o) if _is_integer_order(o) else _available_depth(ladder, o)) for o in ladder.orders
+    )
+    return _table(ladder, rows)
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -615,14 +620,9 @@ def _recentered(
     record on the mean: the row starts from its exact value shift**order.
     Callers hold np.errstate(all="ignore"), as an overflow is refused later.
     """
-    kind, dim, m = state.kind, state.dim, state.moments
+    kind, dim = state.kind, state.dim
     moments = np.array(
-        [
-            one_payload(kind, dim),
-            zero_payload(kind, dim),
-            *(m[n] for n in state.ladder.integer_orders),
-            *(m[q] for q in state.ladder.fractional_orders),
-        ],
+        [one_payload(kind, dim), zero_payload(kind, dim), *state.values],
         dtype=_VALUE_DTYPE[kind],
     )
     spow = _shift_powers(kind, dim, shift, table.coef.shape[1] - 1)
@@ -653,15 +653,12 @@ def _advance_ladder(
     ladder = state.ladder
     table = _ladder_table(ladder)
     zp, meanp, shift = _recenter(state, batch)
-    ints, fracs = ladder.integer_orders, ladder.fractional_orders
-    bsums = _integer_power_sums(batch, meanp, ints[-1]) if ints else []
-    if fracs:
-        bsums += _fractional_power_sums(batch, meanp, fracs)
+    bsums = _power_sums(batch, meanp, ladder, batch.columnar)
     with np.errstate(all="ignore"):
         terms, running, recentered = _recentered(state, shift, table)
         values = (state.z / zp) * recentered + np.array(bsums) / zp
     reports = {}
-    if fracs:
+    if ladder.fractional_orders:
         reports = _series_reports(
             state.kind, table, table.fractional, terms, running, shift, DEFAULT_FRACTIONAL_TOL
         )
@@ -672,7 +669,7 @@ def _advance_ladder(
         z=zp,
         mean=meanp,
         count=state.count + batch.size,
-        moments=dict(zip(table.orders, _payloads(state.kind, values))),
+        values=_payloads(state.kind, values),
     )
     return new_state, reports
 
@@ -773,7 +770,7 @@ def update_fractional(
     forder = float(order)
     table = _table(state.ladder, ((forder, cutoff),))
     zp, meanp, shift = _recenter(state, batch)
-    bsums = _fractional_power_sums(batch, meanp, (forder,))
+    bsums = _fractional_power_sums(batch, meanp, (forder,), batch.columnar)
     with np.errstate(all="ignore"):
         terms, running, recentered = _recentered(state, shift, table)
         value = (state.z / zp) * recentered + np.array(bsums) / zp
@@ -817,7 +814,7 @@ def merge_states(a: AnyState, b: AnyState) -> AnyState:
         z=zp,
         mean=meanp,
         count=a.count + b.count,
-        moments=dict(zip(table.orders, _payloads(a.kind, values))),
+        values=_payloads(a.kind, values),
     )
 
 
@@ -829,49 +826,15 @@ def _available_depth(ladder: OrderLadder, order: float) -> int:
     return depth
 
 
-def _fill(batch: Batch, ladder: OrderLadder) -> MomentState:
-    """The first append: from_batch's sums, taken by the size-selected passes.
-
-    Below COLUMNAR_MIN_RECORDS those passes are from_batch's own loops, so
-    the result is bit-identical to it; from there up they are the
-    whole-array forms and agree with it to rounding.
-    """
-    z, scale = _weight_sum_and_scale(batch)
-    _guard_normalizer(z, scale)
-    mean = _weighted_value_sum(batch) / z
-
-    moments: dict[float, Payload] = {}
-    ints = ladder.integer_orders
-    if ints:
-        sums = _integer_power_sums(batch, mean, ints[-1])
-        for n in ints:
-            moments[float(n)] = sums[n - 2] / z
-    fracs = ladder.fractional_orders
-    if fracs:
-        if any(q < 0 for q in fracs):
-            _pole_guard(batch, mean, z)
-        for q, s in zip(fracs, _fractional_power_sums(batch, mean, fracs)):
-            moments[q] = s / z
-
-    return MomentState(
-        kind=batch.kind,
-        dim=batch.dim,
-        ladder=ladder,
-        z=z,
-        mean=mean,
-        count=batch.size,
-        moments=moments,
-    )
-
-
 def append_batch(
     state: AnyState, batch: Batch
 ) -> tuple[MomentState, dict[float, ConvergenceReport]]:
     """Absorb a batch into a state of any ladder shape.
 
-    An empty state is filled with the batch's own moments through the same
-    size-selected passes the update uses, so the first append costs what
-    a later one does; from_batch stays the per-record reference. Otherwise
+    An empty state is filled by from_batch's body with the size-selected
+    passes in the form the batch size picks, so the first append costs what
+    a later one does: bit-identical to from_batch below
+    COLUMNAR_MIN_RECORDS records, equal to rounding from there up. Otherwise
     every order is re-centred by one kernel call over a table cached per
     ladder: integer orders through their exact binomial bracket, each
     fractional order through its truncated series as deep as its chain of
@@ -881,7 +844,7 @@ def append_batch(
     """
     if isinstance(state, EmptyState):
         _check_state_batch(state, batch)
-        return _fill(batch, state.ladder), {}
+        return _direct(batch, state.ladder, batch.columnar), {}
 
     if not state.ladder.fractional_orders:
         return update_integer(state, batch), {}

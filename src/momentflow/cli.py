@@ -43,6 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import (
+    DEFAULT_TRUNCATION,
     ExponentialMetric,
     MetricSpec,
     PolynomialMetric,
@@ -218,10 +219,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"count mismatch: state={state.count} data={oracle.count}")
         failures += 1
     m2_scale = norm_payload(oracle.kind, oracle.moment(2.0)) if 2.0 in state.ladder else 0.0
-    for order in state.ladder.orders:
-        rel = relative_error(
-            state.kind, state.moments[order], oracle.moments[order], m2_scale, order
-        )
+    for order, got, want in zip(state.ladder.orders, state.values, oracle.values):
+        rel = relative_error(state.kind, got, want, m2_scale, order)
         ok = rel <= args.tol
         print(f"order={order:g} rel_err={rel:.3e} {'ok' if ok else 'MISMATCH'}")
         if not ok:
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--provider", required=True, help="poly:c0,c1,... | exp:a,b | sin:a,b"
     )
     p.add_argument("--batch", help="optional batch CSV: report the post-append metric")
-    p.add_argument("--n-star", type=int, default=14)
+    p.add_argument("--n-star", type=int, default=DEFAULT_TRUNCATION)
     p.set_defaults(handler=cmd_metric)
 
     p = sub.add_parser("verify", help="recompute from full data and compare")

@@ -202,8 +202,9 @@ def _metric_result(
     tail monitor sees the last terms die out against the running sum, or
     when every coefficient just past the cutoff vanishes identically, so
     the series is finite and truncation drops nothing."""
-    coeffs = spec.provider.coefficients(center, spec.n_star)
-    if len(coeffs) != spec.n_star + 1:
+    # c_0..c_n* weight the moments; the three past n* only probe the tail.
+    coeffs = spec.provider.coefficients(center, spec.n_star + 3)
+    if len(coeffs) != spec.n_star + 4:
         raise ValidationError("provider returned the wrong number of coefficients")
     acc = None
     term_norms: list[float] = []
@@ -214,9 +215,8 @@ def _metric_result(
         term_norms.append(norm_payload(kind, term))
         running.append(norm_payload(kind, acc))
     value = acc if finish is None else finish(acc)
-    probe = spec.provider.coefficients(center, spec.n_star + 3)
     converged = tail_converged(term_norms, running, TAIL_TOL) or all(
-        norm_payload(kind, c) == 0.0 for c in probe[spec.n_star + 1 :]
+        norm_payload(kind, c) == 0.0 for c in coeffs[spec.n_star + 1 :]
     )
     return MetricResult(
         value=value,

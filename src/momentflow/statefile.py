@@ -4,16 +4,18 @@ The document is the only storage the accumulator needs between sessions,
 so it is treated as irreplaceable: numbers round-trip bit-exactly, a
 content digest and the state's invariants are verified on every load, a
 state holding a non-finite number is never written, and writes are atomic
-(temp file + fsync + rename) so a crash can never leave a torn document.
+and durable (temp file + fsync + rename + directory fsync) so a crash can
+never leave a torn document or lose a committed one.
 
 A version-2 document is one line of canonical JSON: sorted keys, the
 separators ``,`` and ``:``, every float a hex-float string, and
-``moments`` a list aligned with ``orders``. Its body is that object
-without the ``content_digest`` member, and the digest is the SHA-256 of
-the body's bytes. ``content_digest`` sorts first, so the document is
-``{"content_digest":"<digest>",`` followed by the body after its opening
-brace. A save builds the body once; a load hashes the body bytes as they
-were read, so no document is rebuilt to check one.
+``moments`` a list aligned with ``orders``, as a state's ``values`` are.
+Its body is that object without the ``content_digest`` member, and the
+digest is the SHA-256 of the body's bytes. ``content_digest`` sorts
+first, so the document is ``{"content_digest":"<digest>",`` followed by
+the body after its opening brace. A save builds the body once; a load
+hashes the body bytes as they were read, so no document is rebuilt to
+check one.
 
 Version-1 documents (indented, hex or decimal numbers, ``[order, value]``
 moment pairs, a digest over a hex-float form rebuilt from the state) are
@@ -83,7 +85,7 @@ def _body_dict(state: AnyState) -> dict[str, Any]:
         body["count"] = state.count
         body["z"] = float.hex(state.z)
         body["mean"] = write(state.mean)
-        body["moments"] = [write(state.moments[o]) for o in state.ladder.orders]
+        body["moments"] = [write(v) for v in state.values]
     return body
 
 
@@ -95,25 +97,24 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _all_finite(kind: Kind, payloads: list[Payload]) -> bool:
-    if kind is Kind.SCALAR:
-        return all(map(math.isfinite, payloads))
-    if kind is Kind.COMPLEX:
-        return all(map(cmath.isfinite, payloads))
-    return bool(np.isfinite(payloads).all())
+def _all_finite(kind: Kind, payloads: tuple[Payload, ...]) -> bool:
+    if kind is Kind.VECTOR:
+        return bool(np.isfinite(payloads).all())
+    return all(map(cmath.isfinite, payloads))
 
 
 def _non_finite(state: MomentState) -> str:
     """The names of the state's non-finite numbers (z, mean, M<order>),
     comma-separated; empty when every one is finite. A stored state is
     nearly always finite, so one check over every payload comes first."""
-    kind, moments = state.kind, state.moments
-    if math.isfinite(state.z) and _all_finite(kind, [state.mean, *moments.values()]):
+    kind, values = state.kind, state.values
+    if math.isfinite(state.z) and _all_finite(kind, (state.mean, *values)):
         return ""
     bad = [] if math.isfinite(state.z) else ["z"]
-    if not _all_finite(kind, [state.mean]):
+    if not _all_finite(kind, (state.mean,)):
         bad.append("mean")
-    bad.extend(f"M{o:g}" for o, m in moments.items() if not _all_finite(kind, [m]))
+    orders = state.ladder.orders
+    bad.extend(f"M{o:g}" for o, m in zip(orders, values) if not _all_finite(kind, (m,)))
     return ", ".join(bad)
 
 
@@ -201,7 +202,7 @@ def _moment_state(
     doc: dict[str, Any],
     header: tuple[Kind, int | None, OrderLadder, int],
     number: Number,
-    moments: Iterable[tuple[float, Any]],
+    values: Iterable[Any],
 ) -> MomentState:
     kind, dim, ladder, count = header
     read = _payload_reader(kind, dim, number)
@@ -212,7 +213,7 @@ def _moment_state(
         z=number(doc["z"]),
         mean=read(doc["mean"]),
         count=count,
-        moments={o: read(v) for o, v in moments},
+        values=tuple(map(read, values)),
     )
     _check_invariants(state)
     return state
@@ -247,7 +248,7 @@ def _read_v2(text: str, doc: dict[str, Any]) -> AnyState:
     values = doc["moments"]
     if not isinstance(values, list) or len(values) != len(ladder):
         raise IntegrityError("moments must be a list aligned with orders")
-    return _moment_state(doc, header, float.fromhex, zip(ladder.orders, values))
+    return _moment_state(doc, header, float.fromhex, values)
 
 
 def _read_v1(doc: dict[str, Any]) -> AnyState:
@@ -259,8 +260,10 @@ def _read_v1(doc: dict[str, Any]) -> AnyState:
     if count == 0:
         state: AnyState = EmptyState(kind=kind, dim=dim, ladder=ladder)
     else:
-        pairs = ((_v1_number(o), v) for o, v in doc["moments"])
-        state = _moment_state(doc, header, _v1_number, pairs)
+        pairs = {_v1_number(o): v for o, v in doc["moments"]}
+        if pairs.keys() != set(ladder.orders):
+            raise IntegrityError("moment orders do not match the ladder")
+        state = _moment_state(doc, header, _v1_number, [pairs[o] for o in ladder.orders])
     v1 = _body_dict(state)
     v1["format_version"] = 1
     if "moments" in v1:
@@ -295,7 +298,9 @@ def loads_state(text: str) -> AnyState:
 
 
 def save_state(path: str | Path, state: AnyState) -> None:
-    """Atomically replace the document: temp file, fsync, rename.
+    """Atomically and durably replace the document: temp file, fsync,
+    rename, then fsync of the directory, without which a crash can lose
+    the rename after the save has returned.
 
     A replaced document keeps its permission bits; a new one is created
     0600, readable by its owner alone.
@@ -331,6 +336,11 @@ def save_state(path: str | Path, state: AnyState) -> None:
         except OSError:
             pass
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def read_document(path: str | Path) -> str:

@@ -111,7 +111,7 @@ def test_vector_states_are_read_only():
     base = from_batch(b, ladder)
     mutable = MomentState(
         kind=Kind.VECTOR, dim=2, ladder=ladder, z=1.0, mean=np.array([1.0, 2.0]),
-        count=1, moments={2.0: np.array([1.0, 1.0]), 3.0: np.array([0.0, 0.0])},
+        count=1, values=(np.array([1.0, 1.0]), np.array([0.0, 0.0])),
     )
     states = {
         "from_batch": base,
@@ -126,7 +126,20 @@ def test_vector_states_are_read_only():
         for array in (s.mean, *s.moments.values()):
             with pytest.raises(ValueError):
                 array[0] = 99.0
-        assert s.moment(2) is s.moments[2.0], path
+        assert tuple(s.moments) == s.ladder.orders, path
+        for o in s.ladder.orders:
+            assert s.moment(o) is s.moments[o] is s.values[s.ladder.orders.index(o)], path
+        with pytest.raises(TypeError):
+            s.moments[2.0] = np.array([0.0, 0.0])
+
+
+@pytest.mark.parametrize("values", [(), (1.0,), (1.0, 0.0, 2.0)])
+def test_moment_values_must_match_the_ladder_length(values):
+    with pytest.raises(LadderMismatch):
+        MomentState(
+            kind=Kind.SCALAR, dim=None, ladder=OrderLadder([2, 3]), z=1.0, mean=0.0,
+            count=1, values=values,
+        )
 
 
 @pytest.mark.parametrize("n", [3, COLUMNAR_MIN_RECORDS + 8])

@@ -116,7 +116,7 @@ def test_agreement_gate_rejects_corrupt_update():
     bad = MomentState(
         kind=full.kind, dim=None, ladder=ladder, z=full.z, mean=full.mean,
         count=full.count,
-        moments={2.0: full.moments[2.0] * 1.5, 3.0: full.moments[3.0]},
+        values=(full.moments[2.0] * 1.5, full.moments[3.0]),
     )
     with pytest.raises(AgreementError):
         check_agreement(full, bad)

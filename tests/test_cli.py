@@ -14,6 +14,7 @@ import pytest
 from momentflow import (
     Batch,
     Kind,
+    MetricSpec,
     __version__,
     dumps_state,
     from_batch,
@@ -290,7 +291,7 @@ def test_verify_flags_tampered_moment(tmp_path, capsys):
     bad[3.0] = bad[3.0] + 1e-3
     import dataclasses
 
-    tampered = dataclasses.replace(st, moments=bad)
+    tampered = dataclasses.replace(st, values=bad.values())
     from momentflow.statefile import save_state
 
     save_state(state, tampered)
@@ -622,7 +623,7 @@ def test_init_force_on_a_directory_exits_2(tmp_path, capsys):
 def test_document_with_a_non_finite_moment_exits_4(tmp_path, capsys, argv):
     state, _ = _session(tmp_path, capsys)
     st = load_state(state)
-    damaged = dataclasses.replace(st, moments={**st.moments, 3.0: math.inf})
+    damaged = dataclasses.replace(st, values={**st.moments, 3.0: math.inf}.values())
     Path(state).write_text(dumps_state(damaged))
     before = Path(state).read_bytes()
     argv = [arg.format(batch=tmp_path / "b2.csv") for arg in argv]
@@ -793,6 +794,8 @@ def test_parses_do_not_share_options():
         assert again not in (first, second)
         assert again == fresh.parse_args(argv)
         assert again.state is None
+    provider = parse_provider_spec("exp:1,1")
+    assert parser.parse_args(metric).n_star == MetricSpec(provider).n_star
 
 
 @pytest.mark.parametrize("option", [["--n-star", "3"], ["--tol", "1e-3"]])

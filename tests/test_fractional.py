@@ -199,7 +199,7 @@ def _per_order_append(state, batch):
         integer_part = MomentState(
             kind=state.kind, dim=state.dim, ladder=OrderLadder(ints), z=state.z,
             mean=state.mean, count=state.count,
-            moments={float(n): state.moments[float(n)] for n in ints},
+            values=[state.moments[float(n)] for n in ints],
         )
         advanced = update_integer(integer_part, batch)
         zp, meanp, moments = advanced.z, advanced.mean, dict(advanced.moments)
@@ -210,7 +210,7 @@ def _per_order_append(state, batch):
     moments.update(fracs)
     composed = MomentState(
         kind=state.kind, dim=state.dim, ladder=ladder, z=zp, mean=meanp,
-        count=state.count + batch.size, moments=moments,
+        count=state.count + batch.size, values=[moments[o] for o in ladder.orders],
     )
     return composed, reports
 

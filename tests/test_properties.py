@@ -204,7 +204,7 @@ def test_fractional_batch_term_agrees_across_forms(kind, dim, n, seed, order):
     else:
         center = batch.values.min(axis=0) - 0.5
     per_record, whole_array = _both_forms(
-        lambda: accumulator._fractional_power_sums(batch, center, (order,))[0]
+        lambda: accumulator._fractional_power_sums(batch, center, (order,), batch.columnar)[0]
     )
     w = batch.weights.reshape((-1,) + (1,) * (batch.values.ndim - 1))
     scale = (w * np.abs(batch.values - center) ** order).sum(axis=0)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from momentflow import (
     save_state,
     state_lock,
 )
+from momentflow import statefile
 from momentflow.cli import main
 from momentflow.errors import (
     DigestMismatch,
@@ -79,7 +81,7 @@ def _random_state(rng, kind, dim=None, special=()):
         z=number() or 1.0,
         mean=payload(),
         count=int(rng.integers(1, 10**9)),
-        moments={o: payload() for o in ladder.orders},
+        values=[payload() for o in ladder.orders],
     )
 
 
@@ -332,7 +334,7 @@ def test_save_refuses_non_finite_state(tmp_path, rng, field):
     save_state(path, state)
     before = path.read_bytes()
     if field == "moment":
-        bad = dataclasses.replace(state, moments={2.0: state.moments[2.0], 3.0: complex("inf")})
+        bad = dataclasses.replace(state, values=(state.moments[2.0], complex("inf")))
     elif field == "mean":
         bad = dataclasses.replace(state, mean=complex(float("nan"), 0.0))
     else:
@@ -523,3 +525,33 @@ def test_append_keeps_document_mode(tmp_path, capsys, mode):
     for _ in range(2):  # the fill, then an update
         assert main(["append", "--state", str(path), "--batch", str(batch)]) == 0
         assert path.stat().st_mode & 0o777 == mode
+
+
+# ---------------------------------------------------------------------------
+# a save is durable: the directory entry is fsynced after the rename
+# ---------------------------------------------------------------------------
+
+
+def test_save_fsyncs_the_directory_after_the_rename(tmp_path, rng, monkeypatch):
+    calls = []
+    real_fsync, real_replace = statefile.os.fsync, statefile.os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace",))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(statefile.os, "fsync", fsync)
+    monkeypatch.setattr(statefile.os, "replace", replace)
+    path = tmp_path / "s.json"
+    state = from_batch(random_batch(rng, Kind.SCALAR, 6), OrderLadder([2, 3]))
+    for _ in range(2):  # a new document, then a replaced one
+        calls.clear()
+        save_state(path, state)
+        assert [c[:2] for c in calls] == [("fsync", False), ("replace",), ("fsync", True)]
+        assert calls[-1][2] == os.stat(tmp_path).st_ino
+        assert load_state(path).values == state.values

@@ -55,7 +55,7 @@ def seeded_state(kind, dim, orders, seed):
         z=math.ldexp(rnd.uniform(0.5, 1.0), rnd.randrange(0, 12)),
         mean=payload(),
         count=rnd.randrange(1, 10**9),
-        moments={o: payload() for o in ladder.orders},
+        values=[payload() for o in ladder.orders],
     )
 
 
@@ -107,6 +107,16 @@ def test_tampered_v1_fixture_exits_4(tmp_path, capsys, name):
     assert main(["append", "--state", str(path), "--batch", str(batch)]) == 4
     assert "integrity error" in capsys.readouterr().err
     assert path.read_text() == damaged
+
+
+def test_v1_moment_order_outside_the_ladder_exits_4(tmp_path, capsys):
+    # version-1 moments arrive keyed by order; each must name a ladder order
+    doc = json.loads((DATA / "v1_hex_scalar_2-20.json").read_text())
+    doc["moments"][0][0] = float.hex(21.0)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    assert main(["query", "--state", str(path), "--order", "2"]) == 4
+    assert "moment orders do not match the ladder" in capsys.readouterr().err
 
 
 def _batch_csv(path, kind, dim):
