@@ -24,16 +24,6 @@ from .accumulator import (
     update_normalizer,
 )
 from .batchfile import read_batch_csv
-from .bench import (
-    BenchRecord,
-    BenchScenario,
-    StorageReport,
-    SweepCell,
-    fractional_convergence_sweep,
-    run_scenario,
-    storage_report,
-    write_records_csv,
-)
 from .binomial import MAX_EXACT_ORDER
 from .elements import Kind, parse_kind_spec
 from .metrics import (
@@ -57,8 +47,6 @@ from .statefile import (
 __all__ = [
     "AnyState",
     "Batch",
-    "BenchRecord",
-    "BenchScenario",
     "ConvergenceReport",
     "EmptyState",
     "ExponentialMetric",
@@ -70,14 +58,11 @@ __all__ = [
     "OrderLadder",
     "PolynomialMetric",
     "SinusoidMetric",
-    "StorageReport",
-    "SweepCell",
     "append_batch",
     "compute_digest",
     "dumps_state",
     "expand_fractional_targets",
     "fractional_chain",
-    "fractional_convergence_sweep",
     "from_batch",
     "load_state",
     "loads_state",
@@ -86,13 +71,10 @@ __all__ = [
     "metric_update",
     "parse_kind_spec",
     "read_batch_csv",
-    "run_scenario",
     "save_state",
     "state_lock",
-    "storage_report",
     "update_fractional",
     "update_integer",
     "update_mean",
     "update_normalizer",
-    "write_records_csv",
 ]

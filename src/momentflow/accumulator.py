@@ -12,13 +12,17 @@ Two evaluation routes exist and are kept deliberately independent:
   record by record at every size.
 * ``append_batch`` advances an existing state using only the appended
   batch, re-centering the stored moments onto the new mean through a
-  binomial expansion. All orders share one pass over the batch and one
-  call of the re-centering kernel that merges and metric updates share,
-  so cost is proportional to the batch size plus ladder work that does
-  not depend on how much data the state has absorbed. An empty state is
-  filled by ``from_batch``'s own body, with the size-selected batch passes
-  in their whole-array form from COLUMNAR_MIN_RECORDS records up; below
-  it they are the very loops ``from_batch`` runs.
+  binomial expansion. Every update is one step, whether it advances a
+  ladder (``append_batch``, ``update_integer``) or one order
+  (``update_fractional``): Z' and the new mean, one call of the
+  re-centering kernel that merges and metric updates share, and one pass
+  over the batch for each sum it needs (the value sum, the power sums of
+  all its orders, a metric's batch term). So cost is proportional to the
+  batch size plus ladder work that does not depend on how much data the
+  state has absorbed. An empty state is filled by ``from_batch``'s own
+  body, with the size-selected batch passes in their whole-array form
+  from COLUMNAR_MIN_RECORDS records up; below it they are the very loops
+  ``from_batch`` runs.
 
 Every operation returns a new value; states are immutable and safe to share
 across threads. Concurrent merges of disjoint states need no coordination.
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -64,8 +68,8 @@ EPS_Z_REL = 1e-12
 NEG_ORDER_POLE_REL = 1e-9
 
 # Batches of at least this many records take the whole-array (numpy) form of
-# every size-selected pass: the weight and value sums, the integer power sums,
-# the fractional batch term and the metric batch term. Smaller batches keep
+# every size-selected pass: the weight sum, the sum of w * g(x) (the value sum
+# and the metric batch term) and the power sums. Smaller batches keep
 # the per-record loops, because numpy's fixed cost per call is larger than a
 # whole loop over a few records. Measured on a 2-core VM with update_integer
 # on a 2..20 ladder (median of 300 calls): at 16 records the loops were 3-13%
@@ -196,7 +200,7 @@ class Batch:
         values, weights = self.values, self.weights
         if not (isinstance(values, np.ndarray) and isinstance(weights, np.ndarray)):
             raise ValidationError("a Batch holds arrays; build one from sequences with from_values")
-        if len(values) == 0:
+        if values.size == 0:
             raise EmptyBatch("batch must contain at least one record")
         want_ndim = 2 if self.kind is Kind.VECTOR else 1
         if values.dtype != _VALUE_DTYPE[self.kind] or values.ndim != want_ndim:
@@ -265,15 +269,8 @@ class Batch:
             arr = np.array(values, dtype=_VALUE_DTYPE[kind])
         except ValueError:
             raise KindMismatch(f"{kind.value} records do not share one shape") from None
-        if kind is Kind.VECTOR:
-            if arr.size == 0:
-                raise EmptyBatch("vector batch needs at least one record")
-            if dim is None and arr.ndim == 2:
-                dim = arr.shape[1]
-            if arr.ndim != 2 or arr.shape[1] != dim:
-                raise KindMismatch(f"vector records have shape {arr.shape[1:]}, want ({dim},)")
-        elif arr.ndim != 1:
-            raise KindMismatch(f"{kind.value} records must be single numbers")
+        if kind is Kind.VECTOR and dim is None and arr.ndim == 2:
+            dim = arr.shape[1]
         return cls(kind=kind, dim=dim, values=arr, weights=np.array(weights, dtype=_FLOAT64))
 
 
@@ -361,80 +358,70 @@ def _guard_normalizer(z: float, scale: float) -> None:
 # from_batch passes False, so it runs the loops at every size.
 
 
-def _weighted_value_sum(batch: Batch, columnar: bool) -> Payload:
-    """sum_i w_i * x_i."""
+def _batch_sum(batch: Batch, g: Callable[[Payload], Payload], columnar: bool) -> Payload:
+    """sum_i w_i * g(x_i), for a g that maps one payload, or a whole
+    ``values`` array elementwise: the value sum and a metric's batch term."""
     if columnar:
         with np.errstate(all="ignore"):
-            return batch.weighted_sum(batch.values)
+            return batch.weighted_sum(g(batch.values))
     acc = None
     for x, w in zip(*batch.records):
-        wx = w * x
-        acc = wx if acc is None else acc + wx
+        t = w * g(x)
+        acc = t if acc is None else acc + t
     return acc
 
 
-def _integer_power_sums(
-    batch: Batch, center: Payload, max_order: int, columnar: bool
-) -> list[Payload]:
-    """sum_i w_i * (x_i - center)**n for n = 2..max_order, by index n-2.
+@lru_cache(maxsize=64)
+def _order_split(orders: tuple[float, ...]) -> tuple[int, tuple[float, ...], tuple[int, ...]]:
+    """How _power_sums takes ``orders``: the top integer order from 2 up (1
+    if none), whose sums 2..top come from one running power; the remaining
+    orders, in their given order; and where each of ``orders`` sits in the
+    sums 2..top followed by those of the remaining orders."""
+    top = int(max((o for o in orders if o >= 2 and _is_integer_order(o)), default=1))
+    running = tuple(map(float, range(2, top + 1)))
+    rest = tuple(o for o in orders if o not in running)
+    position = {o: i for i, o in enumerate(running + rest)}
+    return top, rest, tuple(position[o] for o in orders)
 
-    The whole-array pass keeps one running deviation power, one multiply per
-    element per order, so its temporaries stay O(batch): no (records x orders)
-    power matrix is ever formed.
+
+def _power_sums(
+    batch: Batch, center: Payload, orders: tuple[float, ...], columnar: bool
+) -> list[Payload]:
+    """sum_i w_i * (x_i - center)**q for each q in ``orders``, in that order,
+    from one set of deviations: the integer orders from 2 up by one running
+    power, every other order under pow_payload's domain rules.
+
+    The whole-array pass multiplies one running power column in place and
+    holds one power column of the other orders at a time, so its temporaries
+    stay O(batch): no (records x orders) power matrix is ever formed.
     """
-    if not columnar:
-        sums: list = [None] * (max_order - 1)
-        for x, w in zip(*batch.records):
-            d = x - center
-            p = d
-            for j in range(max_order - 1):
-                p = p * d
-                wp = w * p
-                sums[j] = wp if sums[j] is None else sums[j] + wp
-        return sums
-    sums = []
-    with np.errstate(all="ignore"):
-        d = batch.values - center
-        p = d.copy()
-        for _ in range(max_order - 1):
-            p *= d
-            sums.append(batch.weighted_sum(p))
-    return sums
-
-
-def _fractional_power_sums(
-    batch: Batch, center: Payload, orders: Sequence[float], columnar: bool
-) -> list[Payload]:
-    """sum_i w_i * (x_i - center)**q for each q in ``orders``, under
-    pow_payload's domain rules. The deviations are taken once for all
-    orders; the whole-array form holds one power column at a time."""
+    top, rest, pick = _order_split(orders)
     if not columnar:
         values, weights = batch.records
         devs = [x - center for x in values]
-        sums = []
-        for q in orders:
+        sums: list = [None] * (top - 1)
+        for d, w in zip(devs, weights):
+            p = d
+            for j in range(top - 1):
+                p = p * d
+                wp = w * p
+                sums[j] = wp if sums[j] is None else sums[j] + wp
+        for q in rest:
             acc = None
             for d, w in zip(devs, weights):
                 t = w * pow_payload(batch.kind, d, q)
                 acc = t if acc is None else acc + t
             sums.append(acc)
-        return sums
+        return [sums[i] for i in pick]
+    sums = []
     with np.errstate(all="ignore"):
-        return [
-            batch.weighted_sum(p) for p in pow_records(batch.kind, batch.values - center, orders)
-        ]
-
-
-def _power_sums(
-    batch: Batch, center: Payload, ladder: OrderLadder, columnar: bool
-) -> list[Payload]:
-    """sum_i w_i * (x_i - center)**o for each o in ``ladder.orders``, in that
-    order: the integer orders from one running power, the fractional ones
-    from one set of deviations."""
-    ints, fracs = ladder.integer_orders, ladder.fractional_orders
-    isums = iter(_integer_power_sums(batch, center, ints[-1], columnar) if ints else ())
-    fsums = iter(_fractional_power_sums(batch, center, fracs, columnar) if fracs else ())
-    return [next(isums) if _is_integer_order(o) else next(fsums) for o in ladder.orders]
+        d = batch.values - center
+        p = d.copy()
+        for _ in range(top - 1):
+            p *= d
+            sums.append(batch.weighted_sum(p))
+        sums.extend(batch.weighted_sum(c) for c in pow_records(batch.kind, d, rest))
+    return [sums[i] for i in pick]
 
 
 def _pole_guard(batch: Batch, mean: Payload, z: float) -> None:
@@ -470,7 +457,7 @@ def _direct(batch: Batch, ladder: OrderLadder, columnar: bool) -> MomentState:
     ``columnar`` picks."""
     z, scale = _weight_sum_and_scale(batch, columnar)
     _guard_normalizer(z, scale)
-    mean = _weighted_value_sum(batch, columnar) / z
+    mean = _batch_sum(batch, lambda x: x, columnar) / z
     if any(q < 0 for q in ladder.fractional_orders):
         _pole_guard(batch, mean, z)
     return MomentState(
@@ -480,7 +467,7 @@ def _direct(batch: Batch, ladder: OrderLadder, columnar: bool) -> MomentState:
         z=z,
         mean=mean,
         count=batch.size,
-        values=[s / z for s in _power_sums(batch, mean, ladder, columnar)],
+        values=[s / z for s in _power_sums(batch, mean, ladder.orders, columnar)],
     )
 
 
@@ -506,7 +493,7 @@ def update_normalizer(state: MomentState, batch: Batch) -> float:
 
 
 def _advance_mean(state: MomentState, batch: Batch, zp: float) -> Payload:
-    swx = _weighted_value_sum(batch, batch.columnar)
+    swx = _batch_sum(batch, lambda x: x, batch.columnar)
     return (state.z / zp) * state.mean + swx / zp
 
 
@@ -644,34 +631,42 @@ def _payloads(kind: Kind, values: np.ndarray) -> list[Payload]:
     return values.tolist()
 
 
-def _advance_ladder(
-    state: MomentState, batch: Batch
-) -> tuple[MomentState, dict[float, ConvergenceReport]]:
-    """Every ladder order advanced from one pass over the batch and one
-    kernel call: Z/Z' times the re-centred old moment plus the batch's own
-    power sum over Z'."""
-    ladder = state.ladder
-    table = _ladder_table(ladder)
+def _advance(
+    state: MomentState, batch: Batch, table: _Table, reported: Sequence[int], tol: float
+) -> tuple[float, Payload, list[Payload], dict[float, ConvergenceReport]]:
+    """The one update step: Z', the new mean and ``table``'s orders advanced
+    from one pass over the batch and one kernel call, each Z/Z' times the
+    re-centred old moment plus the batch's own power sum over Z'; with the
+    convergence reports of the ``reported`` rows of ``table``."""
     zp, meanp, shift = _recenter(state, batch)
-    bsums = _power_sums(batch, meanp, ladder, batch.columnar)
+    bsums = _power_sums(batch, meanp, table.orders, batch.columnar)
     with np.errstate(all="ignore"):
         terms, running, recentered = _recentered(state, shift, table)
         values = (state.z / zp) * recentered + np.array(bsums) / zp
     reports = {}
-    if ladder.fractional_orders:
-        reports = _series_reports(
-            state.kind, table, table.fractional, terms, running, shift, DEFAULT_FRACTIONAL_TOL
-        )
-    new_state = MomentState(
+    if len(reported):
+        reports = _series_reports(state.kind, table, reported, terms, running, shift, tol)
+    return zp, meanp, _payloads(state.kind, values), reports
+
+
+def _advance_ladder(
+    state: MomentState, batch: Batch
+) -> tuple[MomentState, dict[float, ConvergenceReport]]:
+    """Every ladder order advanced by one update step, with a report for
+    each fractional order's series."""
+    table = _ladder_table(state.ladder)
+    zp, meanp, values, reports = _advance(
+        state, batch, table, table.fractional, DEFAULT_FRACTIONAL_TOL
+    )
+    return MomentState(
         kind=state.kind,
         dim=state.dim,
-        ladder=ladder,
+        ladder=state.ladder,
         z=zp,
         mean=meanp,
         count=state.count + batch.size,
-        values=_payloads(state.kind, values),
-    )
-    return new_state, reports
+        values=values,
+    ), reports
 
 
 def update_integer(state: MomentState, batch: Batch) -> MomentState:
@@ -749,8 +744,8 @@ def update_fractional(
 ) -> tuple[Payload, ConvergenceReport]:
     """Advance one (typically non-integer) moment order using only the batch.
 
-    The single-order entry point; ``append_batch`` advances a whole ladder
-    through the same re-centering kernel with one pass over the batch.
+    The single-order entry point to the update step that ``append_batch``
+    takes for a whole ladder: the same kernel and the same batch passes.
 
     Under a non-integer order the re-centering expansion is an infinite
     series, truncated at ``cutoff`` terms with generalized binomial
@@ -767,15 +762,10 @@ def update_fractional(
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
-    forder = float(order)
-    table = _table(state.ladder, ((forder, cutoff),))
-    zp, meanp, shift = _recenter(state, batch)
-    bsums = _fractional_power_sums(batch, meanp, (forder,), batch.columnar)
-    with np.errstate(all="ignore"):
-        terms, running, recentered = _recentered(state, shift, table)
-        value = (state.z / zp) * recentered + np.array(bsums) / zp
-    (report,) = _series_reports(state.kind, table, [0], terms, running, shift, tol).values()
-    return _payloads(state.kind, value)[0], report
+    table = _table(state.ladder, ((float(order), cutoff),))
+    _, _, (value,), reports = _advance(state, batch, table, [0], tol)
+    (report,) = reports.values()
+    return value, report
 
 
 def merge_states(a: AnyState, b: AnyState) -> AnyState:

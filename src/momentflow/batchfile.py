@@ -98,14 +98,22 @@ def _table(text: str, header: list[str]) -> np.ndarray | None:
 
 def _checked_rows(path: Path, body: list[list[str]], ncol: int) -> list[list[float]]:
     """Every record's fields, parsed row by row; raises on the first bad row,
-    naming path:line."""
+    naming path:line. A row is converted by one float() map; only a row
+    that map refuses or reads as non-finite goes field by field through
+    _parse_field, which names the bad field."""
     parsed = []
     for lineno, row in enumerate(body, start=2):
         if not row:
             continue
         if len(row) != ncol:
             raise BatchFormatError(f"{path}:{lineno}: expected {ncol} columns, got {len(row)}")
-        parsed.append([_parse_field(c, f"{path}:{lineno}") for c in row])
+        try:
+            fields = list(map(float, row))
+        except ValueError:
+            fields = None
+        if fields is None or not all(map(math.isfinite, fields)):
+            fields = [_parse_field(c, f"{path}:{lineno}") for c in row]
+        parsed.append(fields)
     return parsed
 
 

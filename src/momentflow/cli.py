@@ -25,7 +25,6 @@ from .accumulator import (
     from_batch,
 )
 from .batchfile import read_batch_csv
-from .bench import BenchScenario, run_scenario, write_records_csv
 from .elements import (
     Kind,
     Payload,
@@ -60,6 +59,14 @@ from .statefile import (
 )
 
 STATE_ENV_VAR = "MF_STATE"
+
+# verify's default bound on each order's scaled error (elements.relative_error)
+# between the stored moments and a from-scratch recomputation: loose enough for
+# the rounding of honest appends, tight enough to flag a wrong moment. That
+# rounding is about 1e-15 on data centred near 0 and grows with |mean| / spread:
+# 300 appends of 8 unit-spread scalar records to 2..20 left 6e-9 at mean 1e6,
+# and 1.5e-7 (so verify fails) at mean 1e7.
+DEFAULT_VERIFY_TOL = 1e-8
 
 
 def parse_orders_spec(spec: str) -> tuple[float, ...]:
@@ -233,6 +240,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # Imported here so that no other command loads the benchmark harness.
+    from .bench import BenchScenario, run_scenario, write_records_csv
+
     kind, dim = parse_kind_spec(args.kind)
     orders = parse_orders_spec(args.orders)
     int_orders = []
@@ -318,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="recompute from full data and compare")
     add_state(p)
     p.add_argument("--data", required=True, help="CSV of the complete retained dataset")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", help="run speedup scenarios, emit CSV")

@@ -23,7 +23,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .accumulator import Batch, MomentState, tail_converged
-from .accumulator import _payloads, _recenter, _recentered, _table
+from .accumulator import _batch_sum, _payloads, _recenter, _recentered, _table
 from .binomial import MAX_EXACT_ORDER, binomial_row
 from .elements import Kind, Payload, norm_payload
 from .errors import LadderTooShort, ValidationError
@@ -247,16 +247,11 @@ def metric_update(state: MomentState, batch: Batch, spec: MetricSpec) -> MetricR
     rows = tuple((float(n), n) for n in range(spec.n_star + 1))
     with np.errstate(all="ignore"):
         _, _, recentered = _recentered(state, shift, _table(state.ladder, rows))
-
-    def finish(acc: Payload) -> Payload:
-        if batch.columnar:
-            with np.errstate(all="ignore"):
-                batch_acc = batch.weighted_sum(spec.provider.evaluate(batch.values))
-        else:
-            batch_acc = None
-            for x, w in zip(*batch.records):
-                t = w * spec.provider.evaluate(x)
-                batch_acc = t if batch_acc is None else batch_acc + t
-        return (state.z / zp) * acc + batch_acc / zp
-
-    return _metric_result(state.kind, spec, meanp, _payloads(state.kind, recentered), finish)
+    batch_acc = _batch_sum(batch, spec.provider.evaluate, batch.columnar)
+    return _metric_result(
+        state.kind,
+        spec,
+        meanp,
+        _payloads(state.kind, recentered),
+        lambda acc: (state.z / zp) * acc + batch_acc / zp,
+    )

@@ -13,7 +13,6 @@ import pytest
 
 from momentflow import (
     Batch,
-    BenchScenario,
     EmptyState,
     ExponentialMetric,
     Kind,
@@ -22,16 +21,19 @@ from momentflow import (
     PolynomialMetric,
     dumps_state,
     fractional_chain,
-    fractional_convergence_sweep,
     from_batch,
     loads_state,
     metric_update,
-    run_scenario,
-    storage_report,
     update_fractional,
     update_integer,
     update_mean,
     update_normalizer,
+)
+from momentflow.bench import (
+    BenchScenario,
+    fractional_convergence_sweep,
+    run_scenario,
+    storage_report,
 )
 from momentflow.cli import main
 from momentflow.elements import norm_payload, relative_error

@@ -277,6 +277,9 @@ def test_batch_rejects_malformed_columns():
 def test_empty_batch_rejected():
     with pytest.raises(EmptyBatch):
         Batch.from_values(Kind.SCALAR, [], [])
+    # records without components hold no data either
+    with pytest.raises(EmptyBatch):
+        Batch.from_values(Kind.VECTOR, [[]], [1.0])
 
 
 # ---------------------------------------------------------------------------

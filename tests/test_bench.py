@@ -2,21 +2,18 @@ import io
 
 import pytest
 
-from momentflow import (
-    Batch,
+from momentflow import Batch, EmptyState, Kind, MomentState, OrderLadder, from_batch
+from momentflow import bench
+from momentflow.bench import (
     BenchScenario,
-    EmptyState,
-    Kind,
-    MomentState,
-    OrderLadder,
-    from_batch,
+    cell_rng,
+    check_agreement,
+    draw_dataset,
     fractional_convergence_sweep,
     run_scenario,
     storage_report,
     write_records_csv,
 )
-from momentflow import bench
-from momentflow.bench import cell_rng, check_agreement, draw_dataset
 from momentflow.errors import AgreementError, TimingUnstable, ValidationError
 
 

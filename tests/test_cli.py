@@ -23,8 +23,22 @@ from momentflow import (
 )
 from momentflow.accumulator import COLUMNAR_MIN_RECORDS
 from momentflow.batchfile import read_batch_csv
-from momentflow.cli import build_parser, main, parse_orders_spec, parse_provider_spec
-from momentflow.errors import BadLadderSpec, BadProviderSpec, BatchFormatError, EmptyBatch
+from momentflow.cli import (
+    DEFAULT_VERIFY_TOL,
+    build_parser,
+    main,
+    parse_orders_spec,
+    parse_provider_spec,
+)
+from momentflow.errors import (
+    BadLadderSpec,
+    BadProviderSpec,
+    BatchFormatError,
+    EmptyBatch,
+    TimingUnstable,
+)
+
+from cli_digest import LADDERS, session_digest
 
 
 def write_scalar_csv(path, rows):
@@ -203,11 +217,28 @@ def test_csv_rejects_non_finite_in_every_column(tmp_path, kind, dim, header, row
         assert f"{p}:{good_rows + 2}:" in str(exc.value)
 
 
-@pytest.mark.parametrize("good_rows", [2, 150])
+# A quoted or underscored file of COLUMNAR_MIN_RECORDS records or more is
+# parsed row by row, like a small one.
+GOOD_ROW_STYLES = {
+    "plain": lambda row: ",".join(row),
+    "quoted": lambda row: ",".join(f'"{c}"' for c in row),
+    "underscored": lambda row: ",".join(f"{c}_0" for c in row),
+}
+
+
+@pytest.mark.parametrize(
+    "good_rows,style",
+    [
+        pytest.param(2, "plain", id="2"),
+        pytest.param(150, "plain", id="150"),
+        pytest.param(COLUMNAR_MIN_RECORDS + 8, "quoted", id="quoted"),
+        pytest.param(COLUMNAR_MIN_RECORDS + 8, "underscored", id="underscored"),
+    ],
+)
 @pytest.mark.parametrize("kind,dim,header,row", _KIND_ROWS)
-def test_csv_bad_rows_name_path_and_line(tmp_path, kind, dim, header, row, good_rows):
+def test_csv_bad_rows_name_path_and_line(tmp_path, kind, dim, header, row, good_rows, style):
     p = tmp_path / "b.csv"
-    good = ",".join(row)
+    good = GOOD_ROW_STYLES[style](row)
     # The blank row counts toward the line number.
     lead = [header] + [good] * good_rows + [""]
     line = len(lead) + 1
@@ -326,6 +357,100 @@ def test_verify_tol_zero_fails(tmp_path, capsys):
     assert main(["append", "--state", state, "--batch", str(b2)]) == 0
     assert main(["verify", "--state", state, "--data", str(full), "--tol", "0"]) == 1
     assert main(["verify", "--state", state, "--data", str(full), "--tol", "1e-8"]) == 0
+
+
+@pytest.mark.parametrize(
+    "kind,header,rows,mean,m2",
+    [
+        ("complex", "re,im,weight", ["1,2,1", "3,4,1"], "[2.0, 3.0]", "[0.0, 2.0]"),
+        ("vector:2", "x0,x1,weight", ["1,2,1", "3,6,1"], "[2.0, 4.0]", "[1.0, 4.0]"),
+    ],
+    ids=["complex", "vector"],
+)
+def test_query_prints_complex_and_vector_payloads_as_json(
+    tmp_path, capsys, kind, header, rows, mean, m2
+):
+    state, batch = str(tmp_path / "s.json"), tmp_path / "b.csv"
+    batch.write_text("\n".join([header, *rows]) + "\n")
+    assert main(["init", "--state", state, "--orders", "2..3", "--kind", kind]) == 0
+    assert main(["append", "--state", state, "--batch", str(batch)]) == 0
+    capsys.readouterr()
+    for option, want in (["--mean"], mean), (["--order", "2"], m2):
+        assert main(["query", "--state", state, *option]) == 0
+        assert capsys.readouterr() == (want + "\n", "")
+
+
+def _empty_state(tmp_path, capsys):
+    state = str(tmp_path / "s.json")
+    assert main(["init", "--state", state, "--orders", "2..4", "--kind", "scalar"]) == 0
+    capsys.readouterr()
+    return state
+
+
+def test_query_on_an_empty_state_answers_only_count(tmp_path, capsys):
+    state = _empty_state(tmp_path, capsys)
+    assert main(["query", "--state", state, "--count"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+    assert main(["query", "--state", state, "--mean"]) == 2
+    assert capsys.readouterr() == ("", "error: state is empty; only --count is defined\n")
+
+
+def test_query_without_a_selector_exits_2(tmp_path, capsys):
+    state, _ = _session(tmp_path, capsys)
+    assert main(["query", "--state", state]) == 2
+    assert capsys.readouterr() == ("", "error: pass --order, --z, --mean or --count\n")
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["metric", "--provider", "exp:1,1"], "metrics need absorbed data"),
+        (["verify", "--data", "all.csv"], "nothing to verify"),
+    ],
+    ids=["metric", "verify"],
+)
+def test_metric_and_verify_on_an_empty_state_exit_2(tmp_path, capsys, command, message):
+    state = _empty_state(tmp_path, capsys)
+    assert main([command[0], "--state", state, *command[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: state is empty; {message}\n")
+
+
+def test_verify_reports_a_count_mismatch(tmp_path, capsys):
+    # Every record twice: the same moments, twice the count.
+    state, data = str(tmp_path / "s.json"), tmp_path / "all.csv"
+    write_scalar_csv(tmp_path / "b.csv", [(1.0, 1.0), (2.0, 1.0)])
+    write_scalar_csv(data, [(1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (2.0, 1.0)])
+    assert main(["init", "--state", state, "--orders", "2..4", "--kind", "scalar"]) == 0
+    assert main(["append", "--state", state, "--batch", str(tmp_path / "b.csv")]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--state", state, "--data", str(data)]) == 1
+    assert capsys.readouterr() == (
+        "count mismatch: state=2 data=4\n"
+        "order=2 rel_err=0.000e+00 ok\n"
+        "order=3 rel_err=0.000e+00 ok\n"
+        "order=4 rel_err=0.000e+00 ok\n"
+        "verify FAILED: 1 mismatched check(s) at tol 1e-08\n",
+        "",
+    )
+
+
+def test_other_momentflow_errors_exit_1(tmp_path, capsys, monkeypatch):
+    def unstable(scenario):
+        raise TimingUnstable("timings too noisy")
+
+    monkeypatch.setattr("momentflow.bench.run_scenario", unstable)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--N", "16", "--orders", "2..3", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: timings too noisy\n")
+    assert not out.exists()
+
+
+def test_cli_digest_is_repeatable():
+    # tests/cli_digest.py compares two versions' output; on one version it
+    # must read the same every time.
+    first = session_digest(LADDERS[3:4])
+    assert first == session_digest(LADDERS[3:4])
+    assert len(first[0]) == 64 and first[1] == 74
 
 
 def test_append_empty_batch_exits_2(tmp_path, capsys):
@@ -796,6 +921,7 @@ def test_parses_do_not_share_options():
         assert again.state is None
     provider = parse_provider_spec("exp:1,1")
     assert parser.parse_args(metric).n_star == MetricSpec(provider).n_star
+    assert parser.parse_args(verify).tol == DEFAULT_VERIFY_TOL == 1e-8
 
 
 @pytest.mark.parametrize("option", [["--n-star", "3"], ["--tol", "1e-3"]])
@@ -842,9 +968,10 @@ def test_help_of_the_shared_parser_matches_a_fresh_one(tmp_path, capsys):
 
 
 def test_import_does_not_load_the_process_pool():
+    # Nor the benchmark harness: only the bench command imports it.
     probe = (
-        "import sys, momentflow.cli; "
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        "import sys, momentflow.cli; print([m for m in "
+        "('concurrent.futures', 'multiprocessing', 'momentflow.bench') if m in sys.modules])"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

@@ -12,6 +12,7 @@ from momentflow import (
     expand_fractional_targets,
     fractional_chain,
     from_batch,
+    merge_states,
     update_fractional,
     update_integer,
     update_mean,
@@ -183,6 +184,13 @@ FRAC_ONLY = OrderLadder(expand_fractional_targets([2.5]))
 def _drifting_complex(rng, n):
     values = 100.0 + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return Batch.from_values(Kind.COMPLEX, values, 0.5 + rng.random(n))
+
+
+def test_merge_refuses_fractional_ladders(rng):
+    a = from_batch(_drifting_complex(rng, 8), MIXED)
+    b = from_batch(_drifting_complex(rng, 8), MIXED)
+    with pytest.raises(LadderMismatch, match="only integer ladders can be merged"):
+        merge_states(a, b)
 
 
 def _per_order_append(state, batch):

@@ -8,6 +8,7 @@ absolute moment (1/Z) * sum_i w_i |x_i - mean|**n, componentwise. The last
 property is the batch CSV parse: every field bit-identical to float().
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -204,7 +205,7 @@ def test_fractional_batch_term_agrees_across_forms(kind, dim, n, seed, order):
     else:
         center = batch.values.min(axis=0) - 0.5
     per_record, whole_array = _both_forms(
-        lambda: accumulator._fractional_power_sums(batch, center, (order,), batch.columnar)[0]
+        lambda: accumulator._power_sums(batch, center, (order,), batch.columnar)[0]
     )
     w = batch.weights.reshape((-1,) + (1,) * (batch.values.ndim - 1))
     scale = (w * np.abs(batch.values - center) ** order).sum(axis=0)
@@ -229,20 +230,35 @@ def csv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("csv")
 
 
-@pytest.mark.parametrize("n", [8, COLUMNAR_MIN_RECORDS + 8])
+@pytest.mark.parametrize(
+    "n,style",
+    [
+        pytest.param(8, "plain", id="8"),
+        pytest.param(COLUMNAR_MIN_RECORDS + 8, "plain", id=str(COLUMNAR_MIN_RECORDS + 8)),
+        pytest.param(COLUMNAR_MIN_RECORDS + 8, "quoted", id="quoted"),
+        pytest.param(COLUMNAR_MIN_RECORDS + 8, "underscored", id="underscored"),
+    ],
+)
 @pytest.mark.parametrize("kind,dim", KINDS, ids=KIND_IDS)
 @given(data=st.data(), layout=st.randoms(use_true_random=False))
-def test_batch_csv_fields_are_bit_identical_to_float(csv_dir, kind, dim, n, data, layout):
-    """Small batches take the csv module's rows, large ones numpy's table;
-    either way each value and weight is float() of its field, sign of zero
-    included. ``layout`` picks each field's format and padding."""
+def test_batch_csv_fields_are_bit_identical_to_float(csv_dir, kind, dim, n, style, data, layout):
+    """Small batches take the csv module's rows, large plain ones numpy's
+    table, large quoted or underscored ones the rows again; either way each
+    value and weight is float() of its field, sign of zero included.
+    ``layout`` picks each field's format and padding."""
     header = expected_header(kind, dim)
     numbers = data.draw(st.lists(doubles, min_size=n * len(header), max_size=n * len(header)))
     fields = [
         layout.choice(PADS) + layout.choice(FIELD_FORMATS)(x) + layout.choice(PADS)
         for x in numbers
     ]
-    rows = [fields[i : i + len(header)] for i in range(0, len(fields), len(header))]
+    if style == "underscored":  # float() takes one between two digits
+        fields = [re.sub(r"(\d)(\d)", r"\1_\2", f, count=1) for f in fields]
+    quote = '"' if style == "quoted" else ""
+    rows = [
+        [quote + f + quote for f in fields[i : i + len(header)]]
+        for i in range(0, len(fields), len(header))
+    ]
     newline = layout.choice(["\n", "\r\n"])
     path = csv_dir / "b.csv"
     lines = [",".join(header)] + [",".join(r) for r in rows]
