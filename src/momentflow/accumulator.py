@@ -15,14 +15,13 @@ Two evaluation routes exist and are kept deliberately independent:
   binomial expansion. Every update is one step, whether it advances a
   ladder (``append_batch``, ``update_integer``) or one order
   (``update_fractional``): Z' and the new mean, one call of the
-  re-centering kernel that merges and metric updates share, and one pass
-  over the batch for each sum it needs (the value sum, the power sums of
-  all its orders, a metric's batch term). So cost is proportional to the
-  batch size plus ladder work that does not depend on how much data the
-  state has absorbed. An empty state is filled by ``from_batch``'s own
-  body, with the size-selected batch passes in their whole-array form
-  from COLUMNAR_MIN_RECORDS records up; below it they are the very loops
-  ``from_batch`` runs.
+  re-centering kernel that merges share, and one pass over the batch for
+  each sum it needs (the value sum and the power sums of all its orders).
+  So cost is proportional to the batch size plus ladder work that does
+  not depend on how much data the state has absorbed. An empty state is
+  filled by ``from_batch``'s own body, with the size-selected batch passes
+  in their whole-array form from COLUMNAR_MIN_RECORDS records up; below it
+  they are the very loops ``from_batch`` runs.
 
 Every operation returns a new value; states are immutable and safe to share
 across threads. Concurrent merges of disjoint states need no coordination.
@@ -512,14 +511,6 @@ def _shift_powers(kind: Kind, dim: int | None, shift: Payload, max_k: int) -> np
     return np.array(powers, dtype=_VALUE_DTYPE[kind])
 
 
-def _recenter(state: MomentState, batch: Batch) -> tuple[float, Payload, Payload]:
-    """Z', the new mean and the mean shift (old mean minus new): what every
-    order of one append shares, from one pass over the batch."""
-    zp = update_normalizer(state, batch)
-    meanp = _advance_mean(state, batch, zp)
-    return zp, meanp, state.mean - meanp
-
-
 @dataclass(frozen=True, eq=False)
 class _Table:
     """Coefficient and moment-index tables for a set of series rows.
@@ -632,20 +623,23 @@ def _payloads(kind: Kind, values: np.ndarray) -> list[Payload]:
 
 
 def _advance(
-    state: MomentState, batch: Batch, table: _Table, reported: Sequence[int], tol: float
+    state: MomentState, batch: Batch, table: _Table, reported: Sequence[int]
 ) -> tuple[float, Payload, list[Payload], dict[float, ConvergenceReport]]:
     """The one update step: Z', the new mean and ``table``'s orders advanced
     from one pass over the batch and one kernel call, each Z/Z' times the
-    re-centred old moment plus the batch's own power sum over Z'; with the
-    convergence reports of the ``reported`` rows of ``table``."""
-    zp, meanp, shift = _recenter(state, batch)
+    old moment re-centred by the mean shift (old mean minus new) plus the
+    batch's own power sum over Z'; with the convergence reports of the
+    ``reported`` rows of ``table``."""
+    zp = update_normalizer(state, batch)
+    meanp = _advance_mean(state, batch, zp)
+    shift = state.mean - meanp
     bsums = _power_sums(batch, meanp, table.orders, batch.columnar)
     with np.errstate(all="ignore"):
         terms, running, recentered = _recentered(state, shift, table)
         values = (state.z / zp) * recentered + np.array(bsums) / zp
     reports = {}
     if len(reported):
-        reports = _series_reports(state.kind, table, reported, terms, running, shift, tol)
+        reports = _series_reports(state.kind, table, reported, terms, running, shift)
     return zp, meanp, _payloads(state.kind, values), reports
 
 
@@ -655,9 +649,7 @@ def _advance_ladder(
     """Every ladder order advanced by one update step, with a report for
     each fractional order's series."""
     table = _ladder_table(state.ladder)
-    zp, meanp, values, reports = _advance(
-        state, batch, table, table.fractional, DEFAULT_FRACTIONAL_TOL
-    )
+    zp, meanp, values, reports = _advance(state, batch, table, table.fractional)
     return MomentState(
         kind=state.kind,
         dim=state.dim,
@@ -718,11 +710,11 @@ def _series_reports(
     terms: np.ndarray,
     running: np.ndarray,
     shift: Payload,
-    tol: float,
 ) -> dict[float, ConvergenceReport]:
     """The convergence report of each of ``rows``, series rows of ``table``,
-    from its term and running norms through its depth. A zero shift is an
-    exact collapse at any depth: every k >= 1 term carries shift**k = 0."""
+    from its term and running norms through its depth, at tolerance
+    DEFAULT_FRACTIONAL_TOL. A zero shift is an exact collapse at any depth:
+    every k >= 1 term carries shift**k = 0."""
     collapsed = not np.any(shift)
     term_norms = norm_rows(kind, terms[rows]).tolist()
     running_norms = norm_rows(kind, running[rows]).tolist()
@@ -730,8 +722,10 @@ def _series_reports(
     for r, tn, rn in zip(rows, term_norms, running_norms):
         order, depth = table.orders[r], int(table.depths[r])
         tn, rn = tn[: depth + 1], rn[: depth + 1]
-        converged = collapsed or tail_converged(tn, rn, tol)
-        reports[order] = ConvergenceReport(order, depth, tol, tuple(tn), converged)
+        converged = collapsed or tail_converged(tn, rn, DEFAULT_FRACTIONAL_TOL)
+        reports[order] = ConvergenceReport(
+            order, depth, DEFAULT_FRACTIONAL_TOL, tuple(tn), converged
+        )
     return reports
 
 
@@ -740,7 +734,6 @@ def update_fractional(
     batch: Batch,
     order: float,
     cutoff: int = DEFAULT_FRACTIONAL_CUTOFF,
-    tol: float = DEFAULT_FRACTIONAL_TOL,
 ) -> tuple[Payload, ConvergenceReport]:
     """Advance one (typically non-integer) moment order using only the batch.
 
@@ -751,19 +744,18 @@ def update_fractional(
     series, truncated at ``cutoff`` terms with generalized binomial
     coefficients and summed in ascending k; it holds while the mean shift is
     below every absorbed record's distance from the mean, and the report
-    tells whether its tail died out. It starts at zero, or for a zero-spread
-    state at its exact value shift**order. An integer-valued order takes
-    the exact binomial row, reproducing the integer update. A zero shift
-    leaves only the k=0 term, the stored moment.
+    tells whether its tail died out within DEFAULT_FRACTIONAL_TOL. It
+    starts at zero, or for a zero-spread state at its exact value
+    shift**order. An integer-valued order takes the exact binomial row,
+    reproducing the integer update. A zero shift leaves only the k=0 term,
+    the stored moment.
     """
     _require_nonempty(state)
     _check_state_batch(state, batch)
     if cutoff < 0:
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     table = _table(state.ladder, ((float(order), cutoff),))
-    _, _, (value,), reports = _advance(state, batch, table, [0], tol)
+    _, _, (value,), reports = _advance(state, batch, table, [0])
     (report,) = reports.values()
     return value, report
 

@@ -376,6 +376,8 @@ class SweepCell:
     terminal_converged: bool
 
 
+# The sweep's base records: _SWEEP_BASE + spread * u for each u in _SWEEP_PATTERN.
+_SWEEP_BASE = 100.0
 _SWEEP_PATTERN = (-1.5, -0.5, 0.5, 1.5)
 
 
@@ -384,8 +386,6 @@ def fractional_convergence_sweep(
     shifts: Sequence[float],
     order: float = 2.5,
     max_cutoff: int = 12,
-    base: float = 100.0,
-    tol: float = 1e-10,
 ) -> list[SweepCell]:
     """Map where the truncated fractional update actually converges.
 
@@ -399,7 +399,7 @@ def fractional_convergence_sweep(
     oracle_ladder = OrderLadder([order])
     for spread in spreads:
         for shift in shifts:
-            values = [complex(base + spread * u) for u in _SWEEP_PATTERN]
+            values = [complex(_SWEEP_BASE + spread * u) for u in _SWEEP_PATTERN]
             weights = [1.0] * len(values)
             batch_base = Batch.from_values(Kind.COMPLEX, values, weights)
 
@@ -419,7 +419,7 @@ def fractional_convergence_sweep(
             last_value = None
             last_report = None
             for cutoff in range(depth + 1):
-                val, rep = update_fractional(state, append, order, cutoff, tol)
+                val, rep = update_fractional(state, append, order, cutoff)
                 last_value, last_report = val, rep
                 if rep.converged and min_cutoff is None:
                     min_cutoff = cutoff

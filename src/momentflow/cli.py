@@ -225,7 +225,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if oracle.count != state.count:
         print(f"count mismatch: state={state.count} data={oracle.count}")
         failures += 1
-    m2_scale = norm_payload(oracle.kind, oracle.moment(2.0)) if 2.0 in state.ladder else 0.0
+    # The spread each order is judged against: the absolute second moment
+    # (1/Z) sum w * d * conj(d), in from_batch's order of summation. On the
+    # real kinds it is M2 itself; a complex M2 can cancel far below it.
+    devs = (x - oracle.mean for x in full.records[0])
+    m2 = sum(w * (d * d.conjugate()) for d, w in zip(devs, full.records[1])) / oracle.z
+    m2_scale = norm_payload(oracle.kind, m2)
     for order, got, want in zip(state.ladder.orders, state.values, oracle.values):
         rel = relative_error(state.kind, got, want, m2_scale, order)
         ok = rel <= args.tol

@@ -181,9 +181,10 @@ def relative_error(kind: Kind, got: Payload, want: Payload, m2: float, order: fl
     """|got - want| relative to the natural size of an order-``order`` moment.
 
     The scale is max(|want|, m2**(order/2), 1e-300), where ``m2`` is the
-    norm of the second central moment: a moment that cancels to near zero
-    is still judged against the spread of its data. The m2 term enters only
-    when m2 > 0 and order >= 2; below order 2 it would only loosen the check.
+    spread of the data, its absolute second moment (1/Z) sum w * |d|**2
+    (the norm of M2 on the real kinds): a moment that cancels to near zero
+    is still judged against that spread. The m2 term enters only when
+    m2 > 0 and order >= 2; below order 2 it would only loosen the check.
     """
     aug = m2 ** (order / 2.0) if (m2 > 0 and order >= 2) else 0.0
     scale = max(norm_payload(kind, want), aug, 1e-300)

@@ -3,11 +3,9 @@
 Any weighted aggregate W = (1/Z) * sum_i w_i * g(x_i) whose g has a
 convergent Taylor series about the dataset mean can be read off the moment
 ladder: W = sum_n c_n * M_n, with the coefficients c_n always taken about
-the mean (the expansion point is not a free choice; the update algebra
-below re-centers through it). Appending a batch updates W from the old
-moments plus the batch alone: the old moments are re-centred onto the new
-mean by the accumulator's one re-centering kernel, and the metric is the
-single sum sum_n c_n * R_n over them.
+the mean. Appending a batch needs no re-centring: for a fixed g, W is a
+plain weighted sum, so Z' * W' = Z * W + sum_batch w * g(x), the metric of
+the stored ladder plus the batch's exact g values.
 
 Coefficient providers must be deterministic and re-entrant; everything in
 this module is a pure function over immutable inputs.
@@ -17,15 +15,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from dataclasses import dataclass, replace
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from .accumulator import Batch, MomentState, tail_converged
-from .accumulator import _batch_sum, _payloads, _recenter, _recentered, _table
+from .accumulator import Batch, MomentState, _batch_sum, tail_converged, update_normalizer
 from .binomial import MAX_EXACT_ORDER, binomial_row
-from .elements import Kind, Payload, norm_payload
+from .elements import Payload, norm_payload
 from .errors import LadderTooShort, ValidationError
 
 DEFAULT_TRUNCATION = 14
@@ -50,28 +47,10 @@ class CoefficientProvider(Protocol):
     def evaluate(self, x: Payload) -> Payload: ...
 
 
-def _exp(p: Payload) -> Payload:
-    if isinstance(p, complex):
-        return cmath.exp(p)
-    if isinstance(p, np.ndarray):
-        return np.exp(p)
-    return math.exp(p)
-
-
-def _sin(p: Payload) -> Payload:
-    if isinstance(p, complex):
-        return cmath.sin(p)
-    if isinstance(p, np.ndarray):
-        return np.sin(p)
-    return math.sin(p)
-
-
-def _cos(p: Payload) -> Payload:
-    if isinstance(p, complex):
-        return cmath.cos(p)
-    if isinstance(p, np.ndarray):
-        return np.cos(p)
-    return math.cos(p)
+def _elementwise(name: str, p: Payload) -> Payload:
+    """The math, cmath or numpy function ``name`` of p, by p's type."""
+    module = cmath if isinstance(p, complex) else np if isinstance(p, np.ndarray) else math
+    return getattr(module, name)(p)
 
 
 class PolynomialMetric:
@@ -122,13 +101,13 @@ class ExponentialMetric:
         self.b = float(b)
 
     def coefficients(self, center: Payload, max_order: int) -> list[Payload]:
-        out: list[Payload] = [self.a * _exp(self.b * center)]
+        out: list[Payload] = [self.a * _elementwise("exp", self.b * center)]
         for n in range(1, max_order + 1):
             out.append(out[-1] * (self.b / n))
         return out
 
     def evaluate(self, x: Payload) -> Payload:
-        return self.a * _exp(self.b * x)
+        return self.a * _elementwise("exp", self.b * x)
 
 
 class SinusoidMetric:
@@ -140,7 +119,8 @@ class SinusoidMetric:
 
     def coefficients(self, center: Payload, max_order: int) -> list[Payload]:
         phase = self.b * center
-        cycle = (_sin(phase), _cos(phase), -1.0 * _sin(phase), -1.0 * _cos(phase))
+        sin, cos = _elementwise("sin", phase), _elementwise("cos", phase)
+        cycle = (sin, cos, -1.0 * sin, -1.0 * cos)
         out: list[Payload] = []
         factor = self.a
         for n in range(max_order + 1):
@@ -150,7 +130,7 @@ class SinusoidMetric:
         return out
 
     def evaluate(self, x: Payload) -> Payload:
-        return self.a * _sin(self.b * x)
+        return self.a * _elementwise("sin", self.b * x)
 
 
 @dataclass(frozen=True)
@@ -181,77 +161,57 @@ class MetricResult:
             self.value.flags.writeable = False
 
 
-def _require_cover(state: MomentState, n_star: int) -> None:
+def metric_from_moments(state: MomentState, spec: MetricSpec) -> MetricResult:
+    """W = sum_{n=0}^{n_star} c_n * M_n with coefficients about the mean,
+    summed in ascending n. It has converged when the tail monitor sees the
+    last terms die out against the running sum, or when every coefficient
+    just past the cutoff vanishes identically, so the series is finite and
+    truncation drops nothing."""
     top = state.ladder.max_integer_order
-    if top is None or top < n_star:
+    if top is None:
         raise LadderTooShort(
-            f"metric truncated at {n_star} but ladder only stores integer "
+            f"metric truncated at {spec.n_star} but the ladder stores no integer order"
+        )
+    if top < spec.n_star:
+        raise LadderTooShort(
+            f"metric truncated at {spec.n_star} but ladder only stores integer "
             f"orders up to {top}"
         )
-
-
-def _metric_result(
-    kind: Kind,
-    spec: MetricSpec,
-    center: Payload,
-    moments: Sequence[Payload],
-    finish: Callable[[Payload], Payload] | None = None,
-) -> MetricResult:
-    """sum_n c_n * M_n with the coefficients about ``center``, summed in
-    ascending n and passed through ``finish``. It has converged when the
-    tail monitor sees the last terms die out against the running sum, or
-    when every coefficient just past the cutoff vanishes identically, so
-    the series is finite and truncation drops nothing."""
+    if not isinstance(state, MomentState):
+        raise ValidationError("a metric needs a non-empty state")
     # c_0..c_n* weight the moments; the three past n* only probe the tail.
-    coeffs = spec.provider.coefficients(center, spec.n_star + 3)
+    coeffs = spec.provider.coefficients(state.mean, spec.n_star + 3)
     if len(coeffs) != spec.n_star + 4:
         raise ValidationError("provider returned the wrong number of coefficients")
     acc = None
     term_norms: list[float] = []
     running: list[float] = []
-    for c, m in zip(coeffs, moments):
-        term = c * m
+    for n, c in enumerate(coeffs[: spec.n_star + 1]):
+        term = c * state.moment(n)
         acc = term if acc is None else acc + term
-        term_norms.append(norm_payload(kind, term))
-        running.append(norm_payload(kind, acc))
-    value = acc if finish is None else finish(acc)
+        term_norms.append(norm_payload(state.kind, term))
+        running.append(norm_payload(state.kind, acc))
     converged = tail_converged(term_norms, running, TAIL_TOL) or all(
-        norm_payload(kind, c) == 0.0 for c in coeffs[spec.n_star + 1 :]
+        norm_payload(state.kind, c) == 0.0 for c in coeffs[spec.n_star + 1 :]
     )
     return MetricResult(
-        value=value,
+        value=acc,
         truncation_order=spec.n_star,
         tail_estimate=term_norms[-1],
         converged=converged,
     )
 
 
-def metric_from_moments(state: MomentState, spec: MetricSpec) -> MetricResult:
-    """W = sum_{n=0}^{n_star} c_n * M_n with coefficients about the mean."""
-    _require_cover(state, spec.n_star)
-    moments = [state.moment(n) for n in range(spec.n_star + 1)]
-    return _metric_result(state.kind, spec, state.mean, moments)
-
-
 def metric_update(state: MomentState, batch: Batch, spec: MetricSpec) -> MetricResult:
-    """Metric of the appended dataset from old moments plus the batch.
+    """Metric of the appended dataset from the stored metric plus the batch.
 
-    The append's kernel re-centres the old moments onto the new mean,
-    R_n = sum_k C(n, k) M_(n-k) shift**k (R_0 = 1, R_1 = shift), and with
-    coefficients (of the possibly-new g) about the new mean the metric is
-    W' = (Z/Z') sum_n c_n R_n plus the batch's exact g values over Z':
-    O(n_star**2 + batch) in one array pass, O(n_star) in Python.
+    For a fixed g the metric adds over batches: W' = (Z/Z') W plus the
+    batch's exact g values over Z', with W read off the stored ladder by
+    metric_from_moments. The truncation order, tail estimate and
+    convergence flag are W's, the series of the stored ladder about its
+    own mean; the batch term is exact. O(n_star + batch).
     """
-    _require_cover(state, spec.n_star)
-    zp, meanp, shift = _recenter(state, batch)
-    rows = tuple((float(n), n) for n in range(spec.n_star + 1))
-    with np.errstate(all="ignore"):
-        _, _, recentered = _recentered(state, shift, _table(state.ladder, rows))
+    stored = metric_from_moments(state, spec)
+    zp = update_normalizer(state, batch)
     batch_acc = _batch_sum(batch, spec.provider.evaluate, batch.columnar)
-    return _metric_result(
-        state.kind,
-        spec,
-        meanp,
-        _payloads(state.kind, recentered),
-        lambda acc: (state.z / zp) * acc + batch_acc / zp,
-    )
+    return replace(stored, value=(state.z / zp) * stored.value + batch_acc / zp)

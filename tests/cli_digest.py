@@ -1,5 +1,5 @@
-"""One SHA-256 over a fixed CLI session, to show that two versions of
-momentflow give byte-identical output.
+"""SHA-256 digests over a fixed CLI session, to show that two versions of
+momentflow give byte-identical output, or which kinds of command differ.
 
 Run it from a checkout, with that checkout's sources on the path:
 
@@ -10,8 +10,11 @@ On each of seven ladders it runs ``init``, appends of 1 to 256 records,
 and a final ``verify`` over the records the state absorbed, all through
 ``momentflow.cli.main`` in a temporary directory. The digest covers every
 command's argv, exit code, stdout and stderr and the state document after
-it. Compare the digests of two commits on one machine: BLAS may sum in
-another order elsewhere, so no digest value is kept.
+it. Under the total it prints one digest per command kind (``KINDS``), so a
+change can show that it moves one kind of output and leaves the others
+alone; ``session_records`` gives each command's record for a finer diff.
+Compare the digests of two commits on one machine: BLAS may sum in another
+order elsewhere, so no digest value is kept.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ LADDERS = (
     ("scalar", "2..6", (), ("2", "6"), 6),
 )
 APPEND_SIZES = (1, 3, 5, 8, 31, 32, 40, 256)
+KINDS = ("init", "append", "query", "metric", "metric --batch", "verify")
 
 
 def _rows(kind: str, n: int, rng: np.random.Generator) -> list[str]:
@@ -60,23 +64,23 @@ def _header(kind: str) -> str:
     return ",".join(f"x{i}" for i in range(int(kind.split(":")[1]))) + ",weight"
 
 
-def session_digest(ladders=LADDERS) -> tuple[str, int]:
-    """The SHA-256 of the session over ``ladders`` and its command count."""
-    digest, commands = hashlib.sha256(), 0
+def session_records(ladders=LADDERS) -> list[tuple[str, bytes]]:
+    """Each command of the session over ``ladders`` in turn: its kind, one
+    of ``KINDS``, and the bytes the digests take from it."""
+    records = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
 
             def run(state: str, command: str, *options: str) -> int:
-                nonlocal commands
                 argv = [command, "--state", state, *options]
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(argv)
                 doc = Path(state).read_bytes() if Path(state).is_file() else b""
-                digest.update(repr((argv, code, out.getvalue(), err.getvalue(), doc)).encode())
-                commands += 1
+                kind = "metric --batch" if command == "metric" and "--batch" in options else command
+                records.append((kind, repr((argv, code, out.getvalue(), err.getvalue(), doc)).encode()))
                 return code
 
             for i, (kind, orders, extra, queried, n_star) in enumerate(ladders):
@@ -99,9 +103,32 @@ def session_digest(ladders=LADDERS) -> tuple[str, int]:
                 run(state, "verify", "--data", "all.csv")
         finally:
             os.chdir(cwd)
-    return digest.hexdigest(), commands
+    return records
+
+
+def kind_digests(ladders=LADDERS) -> tuple[str, int, dict[str, tuple[str, int]]]:
+    """The SHA-256 of the session over ``ladders``, its command count, and
+    each kind's SHA-256 over its own commands with their count."""
+    total = hashlib.sha256()
+    kinds = {kind: hashlib.sha256() for kind in KINDS}
+    counts = dict.fromkeys(KINDS, 0)
+    records = session_records(ladders)
+    for kind, record in records:
+        total.update(record)
+        kinds[kind].update(record)
+        counts[kind] += 1
+    by_kind = {kind: (h.hexdigest(), counts[kind]) for kind, h in kinds.items()}
+    return total.hexdigest(), len(records), by_kind
+
+
+def session_digest(ladders=LADDERS) -> tuple[str, int]:
+    """The SHA-256 of the session over ``ladders`` and its command count."""
+    hexdigest, count, _ = kind_digests(ladders)
+    return hexdigest, count
 
 
 if __name__ == "__main__":
-    hexdigest, count = session_digest()
+    hexdigest, count, by_kind = kind_digests()
     print(f"{hexdigest}  {count} commands")
+    for kind, (kind_hex, kind_count) in by_kind.items():
+        print(f"  {kind_hex}  {kind_count} {kind}")

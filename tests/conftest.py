@@ -51,10 +51,13 @@ def concat_batches(a, b):
 
 
 def swapped_metric_update(state, batch, spec):
-    """The value metric_update computes, with its double sum taken in the
-    other order: shift-power-major (one column of coefficients and moments
-    per shift power) instead of coefficient-major. The index set is the same
-    triangle, so the two agree to rounding; a cross-check oracle."""
+    """The metric of the appended dataset by an independent route, a
+    cross-check oracle for metric_update: the old moments re-centred onto
+    the new mean, weighted by coefficients about that mean in a double sum
+    taken shift-power-major (one column of coefficients and moments per
+    shift power), plus the batch's exact g values. metric_update instead
+    adds the batch to the metric of the stored ladder about its own mean,
+    so the two agree to within the truncation tail."""
     zp = update_normalizer(state, batch)
     meanp = update_mean(state, batch, zp)
     shift = state.mean - meanp

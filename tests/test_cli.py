@@ -333,6 +333,42 @@ def test_verify_flags_tampered_moment(tmp_path, capsys):
     assert "order=2 " in out and "ok" in out
 
 
+def _circular_complex_session(tmp_path):
+    """A complex 2..8 state after 20 appends of 32 unit-weight records on
+    circles about 3+2i: 8 equally spaced angles at each of 4 radii. Its M2 =
+    E[d**2] cancels to rounding while E|d|**2 is about 1.8."""
+    rng = np.random.default_rng(8)
+    state, full = str(tmp_path / "s.json"), tmp_path / "all.csv"
+    assert main(["init", "--state", state, "--orders", "2..8", "--kind", "complex"]) == 0
+    angles = np.exp(2j * np.pi * np.arange(8) / 8)
+    absorbed = []
+    for i in range(20):
+        values = (3 + 2j + np.outer(rng.uniform(0.5, 2.0, 4), angles)).ravel()
+        rows = [f"{v.real!r},{v.imag!r},1.0" for v in values.tolist()]
+        batch = tmp_path / f"b{i}.csv"
+        batch.write_text("re,im,weight\n" + "\n".join(rows) + "\n")
+        assert main(["append", "--state", state, "--batch", str(batch)]) == 0
+        absorbed += rows
+    full.write_text("re,im,weight\n" + "\n".join(absorbed) + "\n")
+    return state, full
+
+
+def test_verify_judges_a_cancelling_complex_moment_by_the_spread(tmp_path, capsys):
+    state, full = _circular_complex_session(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--state", state, "--data", str(full)]) == 0
+    assert "verify ok: 7 orders" in capsys.readouterr().out
+    # a stored M2 wrong by 1e-6 (of a spread near 1.8) is still refused
+    from momentflow.statefile import save_state
+
+    st = load_state(state)
+    save_state(state, dataclasses.replace(st, values=(st.values[0] + 1e-6, *st.values[1:])))
+    assert main(["verify", "--state", state, "--data", str(full)]) == 1
+    out = capsys.readouterr().out
+    assert "order=2 " in out and "MISMATCH" in out
+    assert "order=3 " in out and "verify FAILED: 1 mismatched" in out
+
+
 def test_tamper_without_redigest_is_integrity_error(tmp_path, capsys):
     state, _ = _session(tmp_path, capsys)
     text = Path(state).read_text()
@@ -545,6 +581,43 @@ def test_metric_bad_provider_exits_2(tmp_path, capsys):
 def test_metric_ladder_too_short_exits_2(tmp_path, capsys):
     state, _ = _session(tmp_path, capsys)
     assert main(["metric", "--state", state, "--provider", "exp:1,1", "--n-star", "14"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["init", "--state", "{new}", "--orders", "2,x", "--kind", "scalar"],
+         "bad order 'x' in spec '2,x'"),
+        (["init", "--state", "{new}", "--orders", "2..4", "--kind", "vector:x"],
+         "bad vector dimension in kind spec 'vector:x'"),
+        (["metric", "--state", "{state}", "--provider", "exp:1,x"],
+         "non-numeric parameter in provider spec 'exp:1,x'"),
+        (["metric", "--state", "{state}", "--provider", "sin:1"], "sin provider needs exactly a,b"),
+        (["append", "--state", "{state}", "--batch", "{missing}"], "batch file not found: {missing}"),
+        (["append", "--state", "{state}", "--batch", "{empty}"], "batch file {empty} is empty"),
+        (["bench", "--orders", "2.5", "--out", "{out}"], "bench orders must be integers, got 2.5"),
+        (["bench", "--deltas", "x", "--out", "{out}"], "bad deltas spec 'x'"),
+    ],
+    ids=[
+        "orders", "vector-dim", "provider-parameter", "sin-arity", "missing-batch",
+        "empty-batch", "bench-orders", "bench-deltas",
+    ],
+)
+def test_input_error_exits_2_with_its_message(tmp_path, capsys, argv, message):
+    state, _ = _session(tmp_path, capsys)
+    before = Path(state).read_bytes()
+    paths = {
+        "state": state,
+        "new": tmp_path / "new.json",
+        "missing": tmp_path / "missing.csv",
+        "empty": tmp_path / "empty.csv",
+        "out": tmp_path / "bench.csv",
+    }
+    paths["empty"].write_bytes(b"")
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
+    assert Path(state).read_bytes() == before
+    assert not paths["new"].exists() and not paths["out"].exists()
 
 
 def test_env_var_supplies_state_path(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from momentflow import (
     update_mean,
     update_normalizer,
 )
-from momentflow.accumulator import _available_depth, tail_converged
+from momentflow.accumulator import DEFAULT_FRACTIONAL_TOL, _available_depth, tail_converged
 from momentflow.cli import main
 from momentflow.errors import DomainError, LadderMismatch, ValidationError
 
@@ -144,10 +144,10 @@ def test_report_shape(rng):
     values, weights = _complex_corpus(rng)
     state = from_batch(Batch.from_values(Kind.COMPLEX, values, weights), ladder)
     extra = Batch.from_values(Kind.COMPLEX, [complex(state.mean) + 1e-3], [1.0])
-    _, report = update_fractional(state, extra, 2.5, 5, tol=1e-9)
+    _, report = update_fractional(state, extra, 2.5, 5)
     assert report.order == 2.5
     assert report.cutoff == 5
-    assert report.tol == 1e-9
+    assert report.tol == DEFAULT_FRACTIONAL_TOL
     assert len(report.term_norms) == 6
 
 
@@ -287,8 +287,6 @@ def test_update_fractional_checks_series_arguments(rng):
     batch = _drifting_complex(rng, 4)
     with pytest.raises(ValidationError, match="cutoff must be >= 0"):
         update_fractional(state, batch, 2.5, cutoff=-1)
-    with pytest.raises(ValidationError, match="tol must be positive"):
-        update_fractional(state, batch, 2.5, tol=0.0)
 
 
 def _on_mean_case(n):

@@ -5,6 +5,7 @@ import pytest
 
 from momentflow import (
     Batch,
+    EmptyState,
     ExponentialMetric,
     Kind,
     MetricSpec,
@@ -15,7 +16,9 @@ from momentflow import (
     metric_from_moments,
     metric_update,
     update_integer,
+    update_normalizer,
 )
+from momentflow.accumulator import COLUMNAR_MIN_RECORDS
 from momentflow.errors import LadderTooShort, ValidationError
 
 from conftest import concat_batches, random_batch, swapped_metric_update
@@ -81,6 +84,22 @@ def test_ladder_too_short():
     s = _scalar_state([1, 2, 3], [1, 1, 1], top=4)
     with pytest.raises(LadderTooShort):
         metric_from_moments(s, MetricSpec(PolynomialMetric([1.0]), n_star=6))
+
+
+def test_ladder_without_integer_orders_says_so():
+    batch = Batch.from_values(Kind.COMPLEX, [1 + 1j, 2 - 1j, 3j], [1.0, 1.0, 1.0])
+    s = from_batch(batch, OrderLadder([2.5, 1.5]))
+    with pytest.raises(LadderTooShort, match="^metric truncated at 2 but the ladder stores no integer order$"):
+        metric_from_moments(s, MetricSpec(PolynomialMetric([1.0]), n_star=2))
+
+
+def test_metric_of_an_empty_state_is_a_validation_error():
+    empty = EmptyState(kind=Kind.SCALAR, dim=None, ladder=OrderLadder.integer_range(2, 4))
+    spec = MetricSpec(PolynomialMetric([1.0]), n_star=2)
+    with pytest.raises(ValidationError, match="non-empty state"):
+        metric_from_moments(empty, spec)
+    with pytest.raises(ValidationError, match="non-empty state"):
+        metric_update(empty, Batch.from_values(Kind.SCALAR, [1.0], [1.0]), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +202,39 @@ def test_exponential_update_matches_direct(rng):
         want = direct_metric(joined.values, joined.weights, g.evaluate)
         assert abs(res.value - want) / abs(want) < 1e-9
         assert res.converged
+
+
+def _batch_term(batch, g):
+    """sum_i w_i * g(x_i) as a pass over the batch takes it: one dot
+    product over the whole arrays from COLUMNAR_MIN_RECORDS records up, a
+    running sum in record order below."""
+    if batch.size >= COLUMNAR_MIN_RECORDS:
+        total = batch.weights @ g(batch.values)
+        return total if batch.kind is Kind.VECTOR else total.item()
+    acc = None
+    for x, w in zip(batch.values, batch.weights):
+        x = x if batch.kind is Kind.VECTOR else x.item()
+        term = w.item() * g(x)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@pytest.mark.parametrize("size", [1, COLUMNAR_MIN_RECORDS - 1, COLUMNAR_MIN_RECORDS, 100])
+@pytest.mark.parametrize("kind,dim", [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 3)])
+def test_update_is_the_stored_metric_plus_the_batch(rng, kind, dim, size):
+    # W' = (Z/Z') W + sum_batch w g(x) / Z', bit for bit: no re-centring
+    spec = MetricSpec(SinusoidMetric(1.5, 0.7), n_star=8)
+    state = from_batch(random_batch(rng, kind, 40, dim=dim), OrderLadder.integer_range(2, 8))
+    batch = random_batch(rng, kind, size, dim=dim)
+    stored = metric_from_moments(state, spec)
+    zp = update_normalizer(state, batch)
+    want = (state.z / zp) * stored.value + _batch_term(batch, spec.provider.evaluate) / zp
+    got = metric_update(state, batch, spec)
+    assert type(got.value) is type(want)
+    assert np.array_equal(got.value, want)
+    assert got.truncation_order == stored.truncation_order
+    assert got.tail_estimate == stored.tail_estimate
+    assert got.converged == stored.converged
 
 
 def test_summation_orders_agree(rng):

@@ -357,9 +357,11 @@ def _exits_4_unchanged(tmp_path, capsys, text):
     batch.write_text("x,weight\n0.5,1.0\n")
     assert main(["query", "--state", str(path), "--count"]) == 4
     assert main(["append", "--state", str(path), "--batch", str(batch)]) == 4
-    assert "integrity error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "integrity error" in err
     assert path.read_text(encoding="ascii") == text
     assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+    return err
 
 
 def _v2_doc(kind, dim=None, empty=False):
@@ -507,6 +509,58 @@ def test_cached_ladder_still_checks_every_document(tmp_path, capsys, damage):
     damage(good)
     for _ in range(2):  # the second load finds the ladder cached
         _exits_4_unchanged(tmp_path, capsys, _document(good, seal=True))
+
+
+def _v1_z_unreadable():
+    doc = json.loads((DATA / "v1_hex_scalar_2-20.json").read_text())
+    doc["z"] = True
+    return json.dumps(doc, indent=2)
+
+
+def _sealed(kind, dim, damage, empty=False):
+    doc = _v2_doc(kind, dim, empty=empty)
+    damage(doc)
+    return _document(doc, seal=True)
+
+
+# Each damaged document, every v2 one re-signed so that its own check fires
+# rather than the digest check, and the fault its error must name.
+_NAMED_DAMAGE = {
+    "v1-unreadable-number": (_v1_z_unreadable, "unreadable number True"),
+    "complex-payload-width": (
+        lambda: _sealed(Kind.COMPLEX, None, lambda d: d["mean"].append(d["mean"][0])),
+        "complex value must be a list of 2 numbers",
+    ),
+    "vector-payload-width": (
+        lambda: _sealed(Kind.VECTOR, 3, lambda d: d["moments"][0].pop()),
+        "vector value must be a list of 3 numbers",
+    ),
+    "vector-dim-below-1": (
+        lambda: _sealed(Kind.VECTOR, 3, lambda d: d.update(vector_dim=0)),
+        "vector_dim must be >= 1, got 0",
+    ),
+    "orders-not-a-list": (
+        lambda: _sealed(Kind.SCALAR, None, lambda d: d.update(orders="2..4")),
+        "orders must be a list",
+    ),
+    "not-an-object": (lambda: '["count", 3]\n', "state document must be a JSON object"),
+    "empty-orders": (
+        lambda: _sealed(Kind.SCALAR, None, lambda d: d.update(orders=[]), empty=True),
+        "ladder must contain at least one order",
+    ),
+    "non-finite-order": (
+        lambda: _sealed(Kind.SCALAR, None, lambda d: d["orders"].append("inf"), empty=True),
+        "ladder order must be finite, got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_NAMED_DAMAGE))
+def test_damaged_document_exits_4_naming_its_fault(tmp_path, capsys, damage):
+    make, fault = _NAMED_DAMAGE[damage]
+    err = _exits_4_unchanged(tmp_path, capsys, make())
+    assert fault in err
+    assert "digest" not in err
 
 
 # ---------------------------------------------------------------------------
