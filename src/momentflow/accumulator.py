@@ -35,12 +35,11 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-import numpy as np
-
 from .binomial import MAX_EXACT_ORDER, binomial_row
 from .elements import (
     Kind,
     Payload,
+    np,
     norm_rows,
     one_payload,
     pow_payload,
@@ -176,8 +175,12 @@ def expand_fractional_targets(
     return tuple(sorted(out))
 
 
-_FLOAT64 = np.dtype(np.float64)
-_VALUE_DTYPE = {Kind.SCALAR: _FLOAT64, Kind.COMPLEX: np.dtype(np.complex128), Kind.VECTOR: _FLOAT64}
+@lru_cache(maxsize=None)
+def _dtypes() -> dict[Kind, np.dtype]:
+    """Each kind's value dtype, resolved on first use: numpy loads only
+    when something needs it. Weights take the scalar kind's."""
+    f64 = np.dtype(np.float64)
+    return {Kind.SCALAR: f64, Kind.COMPLEX: np.dtype(np.complex128), Kind.VECTOR: f64}
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,16 +205,17 @@ class Batch:
         if values.size == 0:
             raise EmptyBatch("batch must contain at least one record")
         want_ndim = 2 if self.kind is Kind.VECTOR else 1
-        if values.dtype != _VALUE_DTYPE[self.kind] or values.ndim != want_ndim:
+        dtypes = _dtypes()
+        if values.dtype != dtypes[self.kind] or values.ndim != want_ndim:
             raise KindMismatch(
-                f"{self.kind.value} batch needs {want_ndim}-D {_VALUE_DTYPE[self.kind]} "
+                f"{self.kind.value} batch needs {want_ndim}-D {dtypes[self.kind]} "
                 f"values, got {values.ndim}-D {values.dtype}"
             )
         if self.kind is Kind.VECTOR and values.shape[1] != self.dim:
             raise KindMismatch(f"vector records have {values.shape[1]} components, want {self.dim}")
         if weights.shape != (len(values),):
             raise ValidationError("values and weights differ in length")
-        if weights.dtype != _FLOAT64:
+        if weights.dtype != dtypes[Kind.SCALAR]:
             raise ValidationError(f"weights must be float64, got {weights.dtype}")
         # A small batch is checked through its per-record form, which its
         # passes use anyway; numpy's fixed cost per call exceeds the loop.
@@ -264,13 +268,15 @@ class Batch:
             values = list(values)
         if not isinstance(weights, (np.ndarray, list, tuple)):
             weights = list(weights)
+        dtypes = _dtypes()
         try:
-            arr = np.array(values, dtype=_VALUE_DTYPE[kind])
+            arr = np.array(values, dtype=dtypes[kind])
         except ValueError:
             raise KindMismatch(f"{kind.value} records do not share one shape") from None
         if kind is Kind.VECTOR and dim is None and arr.ndim == 2:
             dim = arr.shape[1]
-        return cls(kind=kind, dim=dim, values=arr, weights=np.array(weights, dtype=_FLOAT64))
+        weights = np.array(weights, dtype=dtypes[Kind.SCALAR])
+        return cls(kind=kind, dim=dim, values=arr, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -508,7 +514,7 @@ def _shift_powers(kind: Kind, dim: int | None, shift: Payload, max_k: int) -> np
     powers = [one_payload(kind, dim)]
     for _ in range(max_k):
         powers.append(powers[-1] * shift)
-    return np.array(powers, dtype=_VALUE_DTYPE[kind])
+    return np.array(powers, dtype=_dtypes()[kind])
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,7 +607,7 @@ def _recentered(
     kind, dim = state.kind, state.dim
     moments = np.array(
         [one_payload(kind, dim), zero_payload(kind, dim), *state.values],
-        dtype=_VALUE_DTYPE[kind],
+        dtype=_dtypes()[kind],
     )
     spow = _shift_powers(kind, dim, shift, table.coef.shape[1] - 1)
     coef = table.coef[..., None] if kind is Kind.VECTOR else table.coef

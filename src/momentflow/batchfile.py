@@ -26,10 +26,8 @@ import io
 import math
 from pathlib import Path
 
-import numpy as np
-
 from .accumulator import COLUMNAR_MIN_RECORDS, Batch
-from .elements import Kind
+from .elements import Kind, np
 from .errors import BatchFormatError, EmptyBatch
 
 

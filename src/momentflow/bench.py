@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
-import numpy as np
-
 from .accumulator import (
     AnyState,
     Batch,
@@ -47,7 +45,15 @@ from .accumulator import (
     update_normalizer,
 )
 from .binomial import binomial_row
-from .elements import Kind, format_kind, norm_payload, one_payload, relative_error, zero_payload
+from .elements import (
+    Kind,
+    format_kind,
+    norm_payload,
+    np,
+    one_payload,
+    relative_error,
+    zero_payload,
+)
 from .errors import AgreementError, TimingUnstable, ValidationError
 
 WARMUP_REPEATS = 3

@@ -15,20 +15,43 @@ read-only there, so stored values are safe to share between threads.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from enum import Enum
 from typing import Iterator, Sequence, Union
 
-import numpy as np
-
 from .errors import BadKindSpec, DomainError
+
+
+class _NumpyOnFirstUse:
+    """Stands in for numpy until the first attribute is read, so that a
+    command on a scalar or complex state never loads it.
+
+    That read imports numpy and rebinds ``np`` to it in every module of
+    this package that holds the stand-in, so later reads cost nothing.
+    """
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        package = __name__.rpartition(".")[0]
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == package and vars(module).get("np") is self:
+                module.np = numpy
+        return getattr(numpy, name)
+
+
+# The package's one source of numpy, the vector payload type: every module
+# takes ``np`` from here. numpy itself when it is already loaded.
+np = sys.modules.get("numpy") or _NumpyOnFirstUse()
 
 # Smallest real base accepted under a fractional or negative exponent.
 # Below this, log-based powers of real values degenerate; the complex kind
 # exists precisely to lift the restriction.
 POW_FLOOR = 1e-300
 
-Payload = Union[float, complex, np.ndarray]
+Payload = Union[float, complex, "np.ndarray"]
 
 
 class Kind(str, Enum):
@@ -175,6 +198,13 @@ def norm_rows(kind: Kind, values: np.ndarray) -> np.ndarray:
     if kind is Kind.VECTOR:
         return np.hypot.reduce(values, axis=-1, initial=0.0)
     return np.abs(values)
+
+
+def all_finite(kind: Kind, payloads: Sequence[Payload]) -> bool:
+    """Whether every number in ``payloads``, all of ``kind``, is finite."""
+    if kind is Kind.VECTOR:
+        return bool(np.isfinite(payloads).all())
+    return all(map(cmath.isfinite, payloads))
 
 
 def relative_error(kind: Kind, got: Payload, want: Payload, m2: float, order: float) -> float:

@@ -8,22 +8,23 @@ plain weighted sum, so Z' * W' = Z * W + sum_batch w * g(x), the metric of
 the stored ladder plus the batch's exact g values.
 
 Coefficient providers must be deterministic and re-entrant; everything in
-this module is a pure function over immutable inputs.
+this module is a pure function over immutable inputs. A coefficient, batch
+term or value that is not finite, or a math overflow on the way to one,
+raises NumericError: a metric is never reported as inf or nan.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
-
-import numpy as np
+from typing import ContextManager, Protocol, Sequence
 
 from .accumulator import Batch, MomentState, _batch_sum, tail_converged, update_normalizer
 from .binomial import MAX_EXACT_ORDER, binomial_row
-from .elements import Payload, norm_payload
-from .errors import LadderTooShort, ValidationError
+from .elements import Kind, Payload, all_finite, norm_payload, np
+from .errors import LadderTooShort, NumericError, ValidationError
 
 DEFAULT_TRUNCATION = 14
 TAIL_TOL = 1e-10
@@ -51,6 +52,23 @@ def _elementwise(name: str, p: Payload) -> Payload:
     """The math, cmath or numpy function ``name`` of p, by p's type."""
     module = cmath if isinstance(p, complex) else np if isinstance(p, np.ndarray) else math
     return getattr(module, name)(p)
+
+
+_PYTHON_NUMBERS = nullcontext()
+
+
+def _quiet(kind: Kind) -> ContextManager:
+    """Where a metric's arithmetic runs: with numpy's floating-point
+    warnings off on the vector kind, as _require_finite refuses a
+    non-finite result afterwards. The other kinds compute with Python
+    numbers, which warn about nothing; an overflow there raises
+    OverflowError, which the callers turn into a NumericError."""
+    return np.errstate(all="ignore") if kind is Kind.VECTOR else _PYTHON_NUMBERS
+
+
+def _require_finite(kind: Kind, what: str, payloads: Sequence[Payload]) -> None:
+    if not all_finite(kind, payloads):
+        raise NumericError(f"metric {what} is not finite")
 
 
 class PolynomialMetric:
@@ -179,20 +197,27 @@ def metric_from_moments(state: MomentState, spec: MetricSpec) -> MetricResult:
         )
     if not isinstance(state, MomentState):
         raise ValidationError("a metric needs a non-empty state")
-    # c_0..c_n* weight the moments; the three past n* only probe the tail.
-    coeffs = spec.provider.coefficients(state.mean, spec.n_star + 3)
-    if len(coeffs) != spec.n_star + 4:
-        raise ValidationError("provider returned the wrong number of coefficients")
-    acc = None
-    term_norms: list[float] = []
-    running: list[float] = []
-    for n, c in enumerate(coeffs[: spec.n_star + 1]):
-        term = c * state.moment(n)
-        acc = term if acc is None else acc + term
-        term_norms.append(norm_payload(state.kind, term))
-        running.append(norm_payload(state.kind, acc))
+    kind = state.kind
+    try:
+        with _quiet(kind):
+            # c_0..c_n* weight the moments; the three past n* only probe the tail.
+            coeffs = spec.provider.coefficients(state.mean, spec.n_star + 3)
+            if len(coeffs) != spec.n_star + 4:
+                raise ValidationError("provider returned the wrong number of coefficients")
+            _require_finite(kind, "coefficient about the mean", coeffs)
+            acc = None
+            term_norms: list[float] = []
+            running: list[float] = []
+            for n, c in enumerate(coeffs[: spec.n_star + 1]):
+                term = c * state.moment(n)
+                acc = term if acc is None else acc + term
+                term_norms.append(norm_payload(kind, term))
+                running.append(norm_payload(kind, acc))
+    except OverflowError as e:
+        raise NumericError(f"metric overflowed: {e}") from None
+    _require_finite(kind, "value", (acc,))
     converged = tail_converged(term_norms, running, TAIL_TOL) or all(
-        norm_payload(state.kind, c) == 0.0 for c in coeffs[spec.n_star + 1 :]
+        norm_payload(kind, c) == 0.0 for c in coeffs[spec.n_star + 1 :]
     )
     return MetricResult(
         value=acc,
@@ -213,5 +238,12 @@ def metric_update(state: MomentState, batch: Batch, spec: MetricSpec) -> MetricR
     """
     stored = metric_from_moments(state, spec)
     zp = update_normalizer(state, batch)
-    batch_acc = _batch_sum(batch, spec.provider.evaluate, batch.columnar)
-    return replace(stored, value=(state.z / zp) * stored.value + batch_acc / zp)
+    try:
+        with _quiet(state.kind):
+            batch_acc = _batch_sum(batch, spec.provider.evaluate, batch.columnar)
+            _require_finite(state.kind, "batch term", (batch_acc,))
+            value = (state.z / zp) * stored.value + batch_acc / zp
+    except OverflowError as e:
+        raise NumericError(f"metric overflowed: {e}") from None
+    _require_finite(state.kind, "value", (value,))
+    return replace(stored, value=value)

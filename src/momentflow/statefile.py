@@ -28,7 +28,6 @@ lock-free against the last committed document.
 
 from __future__ import annotations
 
-import cmath
 import fcntl
 import hashlib
 import json
@@ -41,10 +40,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-import numpy as np
-
 from .accumulator import AnyState, EmptyState, MomentState, OrderLadder
-from .elements import Kind, Payload
+from .elements import Kind, Payload, all_finite, np
 from .errors import DigestMismatch, IntegrityError, LockHeld, NumericError, ValidationError
 
 FORMAT_VERSION = 2
@@ -97,24 +94,18 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _all_finite(kind: Kind, payloads: tuple[Payload, ...]) -> bool:
-    if kind is Kind.VECTOR:
-        return bool(np.isfinite(payloads).all())
-    return all(map(cmath.isfinite, payloads))
-
-
 def _non_finite(state: MomentState) -> str:
     """The names of the state's non-finite numbers (z, mean, M<order>),
     comma-separated; empty when every one is finite. A stored state is
     nearly always finite, so one check over every payload comes first."""
     kind, values = state.kind, state.values
-    if math.isfinite(state.z) and _all_finite(kind, (state.mean, *values)):
+    if math.isfinite(state.z) and all_finite(kind, (state.mean, *values)):
         return ""
     bad = [] if math.isfinite(state.z) else ["z"]
-    if not _all_finite(kind, (state.mean,)):
+    if not all_finite(kind, (state.mean,)):
         bad.append("mean")
     orders = state.ladder.orders
-    bad.extend(f"M{o:g}" for o, m in zip(orders, values) if not _all_finite(kind, (m,)))
+    bad.extend(f"M{o:g}" for o, m in zip(orders, values) if not all_finite(kind, (m,)))
     return ", ".join(bad)
 
 

@@ -38,7 +38,7 @@ from momentflow.errors import (
     TimingUnstable,
 )
 
-from cli_digest import LADDERS, session_digest
+from cli_digest import LADDERS, kind_digests, session_digest
 
 
 def write_scalar_csv(path, rows):
@@ -583,6 +583,73 @@ def test_metric_ladder_too_short_exits_2(tmp_path, capsys):
     assert main(["metric", "--state", state, "--provider", "exp:1,1", "--n-star", "14"]) == 2
 
 
+_HEADERS = {"scalar": "x,weight", "complex": "re,im,weight", "vector:2": "x0,x1,weight"}
+# Data whose mean sits near 800, where exp overflows, and data near 0.
+_AT_800 = {"scalar": ["800,1", "801,1"], "complex": ["800,0,1", "801,0,1"],
+           "vector:2": ["800,1,1", "801,2,1"]}
+_AT_0 = {"scalar": ["0,1", "1,1"], "vector:2": ["0,0,1", "1,1,1"]}
+_OVERFLOWED = "metric overflowed: math range error"
+_BAD_COEFFICIENT = "metric coefficient about the mean is not finite"
+_BAD_BATCH_TERM = "metric batch term is not finite"
+_MANY = COLUMNAR_MIN_RECORDS  # a batch this long takes the whole-array pass
+
+
+@pytest.mark.parametrize(
+    "kind,rows,provider,batch_rows,message",
+    [
+        # g's coefficients about the mean overflow: math.exp raises ...
+        pytest.param("scalar", _AT_800["scalar"], "exp:1,1", None, _OVERFLOWED, id="scalar-exp"),
+        pytest.param("scalar", _AT_800["scalar"], "exp:1,1", _AT_800["scalar"], _OVERFLOWED,
+                     id="scalar-exp-batch"),
+        pytest.param("complex", _AT_800["complex"], "exp:1,1", None, _OVERFLOWED,
+                     id="complex-exp"),
+        pytest.param("complex", _AT_800["complex"], "exp:1,1", _AT_800["complex"], _OVERFLOWED,
+                     id="complex-exp-batch"),
+        # ... b**n overflows, and inf * sin or inf * cos reads nan ...
+        pytest.param("scalar", _AT_800["scalar"], "sin:1,1e300", None, _BAD_COEFFICIENT,
+                     id="scalar-sin"),
+        pytest.param("scalar", _AT_800["scalar"], "sin:1,1e300", ["800,1"], _BAD_COEFFICIENT,
+                     id="scalar-sin-batch"),
+        # ... numpy's exp reads inf, without a RuntimeWarning
+        pytest.param("vector:2", _AT_800["vector:2"], "exp:1,1", None, _BAD_COEFFICIENT,
+                     id="vector-exp"),
+        pytest.param("vector:2", _AT_800["vector:2"], "exp:1,1", ["800,1,1"], _BAD_COEFFICIENT,
+                     id="vector-exp-batch"),
+        # the stored metric is finite, but g overflows at the batch's records,
+        # in the per-record pass and in the whole-array one
+        pytest.param("scalar", _AT_0["scalar"], "exp:1,1", ["800,1"] * 2, _OVERFLOWED,
+                     id="scalar-batch-term"),
+        pytest.param("scalar", _AT_0["scalar"], "exp:1,1", ["800,1"] * _MANY, _BAD_BATCH_TERM,
+                     id="scalar-batch-term-columnar"),
+        pytest.param("vector:2", _AT_0["vector:2"], "exp:1,1", ["800,0,1"] * 2, _BAD_BATCH_TERM,
+                     id="vector-batch-term"),
+        pytest.param("vector:2", _AT_0["vector:2"], "exp:1,1", ["800,0,1"] * _MANY,
+                     _BAD_BATCH_TERM, id="vector-batch-term-columnar"),
+        # finite coefficients, but c_2 * M2 = 1e300 * 1e10
+        pytest.param("scalar", ["-1e5,1", "1e5,1"], "poly:0,0,1e300", None,
+                     "metric value is not finite", id="scalar-value"),
+    ],
+)
+def test_metric_with_a_non_finite_result_exits_3(
+    tmp_path, capsys, kind, rows, provider, batch_rows, message
+):
+    state = str(tmp_path / "s.json")
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([_HEADERS[kind], *rows]) + "\n")
+    assert main(["init", "--state", state, "--orders", "2..4", "--kind", kind]) == 0
+    assert main(["append", "--state", state, "--batch", str(data)]) == 0
+    capsys.readouterr()
+    argv = ["metric", "--state", state, "--provider", provider, "--n-star", "4"]
+    if batch_rows is not None:
+        batch = tmp_path / "batch.csv"
+        batch.write_text("\n".join([_HEADERS[kind], *batch_rows]) + "\n")
+        argv += ["--batch", str(batch)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow must not reach stderr
+        assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"numeric error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -1041,11 +1108,120 @@ def test_help_of_the_shared_parser_matches_a_fresh_one(tmp_path, capsys):
 
 
 def test_import_does_not_load_the_process_pool():
-    # Nor the benchmark harness: only the bench command imports it.
+    # Nor the benchmark harness, which only the bench command imports, nor
+    # numpy, which loads on first use.
     probe = (
-        "import sys, momentflow.cli; print([m for m in "
-        "('concurrent.futures', 'multiprocessing', 'momentflow.bench') if m in sys.modules])"
+        "import sys, momentflow.cli; print([m for m in ('concurrent.futures', "
+        "'multiprocessing', 'momentflow.bench', 'numpy') if m in sys.modules])"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+_NUMPY_PROBE = (
+    "import sys\n"
+    "from momentflow.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+_QUERIES = [["--order", "2"], ["--count"], ["--mean"], ["--z"], ["--format", "full-doc"]]
+_NUMPY_FREE = (
+    [("scalar", ["init", "--orders", "2..20", "--kind", "scalar"])]
+    + [("scalar", ["query", *q]) for q in _QUERIES]
+    + [("complex", ["init", "--orders", "2..8,2.5", "--kind", "complex"])]
+    + [("complex", ["query", *q]) for q in _QUERIES + [["--order", "2.5"], ["--order", "0"]]]
+)
+_NUMPY_LOADING = [
+    ("vector", ["query", "--order", "2"]),
+    ("vector", ["query", "--mean"]),
+    ("scalar", ["append", "--batch", "{batch}"]),
+    ("complex", ["append", "--batch", "{batch}"]),
+]
+
+
+@pytest.fixture(scope="module")
+def probe_states(tmp_path_factory):
+    """A scalar 2..20, a complex 2..8,2.5 and a vector:3 2..4 state, each
+    holding three records, and a batch for each."""
+    root = tmp_path_factory.mktemp("probe")
+    specs = {
+        "scalar": ("2..20", "scalar", ["x,weight", "1.5,1", "2,0.5", "4,1"]),
+        "complex": ("2..8,2.5", "complex", ["re,im,weight", "2,1,1", "3,0.5,1", "1,2,0.5"]),
+        "vector": ("2..4", "vector:3", ["x0,x1,x2,weight", "1,2,3,1", "2,1,0,1", "0,4,1,1"]),
+    }
+    states = {}
+    for name, (orders, kind, lines) in specs.items():
+        state, batch = root / f"{name}.json", root / f"{name}.csv"
+        batch.write_text("\n".join(lines) + "\n")
+        assert main(["init", "--state", str(state), "--orders", orders, "--kind", kind]) == 0
+        assert main(["append", "--state", str(state), "--batch", str(batch)]) == 0
+        states[name] = (state, batch)
+    return states
+
+
+def _numpy_after(argv):
+    r = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    code, loaded = r.stdout.splitlines()[-1].split()
+    assert code == "0", r.stderr
+    return loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "state_name,command",
+    _NUMPY_FREE,
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_fresh_scalar_and_complex_reads_leave_numpy_unloaded(
+    tmp_path, probe_states, state_name, command
+):
+    state = tmp_path / "new.json" if command[0] == "init" else probe_states[state_name][0]
+    assert not _numpy_after([command[0], "--state", str(state), *command[1:]])
+
+
+@pytest.mark.parametrize(
+    "state_name,command",
+    _NUMPY_LOADING,
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_fresh_vector_reads_and_appends_load_numpy(tmp_path, probe_states, state_name, command):
+    state, batch = probe_states[state_name]
+    copy = tmp_path / "s.json"
+    copy.write_bytes(state.read_bytes())
+    options = [c.format(batch=batch) for c in command[1:]]
+    assert _numpy_after([command[0], "--state", str(copy), *options])
+
+
+def test_the_lazy_numpy_path_prints_what_the_eager_one_does():
+    # The child imports momentflow before numpy, so every module of the
+    # package holds the stand-in until the session's first array work
+    # rebinds it; this process imported numpy first.
+    probe = (
+        "import json, sys\n"
+        "import momentflow.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import cli_digest, numpy\n"
+        "by_kind = cli_digest.kind_digests()[2]\n"
+        "held = sorted({type(m.np).__name__ for n, m in list(sys.modules.items())\n"
+        "               if n.split('.')[0] == 'momentflow' and hasattr(m, 'np')})\n"
+        "print(json.dumps([by_kind, held]))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    lazy, held = json.loads(r.stdout)
+    assert held == ["module"]
+    assert {kind: tuple(v) for kind, v in lazy.items()} == kind_digests()[2]
+
+
+def test_numpy_loaded_first_is_taken_as_it_is():
+    probe = (
+        "import json, sys, numpy, momentflow.cli\n"
+        "print(json.dumps(sorted(n for n, m in list(sys.modules.items())\n"
+        "      if n.split('.')[0] == 'momentflow' and getattr(m, 'np', None) is numpy)))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    modules = ("accumulator", "batchfile", "elements", "metrics", "statefile")
+    assert json.loads(r.stdout) == [f"momentflow.{name}" for name in modules]
