@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
 from pathlib import Path
+from types import ModuleType
+from typing import Callable
 
 from . import __version__
-from .accumulator import (
-    DEFAULT_FRACTIONAL_CUTOFF,
-    EmptyState,
-    OrderLadder,
-    append_batch,
-    expand_fractional_targets,
-    from_batch,
-)
-from .batchfile import read_batch_csv
 from .elements import (
     Kind,
     Payload,
@@ -41,15 +35,6 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .metrics import (
-    DEFAULT_TRUNCATION,
-    ExponentialMetric,
-    MetricSpec,
-    PolynomialMetric,
-    SinusoidMetric,
-    metric_from_moments,
-    metric_update,
-)
 from .statefile import (
     load_state,
     loads_state,
@@ -57,6 +42,51 @@ from .statefile import (
     save_state,
     state_lock,
 )
+from .states import (
+    DEFAULT_FRACTIONAL_CUTOFF,
+    DEFAULT_TRUNCATION,
+    EmptyState,
+    OrderLadder,
+    expand_fractional_targets,
+)
+
+
+@functools.cache
+def _layer(name: str) -> ModuleType:
+    """This package's module ``name``, imported by the first call for it,
+    so that a command loads only the layers it runs."""
+    return importlib.import_module(f".{name}", __package__)
+
+
+def _on_first_call(module: str, name: str) -> Callable:
+    """Stands in for function ``name`` of ``_layer(module)``, which it
+    loads on its first call.
+
+    The function found then is kept here, so a later call costs one more
+    frame and no lookup. The stand-in never rebinds its own module-level
+    name: a caller that replaced that name (perfbench's tracer wraps each of
+    these) keeps its replacement.
+    """
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(_layer(module), name)
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# The handlers' calls into batch ingest, the update kernel and the metric
+# engine. The handlers call them by these names, which are the tracer's
+# patch points.
+read_batch_csv = _on_first_call("batchfile", "read_batch_csv")
+append_batch = _on_first_call("accumulator", "append_batch")
+from_batch = _on_first_call("accumulator", "from_batch")
+metric_update = _on_first_call("metrics", "metric_update")
+metric_from_moments = _on_first_call("metrics", "metric_from_moments")
 
 STATE_ENV_VAR = "MF_STATE"
 
@@ -96,6 +126,7 @@ def parse_orders_spec(spec: str) -> tuple[float, ...]:
 
 
 def parse_provider_spec(spec: str):
+    metrics = _layer("metrics")
     name, _, args = spec.partition(":")
     name = name.strip().lower()
     try:
@@ -105,15 +136,15 @@ def parse_provider_spec(spec: str):
     if name == "poly":
         if not params:
             raise BadProviderSpec("poly provider needs at least one coefficient")
-        return PolynomialMetric(params)
+        return metrics.PolynomialMetric(params)
     if name == "exp":
         if len(params) != 2:
             raise BadProviderSpec("exp provider needs exactly a,b")
-        return ExponentialMetric(*params)
+        return metrics.ExponentialMetric(*params)
     if name == "sin":
         if len(params) != 2:
             raise BadProviderSpec("sin provider needs exactly a,b")
-        return SinusoidMetric(*params)
+        return metrics.SinusoidMetric(*params)
     raise BadProviderSpec(f"unknown provider {name!r} (expected poly, exp or sin)")
 
 
@@ -198,7 +229,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
     if isinstance(state, EmptyState):
         raise ValidationError("state is empty; metrics need absorbed data")
     provider = parse_provider_spec(args.provider)
-    spec = MetricSpec(provider=provider, n_star=args.n_star)
+    spec = _layer("metrics").MetricSpec(provider=provider, n_star=args.n_star)
     if args.batch:
         batch = read_batch_csv(args.batch, state.kind, state.dim)
         result = metric_update(state, batch, spec)

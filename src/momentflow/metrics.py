@@ -21,12 +21,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import ContextManager, Protocol, Sequence
 
-from .accumulator import Batch, MomentState, _batch_sum, tail_converged, update_normalizer
+from .accumulator import Batch, _batch_sum, tail_converged, update_normalizer
 from .binomial import MAX_EXACT_ORDER, binomial_row
 from .elements import Kind, Payload, all_finite, norm_payload, np
 from .errors import LadderTooShort, NumericError, ValidationError
+from .states import DEFAULT_TRUNCATION, MomentState
 
-DEFAULT_TRUNCATION = 14
 TAIL_TOL = 1e-10
 
 
@@ -49,8 +49,15 @@ class CoefficientProvider(Protocol):
 
 
 def _elementwise(name: str, p: Payload) -> Payload:
-    """The math, cmath or numpy function ``name`` of p, by p's type."""
-    module = cmath if isinstance(p, complex) else np if isinstance(p, np.ndarray) else math
+    """The math, cmath or numpy function ``name`` of p, by p's type. The
+    Python number types are tested first, so that a metric read off a
+    scalar or complex state loads no numpy."""
+    if isinstance(p, complex):
+        module = cmath
+    elif not isinstance(p, (float, int)) and isinstance(p, np.ndarray):
+        module = np
+    else:
+        module = math
     return getattr(module, name)(p)
 
 
@@ -175,8 +182,9 @@ class MetricResult:
     converged: bool
 
     def __post_init__(self) -> None:
-        if isinstance(self.value, np.ndarray):
-            self.value.flags.writeable = False
+        value = self.value
+        if not isinstance(value, (float, complex)) and isinstance(value, np.ndarray):
+            value.flags.writeable = False
 
 
 def metric_from_moments(state: MomentState, spec: MetricSpec) -> MetricResult:

@@ -34,15 +34,14 @@ import json
 import math
 import os
 import stat
-import tempfile
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .accumulator import AnyState, EmptyState, MomentState, OrderLadder
 from .elements import Kind, Payload, all_finite, np
 from .errors import DigestMismatch, IntegrityError, LockHeld, NumericError, ValidationError
+from .states import AnyState, EmptyState, MomentState, OrderLadder
 
 FORMAT_VERSION = 2
 
@@ -296,6 +295,8 @@ def save_state(path: str | Path, state: AnyState) -> None:
     A replaced document keeps its permission bits; a new one is created
     0600, readable by its owner alone.
     """
+    import tempfile  # here, not at the top: no read makes a temporary file
+
     path = Path(path)
     _require_finite(state)
     data = dumps_state(state).encode("ascii")

@@ -1109,28 +1109,36 @@ def test_help_of_the_shared_parser_matches_a_fresh_one(tmp_path, capsys):
 
 def test_import_does_not_load_the_process_pool():
     # Nor the benchmark harness, which only the bench command imports, nor
-    # numpy, which loads on first use.
+    # numpy, which loads on first use, nor a layer that cli loads on its
+    # first call.
     probe = (
         "import sys, momentflow.cli; print([m for m in ('concurrent.futures', "
-        "'multiprocessing', 'momentflow.bench', 'numpy') if m in sys.modules])"
+        "'multiprocessing', 'momentflow.bench', 'numpy', 'momentflow.accumulator', "
+        "'momentflow.batchfile', 'momentflow.metrics') if m in sys.modules])"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
 
 
-_NUMPY_PROBE = (
-    "import sys\n"
+# Runs one command in a fresh process and prints its exit code and what it
+# loaded of numpy and the package.
+_LOAD_PROBE = (
+    "import json, sys\n"
     "from momentflow.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(code, 'numpy' in sys.modules)\n"
+    "print(json.dumps([code, sorted(n for n in sys.modules\n"
+    "                              if n == 'numpy' or n.split('.')[0] == 'momentflow')]))\n"
 )
 _QUERIES = [["--order", "2"], ["--count"], ["--mean"], ["--z"], ["--format", "full-doc"]]
+_METRICS = [["--provider", "exp:1,0.5", "--n-star", "4"], ["--provider", "poly:0,0,1", "--n-star", "4"]]
 _NUMPY_FREE = (
     [("scalar", ["init", "--orders", "2..20", "--kind", "scalar"])]
     + [("scalar", ["query", *q]) for q in _QUERIES]
+    + [("scalar", ["metric", *m]) for m in _METRICS]
     + [("complex", ["init", "--orders", "2..8,2.5", "--kind", "complex"])]
     + [("complex", ["query", *q]) for q in _QUERIES + [["--order", "2.5"], ["--order", "0"]]]
+    + [("complex", ["metric", *m]) for m in _METRICS]
 )
 _NUMPY_LOADING = [
     ("vector", ["query", "--order", "2"]),
@@ -1138,6 +1146,14 @@ _NUMPY_LOADING = [
     ("scalar", ["append", "--batch", "{batch}"]),
     ("complex", ["append", "--batch", "{batch}"]),
 ]
+# The layers that a read of the state document never runs.
+_LAYERS = ("momentflow.accumulator", "momentflow.batchfile", "momentflow.metrics")
+_READS = (
+    [(name, ["init", "--orders", "2..4", "--kind", kind])
+     for name, kind in (("scalar", "scalar"), ("complex", "complex"), ("vector", "vector:3"))]
+    + [(name, ["query", *q]) for name in ("scalar", "complex", "vector") for q in _QUERIES]
+    + [("complex", ["query", "--order", "2.5"])]
+)
 
 
 @pytest.fixture(scope="module")
@@ -1160,37 +1176,94 @@ def probe_states(tmp_path_factory):
     return states
 
 
-def _numpy_after(argv):
-    r = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True, text=True)
+def _loaded_after(argv, tmp_path, probe_states):
+    """The modules of numpy and the package that a fresh command loaded.
+
+    argv is the command with a probe state's name in place of ``--state``:
+    the command runs on a copy of that state (init on a new document), and
+    ``{batch}`` in an option names that state's batch."""
+    if argv[0] == "init":
+        state, batch = tmp_path / "new.json", None
+    else:
+        source, batch = probe_states[argv[1]]
+        state = tmp_path / "s.json"
+        state.write_bytes(source.read_bytes())
+    options = [c.format(batch=batch) for c in argv[2:]]
+    command = [argv[0], "--state", str(state), *options]
+    r = subprocess.run([sys.executable, "-c", _LOAD_PROBE, *command], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    code, loaded = r.stdout.splitlines()[-1].split()
-    assert code == "0", r.stderr
-    return loaded == "True"
+    code, loaded = json.loads(r.stdout.splitlines()[-1])
+    assert code == 0, r.stderr
+    return loaded
 
 
-@pytest.mark.parametrize(
-    "state_name,command",
-    _NUMPY_FREE,
-    ids=lambda v: v if isinstance(v, str) else " ".join(v),
-)
+def _ids(v):
+    return v if isinstance(v, str) else " ".join(v)
+
+
+@pytest.mark.parametrize("state_name,command", _NUMPY_FREE, ids=_ids)
 def test_fresh_scalar_and_complex_reads_leave_numpy_unloaded(
     tmp_path, probe_states, state_name, command
 ):
-    state = tmp_path / "new.json" if command[0] == "init" else probe_states[state_name][0]
-    assert not _numpy_after([command[0], "--state", str(state), *command[1:]])
+    loaded = _loaded_after([command[0], state_name, *command[1:]], tmp_path, probe_states)
+    assert "numpy" not in loaded
 
 
-@pytest.mark.parametrize(
-    "state_name,command",
-    _NUMPY_LOADING,
-    ids=lambda v: v if isinstance(v, str) else " ".join(v),
-)
+@pytest.mark.parametrize("state_name,command", _NUMPY_LOADING, ids=_ids)
 def test_fresh_vector_reads_and_appends_load_numpy(tmp_path, probe_states, state_name, command):
-    state, batch = probe_states[state_name]
-    copy = tmp_path / "s.json"
-    copy.write_bytes(state.read_bytes())
-    options = [c.format(batch=batch) for c in command[1:]]
-    assert _numpy_after([command[0], "--state", str(copy), *options])
+    loaded = _loaded_after([command[0], state_name, *command[1:]], tmp_path, probe_states)
+    assert "numpy" in loaded
+
+
+@pytest.mark.parametrize("state_name,command", _READS, ids=_ids)
+def test_fresh_init_and_query_load_no_update_ingest_or_metric_layer(
+    tmp_path, probe_states, state_name, command
+):
+    loaded = _loaded_after([command[0], state_name, *command[1:]], tmp_path, probe_states)
+    assert not set(_LAYERS) & set(loaded), loaded
+    assert {"momentflow.cli", "momentflow.states"} <= set(loaded)
+
+
+@pytest.mark.parametrize("state_name", ["scalar", "complex", "vector"])
+def test_fresh_append_loads_no_metric_layer(tmp_path, probe_states, state_name):
+    loaded = _loaded_after(["append", state_name, "--batch", "{batch}"], tmp_path, probe_states)
+    assert "momentflow.metrics" not in loaded
+    assert {"momentflow.accumulator", "momentflow.batchfile"} <= set(loaded)
+
+
+def test_fresh_metric_loads_batchfile_only_with_a_batch(tmp_path, probe_states):
+    read = ["metric", "scalar", "--provider", "exp:1,0.5"]
+    loaded = _loaded_after(read, tmp_path, probe_states)
+    assert "momentflow.metrics" in loaded
+    assert "momentflow.batchfile" not in loaded
+    loaded = _loaded_after([*read, "--batch", "{batch}"], tmp_path, probe_states)
+    assert {"momentflow.metrics", "momentflow.batchfile"} <= set(loaded)
+
+
+def _imported_by(argv):
+    """The modules that ``python -X importtime -m momentflow argv`` imports."""
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "momentflow", *argv],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    rows = [line.rpartition("|")[2].strip() for line in r.stderr.splitlines()
+            if line.startswith("import time:")]
+    assert rows[0] == "imported package", r.stderr  # the header row
+    return set(rows[1:])
+
+
+@pytest.mark.parametrize("query", [["--order", "2.5"], ["--mean"], ["--format", "full-doc"]],
+                         ids=_ids)
+def test_python_m_query_loads_what_the_in_process_entry_does(tmp_path, probe_states, query):
+    source = probe_states["complex"][0]
+    state = tmp_path / "s.json"
+    state.write_bytes(source.read_bytes())
+    imported = _imported_by(["query", "--state", str(state), *query])
+    assert not set(_LAYERS) & imported
+    loaded = _loaded_after(["query", "complex", *query], tmp_path, probe_states)
+    ours = {n for n in imported if n == "numpy" or n.split(".")[0] == "momentflow"}
+    assert ours == set(loaded) - {"momentflow.__main__"}
 
 
 def test_the_lazy_numpy_path_prints_what_the_eager_one_does():
@@ -1216,12 +1289,20 @@ def test_the_lazy_numpy_path_prints_what_the_eager_one_does():
 
 
 def test_numpy_loaded_first_is_taken_as_it_is():
+    # import momentflow.cli loads only the modules that every command runs;
+    # the layers it loads on first call take numpy as well when they load.
     probe = (
         "import json, sys, numpy, momentflow.cli\n"
-        "print(json.dumps(sorted(n for n, m in list(sys.modules.items())\n"
-        "      if n.split('.')[0] == 'momentflow' and getattr(m, 'np', None) is numpy)))\n"
+        "def held():\n"
+        "    return sorted(n for n, m in list(sys.modules.items())\n"
+        "                  if n.split('.')[0] == 'momentflow' and getattr(m, 'np', None) is numpy)\n"
+        "first = held()\n"
+        "import momentflow.batchfile, momentflow.metrics\n"
+        "print(json.dumps([first, held()]))\n"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+    first, later = json.loads(r.stdout)
+    assert first == ["momentflow.elements", "momentflow.statefile"]
     modules = ("accumulator", "batchfile", "elements", "metrics", "statefile")
-    assert json.loads(r.stdout) == [f"momentflow.{name}" for name in modules]
+    assert later == [f"momentflow.{name}" for name in modules]

@@ -7,6 +7,8 @@ module names of their own, and run them against the installed package.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,3 +88,59 @@ def test_result_check_reads_cli_built_states(tmp_path, capsys, kind, orders):
     integer = {k: v for k, v in errs.items() if not k.startswith("frac:")}
     assert {f"M{n}" for n in range(2, 9)} <= integer.keys()
     assert all(v <= check.TOLERANCE for v in integer.values()), integer
+
+
+_TRACED_SESSION = """
+import importlib.util, json, sys
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location("_perfbench_tracer", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import momentflow
+import momentflow.cli
+
+root = Path(sys.argv[2])
+state, batch = str(root / "s.json"), root / "b.csv"
+batch.write_text("x,weight\\n1.5,1\\n2,0.5\\n4,1\\n")
+metric = ["metric", "--state", state, "--provider", "exp:1,0.5", "--n-star", "4"]
+tracer = tracing.Tracer()
+tracer.install(momentflow, {})
+try:
+    codes = [
+        tracer.command(momentflow.cli.main, argv)
+        for argv in (
+            ["init", "--state", state, "--orders", "2..6", "--kind", "scalar"],
+            ["append", "--state", state, "--batch", str(batch)],
+            ["append", "--state", state, "--batch", str(batch)],
+            metric,
+            [*metric, "--batch", str(batch)],
+        )
+    ]
+finally:
+    tracer.uninstall()
+spans = tracing.summarize(tracer.spans, set(range(len(codes))), 1)
+print(json.dumps([codes, {k: v["calls"] for k, v in spans.items() if "calls" in v},
+                  {k: v["total_ns"] for k, v in spans.items() if "total_ns" in v}]))
+"""
+
+
+def test_traced_commands_time_each_layer_the_cli_loads_on_first_call(tmp_path):
+    # A fresh process, so that each layer call of cli is made for the first
+    # time under the tracer: every call must go through its wrapper, the
+    # first one (which imports the layer) as well as the later ones.
+    r = subprocess.run(
+        [sys.executable, "-c", _TRACED_SESSION, str(PERFBENCH / "tracer.py"), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    codes, calls, total_ns = json.loads(r.stdout.splitlines()[-1])
+    assert codes == [0] * 5
+    expected = {
+        "batchfile.read_batch_csv": 3,
+        "accumulator.append_batch": 2,
+        "metrics.metric_from_moments": 1,
+        "metrics.metric_update": 1,
+    }
+    assert {name: calls[name] for name in expected} == expected
+    assert all(total_ns[name] > 0 for name in expected)
