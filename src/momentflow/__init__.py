@@ -45,7 +45,6 @@ _HOME = {
     "state_lock": "statefile",
     "update_fractional": "accumulator",
     "update_integer": "accumulator",
-    "update_mean": "accumulator",
     "update_normalizer": "accumulator",
     **{
         module: module

@@ -65,6 +65,7 @@ from .states import (
     _is_integer_order,
     expand_fractional_targets,
     fractional_chain,
+    tail_converged,
 )
 
 # |Z| must stay above this fraction of the largest weight magnitude in play;
@@ -192,8 +193,6 @@ class Batch:
             dim = arr.shape[1]
         weights = np.array(weights, dtype=dtypes[Kind.SCALAR])
         return cls(kind=kind, dim=dim, values=arr, weights=weights)
-
-
 
 
 def _check_state_batch(state: AnyState, batch: Batch) -> None:
@@ -361,13 +360,6 @@ def _advance_mean(state: MomentState, batch: Batch, zp: float) -> Payload:
     return (state.z / zp) * state.mean + swx / zp
 
 
-def update_mean(state: MomentState, batch: Batch, zp: float) -> Payload:
-    """New mean from the old mean and the batch alone."""
-    _require_nonempty(state)
-    _check_state_batch(state, batch)
-    return _advance_mean(state, batch, zp)
-
-
 def _shift_powers(kind: Kind, dim: int | None, shift: Payload, max_k: int) -> np.ndarray:
     """shift**0..shift**max_k by repeated multiplication, as one array."""
     powers = [one_payload(kind, dim)]
@@ -425,15 +417,23 @@ def _table(ladder: OrderLadder, rows: tuple[tuple[float, int], ...]) -> _Table:
     return _Table(tuple(order for order, _ in rows), depths, coef, index, fractional)
 
 
+def _series_depth(ladder: OrderLadder, order: float) -> int:
+    """How deep ``order``'s re-centering series runs over ``ladder``: an
+    integer order n >= 0 through its n + 1 exact binomial terms, any other
+    order as far past k = 0 as its chain of stored orders reaches."""
+    if _is_integer_order(order) and order >= 0:
+        return int(order)
+    depth = 0
+    while order - (depth + 1) in ladder:
+        depth += 1
+    return depth
+
+
 @lru_cache(maxsize=32)
 def _ladder_table(ladder: OrderLadder) -> _Table:
-    """Every ladder order's row, in ladder order: integer order n through its
-    n + 1 terms, and each fractional order as deep as its chain of stored
-    orders reaches."""
-    rows = tuple(
-        (o, int(o) if _is_integer_order(o) else _available_depth(ladder, o)) for o in ladder.orders
-    )
-    return _table(ladder, rows)
+    """Every ladder order's row, in ladder order, as deep as _series_depth
+    runs it."""
+    return _table(ladder, tuple((o, _series_depth(ladder, o)) for o in ladder.orders))
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -560,14 +560,6 @@ class ConvergenceReport:
     converged: bool
 
 
-def tail_converged(term_norms: Sequence[float], running: Sequence[float], tol: float) -> bool:
-    """The series tail monitor: each of the last three terms (fewer if the
-    series is shorter) is within ``tol`` of the running partial-sum norm
-    after it. ``term_norms[i]`` and ``running[i]`` belong to term i."""
-    window = min(3, len(term_norms))
-    return all(term_norms[-1 - i] <= tol * running[-1 - i] for i in range(window))
-
-
 def _series_reports(
     kind: Kind,
     table: _Table,
@@ -579,7 +571,8 @@ def _series_reports(
     """The convergence report of each of ``rows``, series rows of ``table``,
     from its term and running norms through its depth, at tolerance
     DEFAULT_FRACTIONAL_TOL. A zero shift is an exact collapse at any depth:
-    every k >= 1 term carries shift**k = 0."""
+    every k >= 1 term carries shift**k = 0. An integer order's row is its
+    whole finite binomial series, so it drops no tail."""
     collapsed = not np.any(shift)
     term_norms = norm_rows(kind, terms[rows]).tolist()
     running_norms = norm_rows(kind, running[rows]).tolist()
@@ -587,7 +580,8 @@ def _series_reports(
     for r, tn, rn in zip(rows, term_norms, running_norms):
         order, depth = table.orders[r], int(table.depths[r])
         tn, rn = tn[: depth + 1], rn[: depth + 1]
-        converged = collapsed or tail_converged(tn, rn, DEFAULT_FRACTIONAL_TOL)
+        exact = collapsed or _is_integer_order(order)
+        converged = exact or tail_converged(tn, rn, DEFAULT_FRACTIONAL_TOL)
         reports[order] = ConvergenceReport(
             order, depth, DEFAULT_FRACTIONAL_TOL, tuple(tn), converged
         )
@@ -595,10 +589,7 @@ def _series_reports(
 
 
 def update_fractional(
-    state: MomentState,
-    batch: Batch,
-    order: float,
-    cutoff: int = DEFAULT_FRACTIONAL_CUTOFF,
+    state: MomentState, batch: Batch, order: float
 ) -> tuple[Payload, ConvergenceReport]:
     """Advance one (typically non-integer) moment order using only the batch.
 
@@ -606,20 +597,20 @@ def update_fractional(
     takes for a whole ladder: the same kernel and the same batch passes.
 
     Under a non-integer order the re-centering expansion is an infinite
-    series, truncated at ``cutoff`` terms with generalized binomial
-    coefficients and summed in ascending k; it holds while the mean shift is
-    below every absorbed record's distance from the mean, and the report
-    tells whether its tail died out within DEFAULT_FRACTIONAL_TOL. It
-    starts at zero, or for a zero-spread state at its exact value
-    shift**order. An integer-valued order takes the exact binomial row,
-    reproducing the integer update. A zero shift leaves only the k=0 term,
-    the stored moment.
+    series with generalized binomial coefficients, summed in ascending k and
+    truncated where the state's chain of stored orders order-1, order-2, ...
+    ends, as on an append; it holds while the mean shift is below every
+    absorbed record's distance from the mean, and the report tells whether
+    its tail died out within DEFAULT_FRACTIONAL_TOL. It starts at zero, or
+    for a zero-spread state at its exact value shift**order. An
+    integer-valued order takes its exact binomial row, reproducing the
+    integer update, and reports converged. A zero shift leaves only the k=0
+    term, the stored moment.
     """
     _require_nonempty(state)
     _check_state_batch(state, batch)
-    if cutoff < 0:
-        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
-    table = _table(state.ladder, ((float(order), cutoff),))
+    order = float(order)
+    table = _table(state.ladder, ((order, _series_depth(state.ladder, order)),))
     _, _, (value,), reports = _advance(state, batch, table, [0])
     (report,) = reports.values()
     return value, report
@@ -663,14 +654,6 @@ def merge_states(a: AnyState, b: AnyState) -> AnyState:
         count=a.count + b.count,
         values=_payloads(a.kind, values),
     )
-
-
-def _available_depth(ladder: OrderLadder, order: float) -> int:
-    """How far past k = 0 the stored chain of a non-integer order reaches."""
-    depth = 0
-    while order - (depth + 1) in ladder:
-        depth += 1
-    return depth
 
 
 def append_batch(

@@ -33,17 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
-from .accumulator import (
-    AnyState,
-    Batch,
-    MomentState,
-    OrderLadder,
-    from_batch,
-    update_fractional,
-    update_integer,
-    update_mean,
-    update_normalizer,
-)
+from .accumulator import Batch, MomentState, OrderLadder, from_batch, update_integer
 from .binomial import binomial_row
 from .elements import (
     Kind,
@@ -328,128 +318,3 @@ def write_records_csv(records: Sequence[BenchRecord], out: IO[str] | str | Path)
             _write(fh)
     else:
         _write(out)
-
-
-@dataclass(frozen=True)
-class StorageReport:
-    """Byte accounting: raw dataset vs retained moments vs one update."""
-
-    dataset_bytes: int  # full raw dataset with weights
-    moment_bytes: int  # one stored moment
-    ladder_bytes: int  # all retained moments
-    update_bytes: int  # what one append must hold: ladder + the batch
-    full_to_ladder_ratio: float
-
-    def rows(self) -> list[tuple[str, float]]:
-        return [
-            ("dataset_bytes", self.dataset_bytes),
-            ("moment_bytes", self.moment_bytes),
-            ("ladder_bytes", self.ladder_bytes),
-            ("update_bytes", self.update_bytes),
-            ("full_to_ladder_ratio", self.full_to_ladder_ratio),
-        ]
-
-
-def storage_report(
-    state: AnyState,
-    hypothetical_n: int,
-    datum_bytes: int,
-    weight_bytes: int,
-    delta: int = 1,
-) -> StorageReport:
-    """Arithmetic of the storage claim: a moment costs one datum, not N of them."""
-    n_moments = len(state.ladder)
-    dataset = hypothetical_n * (datum_bytes + weight_bytes)
-    ladder = n_moments * datum_bytes
-    update = n_moments * datum_bytes + delta * (datum_bytes + weight_bytes)
-    return StorageReport(
-        dataset_bytes=dataset,
-        moment_bytes=datum_bytes,
-        ladder_bytes=ladder,
-        update_bytes=update,
-        full_to_ladder_ratio=dataset / ladder,
-    )
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One point of the fractional convergence map."""
-
-    spread_rms: float  # sqrt |M2| of the base dataset
-    mean_shift: float  # |old mean - new mean| induced by the batch
-    min_converged_cutoff: int | None
-    terminal_rel_error: float
-    terminal_converged: bool
-
-
-# The sweep's base records: _SWEEP_BASE + spread * u for each u in _SWEEP_PATTERN.
-_SWEEP_BASE = 100.0
-_SWEEP_PATTERN = (-1.5, -0.5, 0.5, 1.5)
-
-
-def fractional_convergence_sweep(
-    spreads: Sequence[float],
-    shifts: Sequence[float],
-    order: float = 2.5,
-    max_cutoff: int = 12,
-) -> list[SweepCell]:
-    """Map where the truncated fractional update actually converges.
-
-    Complex-kind datasets of fixed shape are scaled to each spread, a
-    single-record batch induces each mean shift, and every cutoff from 0 to
-    max_cutoff is monitored. Cells that never converge are recorded, not
-    raised; the terminal error is always measured against the from-scratch
-    moment of the concatenated data.
-    """
-    cells: list[SweepCell] = []
-    oracle_ladder = OrderLadder([order])
-    for spread in spreads:
-        for shift in shifts:
-            values = [complex(_SWEEP_BASE + spread * u) for u in _SWEEP_PATTERN]
-            weights = [1.0] * len(values)
-            batch_base = Batch.from_values(Kind.COMPLEX, values, weights)
-
-            if spread > 0:
-                chain = [order - k for k in range(max_cutoff + 1)]
-                depth = max_cutoff
-            else:
-                chain = [order - k for k in range(max_cutoff + 1) if order - k > 0]
-                depth = len(chain) - 1
-            state = from_batch(batch_base, OrderLadder(chain))
-
-            new_value = complex(state.mean + 2.0 * shift)
-            append = Batch.from_values(Kind.COMPLEX, [new_value], [state.z])
-            new_mean = update_mean(state, append, update_normalizer(state, append))
-
-            min_cutoff: int | None = None
-            last_value = None
-            last_report = None
-            for cutoff in range(depth + 1):
-                val, rep = update_fractional(state, append, order, cutoff)
-                last_value, last_report = val, rep
-                if rep.converged and min_cutoff is None:
-                    min_cutoff = cutoff
-
-            oracle = from_batch(
-                Batch.from_values(
-                    Kind.COMPLEX,
-                    values + [new_value],
-                    weights + [state.z],
-                ),
-                oracle_ladder,
-            ).moments[order]
-            err = abs(last_value - oracle) / max(abs(oracle), 1e-300)
-
-            m2 = 0.0
-            for v, w in zip(values, weights):
-                m2 += w * abs(v - state.mean) ** 2
-            cells.append(
-                SweepCell(
-                    spread_rms=(m2 / state.z) ** 0.5,
-                    mean_shift=abs(state.mean - new_mean),
-                    min_converged_cutoff=min_cutoff,
-                    terminal_rel_error=err,
-                    terminal_converged=last_report.converged,
-                )
-            )
-    return cells

@@ -19,13 +19,15 @@ import cmath
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import ContextManager, Protocol, Sequence
+from typing import TYPE_CHECKING, ContextManager, Protocol, Sequence
 
-from .accumulator import Batch, _batch_sum, tail_converged, update_normalizer
 from .binomial import MAX_EXACT_ORDER, binomial_row
 from .elements import Kind, Payload, all_finite, norm_payload, np
 from .errors import LadderTooShort, NumericError, ValidationError
-from .states import DEFAULT_TRUNCATION, MomentState
+from .states import DEFAULT_TRUNCATION, MomentState, tail_converged
+
+if TYPE_CHECKING:
+    from .accumulator import Batch
 
 TAIL_TOL = 1e-10
 
@@ -244,6 +246,10 @@ def metric_update(state: MomentState, batch: Batch, spec: MetricSpec) -> MetricR
     convergence flag are W's, the series of the stored ladder about its
     own mean; the batch term is exact. O(n_star + batch).
     """
+    # Imported here, so that a metric read off the stored ladder alone
+    # loads no update kernel.
+    from .accumulator import _batch_sum, update_normalizer
+
     stored = metric_from_moments(state, spec)
     zp = update_normalizer(state, batch)
     try:

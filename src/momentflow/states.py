@@ -1,9 +1,10 @@
 """The state types: the ladder of stored orders, and the empty and
-non-empty accumulator states that persistence keeps.
+non-empty accumulator states that persistence keeps; with the defaults and
+the tail monitor of the series run over a ladder.
 
 They are apart from the update code in ``accumulator`` so that a command
-that only reads a state document (``init``, ``query``) loads these and not
-the update kernel; ``accumulator`` imports them back, so
+that only reads a state document (``init``, ``query``, ``metric`` without
+a batch) loads these and not the update kernel; ``accumulator`` imports them back, so
 ``momentflow.accumulator.MomentState`` is this module's class.
 """
 
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .binomial import MAX_EXACT_ORDER
 from .elements import Kind, Payload, one_payload, zero_payload
@@ -24,6 +25,15 @@ from .errors import BadLadderSpec, LadderMismatch, OrderNotInLadder
 # (metrics.MetricSpec, metric --n-star).
 DEFAULT_FRACTIONAL_CUTOFF = 12
 DEFAULT_TRUNCATION = 14
+
+
+def tail_converged(term_norms: Sequence[float], running: Sequence[float], tol: float) -> bool:
+    """The series tail monitor of both series, a fractional update's and a
+    metric's: each of the last three terms (fewer if the series is shorter)
+    is within ``tol`` of the running partial-sum norm after it.
+    ``term_norms[i]`` and ``running[i]`` belong to term i."""
+    window = min(3, len(term_norms))
+    return all(term_norms[-1 - i] <= tol * running[-1 - i] for i in range(window))
 
 
 def _is_integer_order(order: float) -> bool:
@@ -173,8 +183,6 @@ class MomentState:
             return self.moments[o]
         except KeyError:
             raise OrderNotInLadder(f"order {order} is not in the ladder") from None
-
-
 
 
 AnyState = Union[MomentState, EmptyState]

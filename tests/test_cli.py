@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1189,7 +1190,12 @@ def _loaded_after(argv, tmp_path, probe_states):
         state = tmp_path / "s.json"
         state.write_bytes(source.read_bytes())
     options = [c.format(batch=batch) for c in argv[2:]]
-    command = [argv[0], "--state", str(state), *options]
+    return _probe([argv[0], "--state", str(state), *options])
+
+
+def _probe(command):
+    """The modules of numpy and the package that a fresh ``momentflow
+    command`` loaded; the command must succeed."""
     r = subprocess.run([sys.executable, "-c", _LOAD_PROBE, *command], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     code, loaded = json.loads(r.stdout.splitlines()[-1])
@@ -1232,12 +1238,60 @@ def test_fresh_append_loads_no_metric_layer(tmp_path, probe_states, state_name):
 
 
 def test_fresh_metric_loads_batchfile_only_with_a_batch(tmp_path, probe_states):
-    read = ["metric", "scalar", "--provider", "exp:1,0.5"]
-    loaded = _loaded_after(read, tmp_path, probe_states)
-    assert "momentflow.metrics" in loaded
-    assert "momentflow.batchfile" not in loaded
-    loaded = _loaded_after([*read, "--batch", "{batch}"], tmp_path, probe_states)
-    assert {"momentflow.metrics", "momentflow.batchfile"} <= set(loaded)
+    for state_name in ("scalar", "complex", "vector"):
+        read = ["metric", state_name, *_METRICS[0]]
+        loaded = _loaded_after(read, tmp_path, probe_states)
+        assert "momentflow.metrics" in loaded
+        assert not {"momentflow.accumulator", "momentflow.batchfile"} & set(loaded), loaded
+        loaded = _loaded_after([*read, "--batch", "{batch}"], tmp_path, probe_states)
+        assert {"momentflow.metrics", "momentflow.accumulator", "momentflow.batchfile"} <= set(
+            loaded
+        )
+
+
+def _readme_load_table():
+    """What README says a fresh command loads: the modules every command
+    loads, and per row of its ``| command | also loads |`` table the
+    commands it names with the modules it lists, without and with
+    ``--batch``."""
+
+    def names(text):
+        return re.findall(r"`(\w+)`", text)
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    common = text.split("Every command loads", 1)[1].split("besides these", 1)[0]
+    table = text.split("| command | also loads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        commands, loads = line.strip("|").split("|")
+        plain, _, batch = loads.partition("with `--batch` also")
+        rows.append((names(commands), set(names(plain)), set(names(plain) + names(batch))))
+    return set(names(common)), rows
+
+
+# Runs of each command in README's load table, on the complex probe state.
+_TABLE_RUNS = {
+    "bench": [["bench", "--N", "16", "--orders", "2", "--repeats", "10"]],
+    "init": [["init", None, "--orders", "2..8,2.5", "--kind", "complex"]],
+    "query": [["query", "complex", "--order", "2.5"], ["query", "complex", "--format", "full-doc"]],
+    "append": [["append", "complex", "--batch", "{batch}"]],
+    "verify": [["verify", "complex", "--data", "{batch}"]],
+    "metric": [["metric", "complex", *_METRICS[0]],
+               ["metric", "complex", *_METRICS[0], "--batch", "{batch}"]],
+}
+
+
+def test_readme_load_table_matches_what_fresh_commands_load(tmp_path, probe_states):
+    common, rows = _readme_load_table()
+    assert sorted(c for commands, _, _ in rows for c in commands) == sorted(_TABLE_RUNS)
+    for commands, plain, with_batch in rows:
+        for argv in (argv for command in commands for argv in _TABLE_RUNS[command]):
+            if argv[0] == "bench":  # bench takes no state
+                loaded = _probe([*argv, "--out", str(tmp_path / "bench.csv")])
+            else:
+                loaded = _loaded_after(argv, tmp_path, probe_states)
+            ours = {n.partition(".")[2] for n in loaded if n.startswith("momentflow.")}
+            assert ours == common | (with_batch if "--batch" in argv else plain), argv
 
 
 def _imported_by(argv):

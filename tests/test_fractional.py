@@ -15,12 +15,12 @@ from momentflow import (
     merge_states,
     update_fractional,
     update_integer,
-    update_mean,
     update_normalizer,
 )
-from momentflow.accumulator import DEFAULT_FRACTIONAL_TOL, _available_depth, tail_converged
+from momentflow.accumulator import DEFAULT_FRACTIONAL_TOL
 from momentflow.cli import main
-from momentflow.errors import DomainError, LadderMismatch, ValidationError
+from momentflow.errors import DomainError, LadderMismatch
+from momentflow.states import tail_converged
 
 from conftest import concat_batches, random_batch
 
@@ -49,21 +49,21 @@ def test_integer_valued_order_reproduces_integer_update(rng):
         state = from_batch(base, ladder)
         advanced = update_integer(state, extra)
         for order in (2.0, 3.0, 5.0, 8.0):
-            value, report = update_fractional(state, extra, order, cutoff=12)
+            value, report = update_fractional(state, extra, order)
             want = advanced.moments[order]
             assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
             assert report.converged
 
 
 def test_small_spread_complex_matches_oracle(rng):
-    order, cutoff = 2.5, 12
-    ladder = OrderLadder(fractional_chain(order, cutoff))
+    order = 2.5
+    ladder = OrderLadder(fractional_chain(order, 12))
     for _ in range(20):
         values, weights = _complex_corpus(rng)
         state = from_batch(Batch.from_values(Kind.COMPLEX, values, weights), ladder)
         new_value = complex(state.mean) + complex(rng.normal(), rng.normal()) * 1e-6
         extra = Batch.from_values(Kind.COMPLEX, [new_value], [1.0])
-        got, report = update_fractional(state, extra, order, cutoff)
+        got, report = update_fractional(state, extra, order)
         oracle = from_batch(
             Batch.from_values(Kind.COMPLEX, values + [new_value], weights + [1.0]),
             OrderLadder([order]),
@@ -79,7 +79,7 @@ def test_zero_shift_collapses_exactly():
     state = from_batch(Batch.from_values(Kind.COMPLEX, values, [1.0] * 4), ladder)
     assert state.mean == 100.0 + 0j
     extra = Batch.from_values(Kind.COMPLEX, [state.mean], [4.0])
-    value, report = update_fractional(state, extra, 2.5, 6)
+    value, report = update_fractional(state, extra, 2.5)
     assert report.converged
     assert report.term_norms[1:] == (0.0,) * 6
     # pure renormalization: (Z/Z') * M + batch contribution of zero deviation
@@ -87,13 +87,13 @@ def test_zero_shift_collapses_exactly():
 
 
 def test_large_shift_reports_divergence(rng):
-    order, cutoff = 2.5, 12
-    ladder = OrderLadder(fractional_chain(order, cutoff))
+    order = 2.5
+    ladder = OrderLadder(fractional_chain(order, 12))
     values, weights = _complex_corpus(rng, spread=0.05)
     state = from_batch(Batch.from_values(Kind.COMPLEX, values, weights), ladder)
     # push the mean well past the smallest deviation magnitude
     extra = Batch.from_values(Kind.COMPLEX, [complex(state.mean) + 5.0], [state.z])
-    _, report = update_fractional(state, extra, order, cutoff)
+    _, report = update_fractional(state, extra, order)
     assert not report.converged
 
 
@@ -103,7 +103,7 @@ def test_missing_chain_orders_rejected(rng):
     state = from_batch(Batch.from_values(Kind.COMPLEX, values, weights), ladder)
     extra = random_batch(rng, Kind.COMPLEX, 1)
     with pytest.raises(LadderMismatch):
-        update_fractional(state, extra, 2.5, cutoff=8)
+        update_fractional(state, extra, 3.5)
 
 
 def test_real_kind_fractional_needs_positive_deviations():
@@ -122,7 +122,7 @@ def test_real_kind_fractional_needs_positive_deviations():
     )
     assert state.mean == 0.5
     with pytest.raises(DomainError):
-        update_fractional(state, Batch.from_values(Kind.SCALAR, [0.0], [1.0]), 2.5, cutoff=0)
+        update_fractional(state, Batch.from_values(Kind.SCALAR, [0.0], [1.0]), 2.5)
 
 
 def test_negative_order_pole_guard():
@@ -144,7 +144,7 @@ def test_report_shape(rng):
     values, weights = _complex_corpus(rng)
     state = from_batch(Batch.from_values(Kind.COMPLEX, values, weights), ladder)
     extra = Batch.from_values(Kind.COMPLEX, [complex(state.mean) + 1e-3], [1.0])
-    _, report = update_fractional(state, extra, 2.5, 5)
+    _, report = update_fractional(state, extra, 2.5)
     assert report.order == 2.5
     assert report.cutoff == 5
     assert report.tol == DEFAULT_FRACTIONAL_TOL
@@ -195,13 +195,12 @@ def test_merge_refuses_fractional_ladders(rng):
 
 def _per_order_append(state, batch):
     """append_batch composed from the single-order entry points: one
-    update_fractional per fractional order, at the depth its chain allows,
-    and update_integer on the integer orders alone."""
+    update_fractional per fractional order and update_integer on the
+    integer orders alone."""
     ladder = state.ladder
     reports, fracs = {}, {}
     for q in ladder.fractional_orders:
-        value, reports[q] = update_fractional(state, batch, q, _available_depth(ladder, q))
-        fracs[q] = value
+        fracs[q], reports[q] = update_fractional(state, batch, q)
     ints = ladder.integer_orders
     if ints:
         integer_part = MomentState(
@@ -213,7 +212,10 @@ def _per_order_append(state, batch):
         zp, meanp, moments = advanced.z, advanced.mean, dict(advanced.moments)
     else:
         zp = update_normalizer(state, batch)
-        meanp = update_mean(state, batch, zp)
+        swx = batch.weighted_sum(batch.values) if batch.columnar else sum(
+            w * x for x, w in zip(*batch.records)
+        )
+        meanp = (state.z / zp) * state.mean + swx / zp
         moments = {}
     moments.update(fracs)
     composed = MomentState(
@@ -280,13 +282,6 @@ def test_series_starts_at_zero_on_gap_data():
         want = from_batch(data, ladder)
         scale = np.sum(data.weights * np.abs(data.values - want.mean) ** 2.5) / want.z
         assert abs(state.moments[2.5] - want.moments[2.5]) <= 1e-9 * scale
-
-
-def test_update_fractional_checks_series_arguments(rng):
-    state = from_batch(_drifting_complex(rng, 16), FRAC_ONLY)
-    batch = _drifting_complex(rng, 4)
-    with pytest.raises(ValidationError, match="cutoff must be >= 0"):
-        update_fractional(state, batch, 2.5, cutoff=-1)
 
 
 def _on_mean_case(n):

@@ -23,8 +23,7 @@ PUBLIC = (
     "PolynomialMetric", "SinusoidMetric", "append_batch", "compute_digest", "dumps_state",
     "expand_fractional_targets", "fractional_chain", "from_batch", "load_state", "loads_state",
     "merge_states", "metric_from_moments", "metric_update", "parse_kind_spec", "read_batch_csv",
-    "save_state", "state_lock", "update_fractional", "update_integer", "update_mean",
-    "update_normalizer",
+    "save_state", "state_lock", "update_fractional", "update_integer", "update_normalizer",
 )
 
 
