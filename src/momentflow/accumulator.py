@@ -54,17 +54,13 @@ from .errors import (
     ZeroNormalizer,
 )
 
-# The state types live in ``states``, which a read loads without this module;
-# they are imported back so that ``momentflow.accumulator`` still offers them.
+# The state types live in ``states``, which a read loads without this module.
 from .states import (
-    DEFAULT_FRACTIONAL_CUTOFF,
     AnyState,
     EmptyState,
     MomentState,
     OrderLadder,
     _is_integer_order,
-    expand_fractional_targets,
-    fractional_chain,
     tail_converged,
 )
 

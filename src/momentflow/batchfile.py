@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .accumulator import COLUMNAR_MIN_RECORDS, Batch
 from .elements import Kind, np
-from .errors import BatchFormatError, EmptyBatch
+from .errors import BadKindSpec, BatchFormatError, EmptyBatch
 
 
 def expected_header(kind: Kind, dim: int | None) -> list[str]:
@@ -36,6 +36,8 @@ def expected_header(kind: Kind, dim: int | None) -> list[str]:
         return ["x", "weight"]
     if kind is Kind.COMPLEX:
         return ["re", "im", "weight"]
+    if dim is None or dim < 1:
+        raise BadKindSpec(f"a vector batch needs its dimension dim >= 1, got {dim}")
     return [f"x{i}" for i in range(dim)] + ["weight"]
 
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
-from .accumulator import Batch, MomentState, OrderLadder, from_batch, update_integer
-from .binomial import binomial_row
+from .accumulator import Batch, from_batch, update_integer
+from .binomial import MAX_EXACT_ORDER, binomial_row
 from .elements import (
     Kind,
     format_kind,
@@ -45,6 +45,7 @@ from .elements import (
     zero_payload,
 )
 from .errors import AgreementError, TimingUnstable, ValidationError
+from .states import MomentState, OrderLadder
 
 WARMUP_REPEATS = 3
 
@@ -79,8 +80,8 @@ class BenchScenario:
             raise ValidationError(f"repeats must be >= 10, got {self.repeats}")
         if not self.deltas or any(d < 1 for d in self.deltas):
             raise ValidationError("every delta must be >= 1")
-        if not self.orders or any(n < 2 for n in self.orders):
-            raise ValidationError("orders must all be >= 2")
+        if not self.orders or any(not 2 <= n <= MAX_EXACT_ORDER for n in self.orders):
+            raise ValidationError(f"orders must all be within 2..{MAX_EXACT_ORDER}")
         if self.kind is Kind.VECTOR and self.dim < 1:
             raise ValidationError(f"vector dim must be >= 1, got {self.dim}")
 

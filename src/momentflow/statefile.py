@@ -7,7 +7,7 @@ state holding a non-finite number is never written, and writes are atomic
 and durable (temp file + fsync + rename + directory fsync) so a crash can
 never leave a torn document or lose a committed one.
 
-A version-2 document is one line of canonical JSON: sorted keys, the
+A document (format 2) is one line of canonical JSON: sorted keys, the
 separators ``,`` and ``:``, every float a hex-float string, and
 ``moments`` a list aligned with ``orders``, as a state's ``values`` are.
 Its body is that object without the ``content_digest`` member, and the
@@ -16,11 +16,6 @@ first, so the document is ``{"content_digest":"<digest>",`` followed by
 the body after its opening brace. A save builds the body once; a load
 hashes the body bytes as they were read, so no document is rebuilt to
 check one.
-
-Version-1 documents (indented, hex or decimal numbers, ``[order, value]``
-moment pairs, a digest over a hex-float form rebuilt from the state) are
-still read, because a state cannot be rebuilt from its data; the next
-save writes version 2.
 
 Writers (init and append) take an advisory lock per state file; reads are
 lock-free against the last committed document.
@@ -50,8 +45,6 @@ _V2_HEADER_KEYS = frozenset(
     {"content_digest", "count", "element_kind", "format_version", "orders"}
 )
 _V2_MOMENT_KEYS = frozenset({"mean", "moments", "z"})
-
-Number = Callable[[Any], float]
 
 # Each distinct orders tuple is built and validated into an OrderLadder
 # once per process; _header still checks the ladder against the document.
@@ -140,14 +133,6 @@ def dumps_state(state: AnyState) -> str:
     return f'{_DIGEST_PREFIX}{_sha256(body)}",{body[1:].decode("ascii")}\n'
 
 
-def _v1_number(v: Any) -> float:
-    if isinstance(v, str):
-        return float.fromhex(v)
-    if type(v) in (int, float):
-        return float(v)
-    raise IntegrityError(f"unreadable number {v!r} in state document")
-
-
 def _integer(doc: dict[str, Any], key: str) -> int:
     v = doc[key]
     if type(v) is not int:
@@ -155,23 +140,23 @@ def _integer(doc: dict[str, Any], key: str) -> int:
     return v
 
 
-def _payload_reader(kind: Kind, dim: int | None, number: Number) -> Callable[[Any], Payload]:
-    """Reads one payload of ``kind`` whose numbers ``number`` reads."""
+def _payload_reader(kind: Kind, dim: int | None) -> Callable[[Any], Payload]:
+    """Reads one payload of ``kind`` written in hex floats."""
     if kind is Kind.SCALAR:
-        return number
+        return float.fromhex
     width = 2 if kind is Kind.COMPLEX else dim
 
     def read(v: Any) -> Payload:
         if not isinstance(v, list) or len(v) != width:
             raise IntegrityError(f"{kind.value} value must be a list of {width} numbers")
         if kind is Kind.COMPLEX:
-            return complex(number(v[0]), number(v[1]))
-        return np.array([number(c) for c in v], dtype=np.float64)
+            return complex(float.fromhex(v[0]), float.fromhex(v[1]))
+        return np.array([float.fromhex(c) for c in v], dtype=np.float64)
 
     return read
 
 
-def _header(doc: dict[str, Any], number: Number) -> tuple[Kind, int | None, OrderLadder, int]:
+def _header(doc: dict[str, Any]) -> tuple[Kind, int | None, OrderLadder, int]:
     """Kind, vector dimension, ladder and count: what every state has."""
     kind = Kind(doc["element_kind"])
     dim = None
@@ -181,7 +166,7 @@ def _header(doc: dict[str, Any], number: Number) -> tuple[Kind, int | None, Orde
             raise IntegrityError(f"vector_dim must be >= 1, got {dim}")
     if not isinstance(doc["orders"], list):
         raise IntegrityError("orders must be a list")
-    orders = tuple(number(o) for o in doc["orders"])
+    orders = tuple(float.fromhex(o) for o in doc["orders"])
     ladder = _ladder(orders)
     if ladder.orders != orders:
         raise IntegrityError("orders must be sorted and distinct")
@@ -191,16 +176,15 @@ def _header(doc: dict[str, Any], number: Number) -> tuple[Kind, int | None, Orde
 def _moment_state(
     doc: dict[str, Any],
     header: tuple[Kind, int | None, OrderLadder, int],
-    number: Number,
     values: Iterable[Any],
 ) -> MomentState:
     kind, dim, ladder, count = header
-    read = _payload_reader(kind, dim, number)
+    read = _payload_reader(kind, dim)
     state = MomentState(
         kind=kind,
         dim=dim,
         ladder=ladder,
-        z=number(doc["z"]),
+        z=float.fromhex(doc["z"]),
         mean=read(doc["mean"]),
         count=count,
         values=tuple(map(read, values)),
@@ -214,7 +198,7 @@ def _read_v2(text: str, doc: dict[str, Any]) -> AnyState:
     prefix = f'{_DIGEST_PREFIX}{recorded}",'
     if not (isinstance(recorded, str) and text.startswith(prefix) and text.endswith("}\n")):
         raise IntegrityError(
-            "version-2 state document is not canonical: it must open with its "
+            "state document is not canonical: it must open with its "
             "content_digest and end in one newline"
         )
     actual = _sha256(("{" + text[len(prefix):-1]).encode("ascii"))
@@ -222,7 +206,7 @@ def _read_v2(text: str, doc: dict[str, Any]) -> AnyState:
         raise DigestMismatch(
             f"state document digest mismatch: recorded {recorded!r}, content {actual!r}"
         )
-    header = _header(doc, float.fromhex)
+    header = _header(doc)
     kind, dim, ladder, count = header
     expected = _V2_HEADER_KEYS
     if kind is Kind.VECTOR:
@@ -238,32 +222,7 @@ def _read_v2(text: str, doc: dict[str, Any]) -> AnyState:
     values = doc["moments"]
     if not isinstance(values, list) or len(values) != len(ladder):
         raise IntegrityError("moments must be a list aligned with orders")
-    return _moment_state(doc, header, float.fromhex, values)
-
-
-def _read_v1(doc: dict[str, Any]) -> AnyState:
-    """A version-1 document: numbers are hex-float strings or JSON numbers,
-    moments are ``[order, value]`` pairs, and the digest covers the
-    hex-float form of the state with those pairs."""
-    header = _header(doc, _v1_number)
-    kind, dim, ladder, count = header
-    if count == 0:
-        state: AnyState = EmptyState(kind=kind, dim=dim, ladder=ladder)
-    else:
-        pairs = {_v1_number(o): v for o, v in doc["moments"]}
-        if pairs.keys() != set(ladder.orders):
-            raise IntegrityError("moment orders do not match the ladder")
-        state = _moment_state(doc, header, _v1_number, [pairs[o] for o in ladder.orders])
-    v1 = _body_dict(state)
-    v1["format_version"] = 1
-    if "moments" in v1:
-        v1["moments"] = [list(pair) for pair in zip(v1["orders"], v1["moments"])]
-    recorded, actual = doc.get("content_digest"), _sha256(_canonical(v1))
-    if recorded != actual:
-        raise DigestMismatch(
-            f"state document digest mismatch: recorded {recorded!r}, content {actual!r}"
-        )
-    return state
+    return _moment_state(doc, header, values)
 
 
 def loads_state(text: str) -> AnyState:
@@ -277,14 +236,15 @@ def loads_state(text: str) -> AnyState:
     if not isinstance(doc, dict):
         raise IntegrityError("state document must be a JSON object")
     version = doc.get("format_version")
+    if version != FORMAT_VERSION or type(version) is not int:
+        hint = ""
+        if type(version) is int and version == 1:
+            hint = ': README.md\'s "Format 1 documents" shows how to convert it'
+        raise IntegrityError(f"unsupported format_version {version!r}{hint}")
     try:
-        if version == FORMAT_VERSION and type(version) is int:
-            return _read_v2(text, doc)
-        if version == 1 and type(version) is int:
-            return _read_v1(doc)
+        return _read_v2(text, doc)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError, ValidationError) as e:
         raise IntegrityError(f"state document is structurally invalid: {e}") from None
-    raise IntegrityError(f"unsupported format_version {version!r}")
 
 
 def save_state(path: str | Path, state: AnyState) -> None:

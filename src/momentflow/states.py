@@ -4,8 +4,7 @@ the tail monitor of the series run over a ladder.
 
 They are apart from the update code in ``accumulator`` so that a command
 that only reads a state document (``init``, ``query``, ``metric`` without
-a batch) loads these and not the update kernel; ``accumulator`` imports them back, so
-``momentflow.accumulator.MomentState`` is this module's class.
+a batch) loads these and not the update kernel.
 """
 
 from __future__ import annotations

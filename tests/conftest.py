@@ -1,6 +1,4 @@
-import hashlib
 import itertools
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -10,7 +8,6 @@ from hypothesis import settings
 from momentflow import (
     Batch,
     Kind,
-    MomentState,
     OrderLadder,
     fractional_chain,
     from_batch,
@@ -87,45 +84,6 @@ def swapped_metric_update(state, batch, spec):
     for x, w in zip(*batch.records):
         batch_acc = batch_acc + w * spec.provider.evaluate(x)
     return (state.z / zp) * acc + batch_acc / zp
-
-
-def v1_document(state, encoding):
-    """A copy of the version-1 state-document writer, kept as a test oracle:
-    indented JSON with sorted keys, ``[order, value]`` moment pairs and
-    ``number_encoding``; the digest covers the compact hex-float form
-    without those last two keys."""
-
-    def doc(num):
-        def payload(p):
-            if state.kind is Kind.SCALAR:
-                return num(p)
-            if state.kind is Kind.COMPLEX:
-                return [num(p.real), num(p.imag)]
-            return [num(c) for c in p]
-
-        d = {
-            "format_version": 1,
-            "element_kind": state.kind.value,
-            "orders": [num(o) for o in state.ladder.orders],
-            "count": 0,
-        }
-        if state.kind is Kind.VECTOR:
-            d["vector_dim"] = state.dim
-        if isinstance(state, MomentState):
-            d["count"] = state.count
-            d["z"] = num(state.z)
-            d["mean"] = payload(state.mean)
-            d["moments"] = [[num(o), payload(state.moments[o])] for o in state.ladder.orders]
-        return d
-
-    def hex_number(x):
-        return float(x).hex()
-
-    canonical = json.dumps(doc(hex_number), sort_keys=True, separators=(",", ":"))
-    out = doc(hex_number if encoding == "hex" else float)
-    out["number_encoding"] = encoding
-    out["content_digest"] = hashlib.sha256(canonical.encode("ascii")).hexdigest()
-    return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
 class SweepCell(NamedTuple):

@@ -24,6 +24,8 @@ def test_scenario_validation():
         BenchScenario(deltas=(0,))
     with pytest.raises(ValidationError):
         BenchScenario(orders=(1, 2))
+    with pytest.raises(ValidationError, match="2..62"):
+        BenchScenario(orders=(2, 3, 63))
     with pytest.raises(ValidationError):
         BenchScenario(kind=Kind.COMPLEX)
     BenchScenario(kind=Kind.VECTOR, dim=4, repeats=10)

@@ -32,6 +32,7 @@ from momentflow.cli import (
     parse_provider_spec,
 )
 from momentflow.errors import (
+    BadKindSpec,
     BadLadderSpec,
     BadProviderSpec,
     BatchFormatError,
@@ -107,6 +108,14 @@ def test_read_vector_batch(tmp_path):
     write_vector_csv(p, [((1.0, 2.0, 3.0), 1.0)], dim=3)
     b = read_batch_csv(p, Kind.VECTOR, dim=3)
     assert b.values.tolist() == [[1.0, 2.0, 3.0]]
+
+
+@pytest.mark.parametrize("dim", [None, 0])
+def test_read_vector_batch_without_a_dimension(tmp_path, dim):
+    p = tmp_path / "b.csv"
+    write_vector_csv(p, [((1.0, 2.0, 3.0), 1.0)], dim=3)
+    with pytest.raises(BadKindSpec, match=f"dimension dim >= 1, got {dim}"):
+        read_batch_csv(p, Kind.VECTOR, dim=dim)
 
 
 def test_batch_header_mismatch(tmp_path):

@@ -1,9 +1,11 @@
 """The package root: its public names resolve on first access (PEP 562)."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,9 +68,52 @@ def test_an_unknown_name_is_an_attribute_error():
 def test_the_state_types_are_shared_with_accumulator():
     from momentflow import accumulator, states
 
-    for name in ("OrderLadder", "EmptyState", "MomentState", "AnyState", "fractional_chain",
-                 "expand_fractional_targets", "DEFAULT_FRACTIONAL_CUTOFF"):
+    for name in ("OrderLadder", "EmptyState", "MomentState", "AnyState"):
         assert getattr(accumulator, name) is getattr(states, name)
+
+
+def _names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _unused_imports(source):
+    """The names a module imports and never reads, in code or in an
+    annotation, a string annotation such as ``"np.ndarray"`` included."""
+    tree = ast.parse(source)
+    imported, annotations = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+    used = _names(tree)
+    for root in filter(None, annotations):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _names(ast.parse(node.value, mode="eval"))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_finds_a_leftover_and_reads_annotations():
+    source = (
+        "from typing import Any, Sequence\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "def f(x: Sequence) -> 'np.ndarray': ...\n"
+    )
+    assert _unused_imports(source) == ["Any (line 1)", "os (line 3)"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in Path(momentflow.__file__).parent.glob("*.py"))
+)
+def test_no_module_imports_a_name_it_never_uses(module):
+    path = Path(momentflow.__file__).parent / module
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_importing_the_root_loads_no_submodule_and_a_name_loads_only_its_own():

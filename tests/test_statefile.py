@@ -4,7 +4,6 @@ import json
 import os
 import stat
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +31,7 @@ from momentflow.errors import (
     ValidationError,
 )
 
-from conftest import random_batch, v1_document
-
-DATA = Path(__file__).parent / "data"
+from conftest import random_batch
 
 # Signed zeros, the smallest subnormal, a subnormal, the smallest normal and
 # numbers at the top of the range.
@@ -125,16 +122,12 @@ def _with_digest(body, seal, digest=None):
     return '{"content_digest":"' + digest + '",' + body[1:] + "\n"
 
 
-@pytest.mark.parametrize("encoding", ["hex", "decimal"])
-def test_round_trip_bit_exact_fuzz(rng, encoding):
-    # 10k random states across kinds: "hex" through the version-2 writer,
-    # "decimal" through version-1 decimal documents (the v1 writer oracle)
+def test_round_trip_bit_exact_fuzz(rng):
     kinds = [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 3)]
     for i in range(5000):
         kind, dim = kinds[i % 3]
         state = _random_state(rng, kind, dim)
-        text = dumps_state(state) if encoding == "hex" else v1_document(state, "decimal")
-        _assert_states_bit_equal(state, loads_state(text))
+        _assert_states_bit_equal(state, loads_state(dumps_state(state)))
 
 
 def test_round_trip_keeps_signed_zeros_subnormals_and_extremes(rng):
@@ -143,7 +136,6 @@ def test_round_trip_keeps_signed_zeros_subnormals_and_extremes(rng):
         kind, dim = kinds[i % 3]
         state = _random_state(rng, kind, dim, special=SPECIAL_FLOATS)
         _assert_states_bit_equal(state, loads_state(dumps_state(state)))
-        _assert_states_bit_equal(state, loads_state(v1_document(state, "decimal")))
 
 
 def test_document_bytes_are_stable(rng):
@@ -170,20 +162,6 @@ def test_document_is_one_canonical_line_with_digest_over_its_body(rng):
     assert doc["format_version"] == 2
     assert len(doc["moments"]) == len(doc["orders"]) == len(state.ladder)
     assert all(isinstance(o, str) for o in doc["orders"])
-
-
-def test_digest_stable_across_encodings():
-    # One state, written by the version-1 writer in both encodings: both
-    # record one digest and load to one state. Version 2 has one encoding,
-    # and its recorded digest is compute_digest's.
-    hex_path = DATA / "v1_hex_complex_2-8_2.5.json"
-    dec_path = DATA / "v1_decimal_complex_2-8_2.5.json"
-    d_hex = json.loads(hex_path.read_text())["content_digest"]
-    d_dec = json.loads(dec_path.read_text())["content_digest"]
-    assert d_hex == d_dec
-    state = load_state(hex_path)
-    _assert_states_bit_equal(state, load_state(dec_path))
-    assert json.loads(dumps_state(state))["content_digest"] == compute_digest(state)
 
 
 def test_empty_state_round_trip(tmp_path):
@@ -441,32 +419,12 @@ def test_count_or_dim_that_is_not_an_integer_exits_4(tmp_path, capsys, key, numb
     _exits_4_unchanged(tmp_path, capsys, _with_digest(body, seal=True))
 
 
-@pytest.mark.parametrize("key", ["count", "vector_dim"])
-@pytest.mark.parametrize("number", ["1e999", "3.0"])
-def test_v1_count_or_dim_that_is_not_an_integer_exits_4(tmp_path, capsys, key, number):
-    text = (DATA / "v1_hex_vector3_2-8.json").read_text()
-    value = json.loads(text)[key]
-    damaged = text.replace(f'"{key}": {value},', f'"{key}": {number},')
-    assert damaged != text
-    _exits_4_unchanged(tmp_path, capsys, damaged)
-
-
-def test_v1_order_too_large_for_a_float_exits_4(tmp_path, capsys):
-    text = (DATA / "v1_decimal_complex_2-8_2.5.json").read_text()
-    damaged = text.replace("-9.5", "1" + "0" * 400, 1)
-    _exits_4_unchanged(tmp_path, capsys, damaged)
-
-
-@pytest.mark.parametrize("where", ["top", "v1-mean", "v2-mean"])
+@pytest.mark.parametrize("where", ["top", "v2-mean"])
 def test_deeply_nested_json_exits_4(tmp_path, capsys, where):
     # json.loads raised RecursionError on these
     deep = "[" * 100000 + "]" * 100000
     if where == "top":
         text = deep
-    elif where == "v1-mean":
-        text = (DATA / "v1_hex_scalar_2-20.json").read_text()
-        head, sep, tail = text.partition('"mean": ')
-        text = head + sep + deep + tail[tail.index(","):]
     else:
         doc = _v2_doc(Kind.SCALAR)
         body = _v2_body(doc).replace(f'"mean":"{doc["mean"]}"', f'"mean":{deep}')
@@ -475,13 +433,11 @@ def test_deeply_nested_json_exits_4(tmp_path, capsys, where):
 
 
 def test_non_ascii_document_is_integrity_error(tmp_path, capsys):
-    # version 1: number_encoding is outside the digest, so only the ASCII
-    # check refuses this text
-    text = (DATA / "v1_hex_scalar_2-20.json").read_text()
+    text = _document(_v2_doc(Kind.SCALAR)).replace("scalar", "scälar")
     with pytest.raises(IntegrityError, match="not ASCII"):
-        loads_state(text.replace('"number_encoding": "hex"', '"number_encoding": "héx"'))
+        loads_state(text)
     path = tmp_path / "s.json"
-    path.write_bytes(_document(_v2_doc(Kind.SCALAR)).replace("scalar", "scälar").encode("utf-8"))
+    path.write_bytes(text.encode("utf-8"))
     assert main(["query", "--state", str(path), "--count"]) == 4
     assert "not ASCII" in capsys.readouterr().err
 
@@ -511,10 +467,21 @@ def test_cached_ladder_still_checks_every_document(tmp_path, capsys, damage):
         _exits_4_unchanged(tmp_path, capsys, _document(good, seal=True))
 
 
-def _v1_z_unreadable():
-    doc = json.loads((DATA / "v1_hex_scalar_2-20.json").read_text())
-    doc["z"] = True
-    return json.dumps(doc, indent=2)
+# An empty vector state as format 1 wrote it, digest and all.
+_FORMAT_1_DOCUMENT = """{
+  "content_digest": "d1faba79d6413881eed64900c99ad31e138a1e3ff1a6aac5da7a36a74b909397",
+  "count": 0,
+  "element_kind": "vector",
+  "format_version": 1,
+  "number_encoding": "hex",
+  "orders": [
+    "0x1.0000000000000p+1",
+    "0x1.8000000000000p+1",
+    "0x1.0000000000000p+2"
+  ],
+  "vector_dim": 2
+}
+"""
 
 
 def _sealed(kind, dim, damage, empty=False):
@@ -526,7 +493,19 @@ def _sealed(kind, dim, damage, empty=False):
 # Each damaged document, every v2 one re-signed so that its own check fires
 # rather than the digest check, and the fault its error must name.
 _NAMED_DAMAGE = {
-    "v1-unreadable-number": (_v1_z_unreadable, "unreadable number True"),
+    "format-1": (lambda: _FORMAT_1_DOCUMENT, 'README.md\'s "Format 1 documents"'),
+    "z-not-a-string": (
+        lambda: _sealed(Kind.SCALAR, None, lambda d: d.update(z=True)),
+        "structurally invalid: bad argument type",
+    ),
+    "z-too-large-for-a-float": (
+        lambda: _sealed(Kind.SCALAR, None, lambda d: d.update(z="0x1p+1024")),
+        "structurally invalid: hexadecimal value too large",
+    ),
+    "order-too-large-for-a-float": (
+        lambda: _sealed(Kind.SCALAR, None, lambda d: d["orders"].append("0x1p+1024"), empty=True),
+        "structurally invalid: hexadecimal value too large",
+    ),
     "complex-payload-width": (
         lambda: _sealed(Kind.COMPLEX, None, lambda d: d["mean"].append(d["mean"][0])),
         "complex value must be a list of 2 numbers",
