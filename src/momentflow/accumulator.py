@@ -23,6 +23,13 @@ Two evaluation routes exist and are kept deliberately independent:
   in their whole-array form from COLUMNAR_MIN_RECORDS records up; below it
   they are the very loops ``from_batch`` runs.
 
+The re-centering kernel takes its form from the element kind, at every
+batch size: one loop over Python numbers on the scalar and complex kinds,
+one whole-table numpy pass on the vector kind, whose payloads are arrays.
+Below COLUMNAR_MIN_RECORDS records ``Batch.from_values`` holds a scalar or
+complex batch as Python numbers, so an update or metric update by such a
+batch loads no numpy, and neither does a merge of scalar or complex states.
+
 Every operation returns a new value; states are immutable and safe to share
 across threads. Concurrent merges of disjoint states need no coordination.
 """
@@ -32,6 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .binomial import binomial_row
@@ -39,7 +48,6 @@ from .elements import (
     Kind,
     Payload,
     np,
-    norm_rows,
     one_payload,
     pow_payload,
     pow_records,
@@ -81,7 +89,8 @@ NEG_ORDER_POLE_REL = 1e-9
 # faster on scalar and complex data; at 32 the two forms were within 6% on
 # scalars and numpy led by 5-24% on complex data; at 64 numpy led by 1.5x or
 # more. vector:8 data favours numpy from 8 records, but one constant keeps a
-# single policy for all kinds.
+# single policy for all kinds. Below it Batch.from_values keeps a scalar or
+# complex batch as Python numbers and builds no array.
 COLUMNAR_MIN_RECORDS = 32
 
 DEFAULT_FRACTIONAL_TOL = 1e-10
@@ -95,60 +104,57 @@ def _dtypes() -> dict[Kind, np.dtype]:
     return {Kind.SCALAR: f64, Kind.COMPLEX: np.dtype(np.complex128), Kind.VECTOR: f64}
 
 
-@dataclass(frozen=True, eq=False)
 class Batch:
-    """An appended chunk of weighted records, all of one element kind, held by column.
+    """An appended chunk of weighted records, all of one element kind.
 
-    ``values`` is one array: shape (n,) float64 for scalars, (n,) complex128
-    for complex scalars, (n, dim) float64 for vectors. ``weights`` is an
-    (n,) float64 array. Both are frozen (made read-only) on construction;
-    ``from_values`` copies from any sequence first.
+    ``values`` is one read-only array: shape (n,) float64 for scalars, (n,)
+    complex128 for complex scalars, (n, dim) float64 for vectors.
+    ``weights`` is a read-only (n,) float64 array. ``records`` holds the
+    same records as Python payloads and floats, for the per-record passes.
+
+    ``Batch(kind, dim, values, weights)`` takes the two arrays and builds
+    ``records`` on first access. ``from_values`` copies from any sequences;
+    below COLUMNAR_MIN_RECORDS scalar or complex records it keeps only
+    ``records``, all that the passes over so small a batch read, and builds
+    the arrays on first access, so such a batch loads no numpy. A batch is
+    read-only either way.
     """
 
-    kind: Kind
-    dim: int | None
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        values, weights = self.values, self.weights
+    def __init__(
+        self, kind: Kind, dim: int | None, values: np.ndarray, weights: np.ndarray
+    ) -> None:
         if not (isinstance(values, np.ndarray) and isinstance(weights, np.ndarray)):
             raise ValidationError("a Batch holds arrays; build one from sequences with from_values")
         if values.size == 0:
             raise EmptyBatch("batch must contain at least one record")
-        want_ndim = 2 if self.kind is Kind.VECTOR else 1
+        want_ndim = 2 if kind is Kind.VECTOR else 1
         dtypes = _dtypes()
-        if values.dtype != dtypes[self.kind] or values.ndim != want_ndim:
+        if values.dtype != dtypes[kind] or values.ndim != want_ndim:
             raise KindMismatch(
-                f"{self.kind.value} batch needs {want_ndim}-D {dtypes[self.kind]} "
+                f"{kind.value} batch needs {want_ndim}-D {dtypes[kind]} "
                 f"values, got {values.ndim}-D {values.dtype}"
             )
-        if self.kind is Kind.VECTOR and values.shape[1] != self.dim:
-            raise KindMismatch(f"vector records have {values.shape[1]} components, want {self.dim}")
+        if kind is Kind.VECTOR and values.shape[1] != dim:
+            raise KindMismatch(f"vector records have {values.shape[1]} components, want {dim}")
         if weights.shape != (len(values),):
             raise ValidationError("values and weights differ in length")
         if weights.dtype != dtypes[Kind.SCALAR]:
             raise ValidationError(f"weights must be float64, got {weights.dtype}")
+        vars(self).update(kind=kind, dim=dim, size=len(values), values=values, weights=weights)
         # A small batch is checked through its per-record form, which its
         # passes use anyway; numpy's fixed cost per call exceeds the loop.
-        if self.columnar:
-            finite = bool(np.isfinite(weights).all())
-        else:
-            finite = all(map(math.isfinite, self.records[1]))
-        if not finite:
-            bad = next(w for w in weights.tolist() if not math.isfinite(w))
-            raise ValidationError(f"weight must be finite, got {bad!r}")
+        if not (self.columnar and np.isfinite(weights).all()):
+            _require_finite_weights(self.records[1])
         values.flags.writeable = False
         weights.flags.writeable = False
 
-    @property
-    def size(self) -> int:
-        return len(self.values)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"a Batch is read-only: cannot set {name!r}")
 
     @property
     def columnar(self) -> bool:
         """Whether passes over this batch take their whole-array form."""
-        return len(self.values) >= COLUMNAR_MIN_RECORDS
+        return self.size >= COLUMNAR_MIN_RECORDS
 
     @cached_property
     def records(self) -> tuple[tuple[Payload, ...], tuple[float, ...]]:
@@ -156,6 +162,14 @@ class Batch:
         converted once per batch."""
         values = tuple(self.values) if self.kind is Kind.VECTOR else tuple(self.values.tolist())
         return values, tuple(self.weights.tolist())
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _read_only(np.array(self.records[0], dtype=_dtypes()[self.kind]))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _read_only(np.array(self.records[1], dtype=_dtypes()[Kind.SCALAR]))
 
     def weighted_sum(self, column: np.ndarray) -> Payload:
         """sum_i w_i * column[i] for a column shaped like ``values``, as a payload."""
@@ -176,10 +190,19 @@ class Batch:
     ) -> "Batch":
         """Copy a batch out of per-record values: floats, complex numbers or
         1-D component sequences, or one array already laid out by column."""
-        if not isinstance(values, (np.ndarray, list, tuple)):
+        # An array has __array__; anything else that is not a list or a
+        # tuple is listed first. Testing for np.ndarray would load numpy.
+        if not isinstance(values, (list, tuple)) and not hasattr(values, "__array__"):
             values = list(values)
-        if not isinstance(weights, (np.ndarray, list, tuple)):
+        if not isinstance(weights, (list, tuple)) and not hasattr(weights, "__array__"):
             weights = list(weights)
+        if (
+            kind is not Kind.VECTOR
+            and isinstance(values, (list, tuple))
+            and isinstance(weights, (list, tuple))
+            and len(values) < COLUMNAR_MIN_RECORDS
+        ):
+            return cls._from_numbers(kind, dim, values, weights)
         dtypes = _dtypes()
         try:
             arr = np.array(values, dtype=dtypes[kind])
@@ -189,6 +212,37 @@ class Batch:
             dim = arr.shape[1]
         weights = np.array(weights, dtype=dtypes[Kind.SCALAR])
         return cls(kind=kind, dim=dim, values=arr, weights=weights)
+
+    @classmethod
+    def _from_numbers(
+        cls, kind: Kind, dim: int | None, values: Sequence, weights: Sequence
+    ) -> "Batch":
+        """A batch held as ``records`` alone: each value taken by float() or
+        complex(), each weight by float(), as the arrays would take them."""
+        try:
+            numbers = tuple(map(float if kind is Kind.SCALAR else complex, values))
+        except (TypeError, ValueError):
+            raise KindMismatch(f"{kind.value} records must each be one number") from None
+        weights = tuple(map(float, weights))
+        if not numbers:
+            raise EmptyBatch("batch must contain at least one record")
+        if len(weights) != len(numbers):
+            raise ValidationError("values and weights differ in length")
+        _require_finite_weights(weights)
+        batch = object.__new__(cls)
+        vars(batch).update(kind=kind, dim=dim, size=len(numbers), records=(numbers, weights))
+        return batch
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _require_finite_weights(weights: Iterable[float]) -> None:
+    bad = next((w for w in weights if not math.isfinite(w)), None)
+    if bad is not None:
+        raise ValidationError(f"weight must be finite, got {bad!r}")
 
 
 def _check_state_batch(state: AnyState, batch: Batch) -> None:
@@ -286,14 +340,23 @@ def _power_sums(
 def _pole_guard(batch: Batch, mean: Payload, z: float) -> None:
     """Refuse negative-order moments when any deviation sits on the pole.
 
-    A precondition check, not a moment sum, so it takes the whole-array form
-    at every size; from_batch and the first append call it.
+    A precondition check, not a moment sum; from_batch and the first append
+    call it. It reads a small scalar or complex batch record by record and
+    any other batch as whole arrays.
     """
-    with np.errstate(all="ignore"):
-        ad = np.abs(batch.values - mean)
-        m2 = batch.weighted_sum(ad * ad)
-        thr = NEG_ORDER_POLE_REL * np.sqrt(np.abs(m2 / z))
-    if np.any(ad <= thr):
+    if batch.columnar or batch.kind is Kind.VECTOR:
+        with np.errstate(all="ignore"):
+            ad = np.abs(batch.values - mean)
+            m2 = batch.weighted_sum(ad * ad)
+            thr = NEG_ORDER_POLE_REL * np.sqrt(np.abs(m2 / z))
+        on_pole = bool(np.any(ad <= thr))
+    else:
+        values, weights = batch.records
+        ad = [_modulus(x - mean) for x in values]
+        m2 = sum(w * (a * a) for a, w in zip(ad, weights))
+        thr = NEG_ORDER_POLE_REL * math.sqrt(abs(m2 / z))
+        on_pole = any(a <= thr for a in ad)
+    if on_pole:
         raise DomainError(
             "negative-order moment requested but a deviation (or a vector "
             "component of one) is on (or numerically at) the pole at the mean"
@@ -356,61 +419,84 @@ def _advance_mean(state: MomentState, batch: Batch, zp: float) -> Payload:
     return (state.z / zp) * state.mean + swx / zp
 
 
-def _shift_powers(kind: Kind, dim: int | None, shift: Payload, max_k: int) -> np.ndarray:
-    """shift**0..shift**max_k by repeated multiplication, as one array."""
-    powers = [one_payload(kind, dim)]
-    for _ in range(max_k):
-        powers.append(powers[-1] * shift)
-    return np.array(powers, dtype=_dtypes()[kind])
-
-
 @dataclass(frozen=True, eq=False)
 class _Table:
-    """Coefficient and moment-index tables for a set of series rows.
+    """Coefficients and moment indices for a set of series rows.
 
     Row r re-centres order q = ``orders[r]`` through the terms
-    k = 0..``depths[r]``: ``coef[r, k]`` is C(q, k), exact for an integer q
-    and generalized otherwise, zero past the depth; ``index[r, k]`` is the
-    position of M_(q-k) in [M_0, M_1, *ladder.orders], so a row's last
-    column is its sum through its depth. ``fractional`` lists the rows of
-    non-integer orders.
+    k = 0..``depths[r]``: ``coef[r][k]`` is C(q, k), exact for an integer q
+    and generalized otherwise; ``index[r][k]`` is the position of M_(q-k) in
+    [M_0, M_1, *ladder.orders]. Every row is summed through ``width`` terms,
+    the deepest row's depth plus one: past its depth a row's terms are
+    0 * M_0 * shift**k. ``fractional`` lists the rows of non-integer orders.
     """
 
     orders: tuple[float, ...]
-    depths: np.ndarray
-    coef: np.ndarray
-    index: np.ndarray
-    fractional: np.ndarray
+    depths: tuple[int, ...]
+    coef: tuple[tuple[float, ...], ...]
+    index: tuple[tuple[int, ...], ...]
+    fractional: tuple[int, ...]
+
+    @property
+    def width(self) -> int:
+        return max(self.depths) + 1
+
+    @cached_property
+    def cells(self) -> tuple[tuple[float, ...], Callable, Callable, tuple]:
+        """Every row's terms laid end to end: their coefficients; what picks
+        their moments M[index[r][k]] out of the moment tuple, and what picks
+        their powers shift**k out of the power list, each in one call; and
+        the slice of each row. Each pick takes one item more than there are
+        terms (item 0), so that it returns a tuple even for a table of one
+        term; the products stop at the last coefficient."""
+        coef = tuple(c for row in self.coef for c in row)
+        moment_of = itemgetter(*(i for row in self.index for i in row), 0)
+        power_of = itemgetter(*(k for row in self.coef for k in range(len(row))), 0)
+        ends = tuple(accumulate(len(row) for row in self.coef))
+        return coef, moment_of, power_of, tuple(zip((0, *ends), ends))
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``coef`` and ``index`` as (rows, width) arrays, zero past each
+        row's depth: the vector kind's whole-array form reads these."""
+        coef = np.zeros((len(self.orders), self.width))
+        index = np.zeros(coef.shape, dtype=np.intp)
+        for r, (c, i) in enumerate(zip(self.coef, self.index)):
+            coef[r, : len(c)] = c
+            index[r, : len(i)] = i
+        return _read_only(coef), _read_only(index)
 
 
 @lru_cache(maxsize=64)
 def _table(ladder: OrderLadder, rows: tuple[tuple[float, int], ...]) -> _Table:
     """The table of ``rows``, (order, depth) pairs, over ``ladder``'s moments
-    laid out as M_0 = 1, M_1 = 0, then the stored moments in ladder order.
-    Read-only, since it is shared."""
+    laid out as M_0 = 1, M_1 = 0, then the stored moments in ladder order."""
     position = {o: i for i, o in enumerate((0.0, 1.0, *ladder.orders))}
-    coef = np.zeros((len(rows), max(depth for _, depth in rows) + 1))
-    index = np.zeros(coef.shape, dtype=np.intp)
-    for r, (order, depth) in enumerate(rows):
+    coef, index = [], []
+    for order, depth in rows:
         exact = binomial_row(int(order)) if _is_integer_order(order) and order >= 0 else None
+        row_coef, row_index = [], []
         c = 1.0
         for k in range(depth + 1):
             if exact is not None:
                 c = exact[k] if k < len(exact) else 0
             elif k:
                 c *= (order - (k - 1)) / k
-            if not c:
-                continue
-            if order - k not in position:
+            if c and order - k not in position:
                 raise LadderMismatch(
                     f"updating order {order} at cutoff {depth} needs ladder order {order - k}"
                 )
-            coef[r, k], index[r, k] = c, position[order - k]
-    depths = np.array([depth for _, depth in rows], dtype=np.intp)
-    fractional = np.flatnonzero([not _is_integer_order(order) for order, _ in rows])
-    for a in (coef, index, depths, fractional):
-        a.flags.writeable = False
-    return _Table(tuple(order for order, _ in rows), depths, coef, index, fractional)
+            row_coef.append(float(c))
+            row_index.append(position[order - k] if c else 0)
+        coef.append(tuple(row_coef))
+        index.append(tuple(row_index))
+    return _Table(
+        orders=tuple(order for order, _ in rows),
+        depths=tuple(depth for _, depth in rows),
+        coef=tuple(coef),
+        index=tuple(index),
+        fractional=tuple(r for r, (order, _) in enumerate(rows) if not _is_integer_order(order)),
+    )
 
 
 def _series_depth(ladder: OrderLadder, order: float) -> int:
@@ -432,55 +518,110 @@ def _ladder_table(ladder: OrderLadder) -> _Table:
     return _table(ladder, tuple((o, _series_depth(ladder, o)) for o in ladder.orders))
 
 
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise, complex products from their real and imaginary
-    parts: numpy's complex multiply fuses multiply and add in some loops and
-    not others, so a moment would depend on which orders share its table."""
-    if a.dtype.kind != "c":
-        return a * b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=a.dtype)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+def _modulus(p: Payload) -> float:
+    """abs(p); inf where CPython refuses a complex modulus too large for a
+    float, as np.abs gives there."""
+    try:
+        return abs(p)
+    except OverflowError:
+        return math.inf
+
+
+def _norms(kind: Kind, row: Sequence[Payload]) -> list[float]:
+    """The norm of each payload of a kernel row: the modulus of a scalar or
+    complex number, the hypot of a vector's components, which run along the
+    row's last axis."""
+    if kind is Kind.VECTOR:
+        return np.hypot.reduce(row, axis=-1, initial=0.0).tolist()
+    try:
+        return list(map(abs, row))
+    except OverflowError:
+        return list(map(_modulus, row))
 
 
 def _recentered(
     state: MomentState, shift: Payload, table: _Table
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[Sequence, Sequence, Sequence]:
     """The re-centering kernel: the old moments of ``table``'s orders moved
-    onto a mean ``shift`` away, every order and element kind in one pass.
+    onto a mean ``shift`` away, every order in one call.
 
-    Returns the term matrix T[r, k] = coef[r, k] * (M[index[r, k]] *
-    shift**k), its partial sums along k taken strictly left to right, and
-    each row's sum: an integer order's bracket, a fractional order's
-    truncated series. A row's value depends only on its own terms, not on
-    which rows share the table. A non-integer order whose stored moment
-    (its k = 0 term) is exactly 0 belongs to a zero-spread state, every
-    record on the mean: the row starts from its exact value shift**order.
-    Callers hold np.errstate(all="ignore"), as an overflow is refused later.
+    Returns, per row, its terms T[k] = coef[k] * (M[index[k]] * shift**k)
+    and their partial sums through its depth, taken strictly left to right;
+    and its sum through the table's width: an integer order's bracket, a
+    fractional order's truncated series. A row's value depends only on its
+    own terms, not on which rows share the table. A non-integer order whose
+    stored moment (its k = 0 term) is exactly 0 belongs to a zero-spread
+    state, every record on the mean: the row starts from its exact value
+    shift**order.
+
+    On the scalar and complex kinds this is one loop over Python numbers.
+    The vector kind, whose payloads are arrays, takes the whole-table array
+    form, which forms the same products and sums in the same order.
     """
-    kind, dim = state.kind, state.dim
-    moments = np.array(
-        [one_payload(kind, dim), zero_payload(kind, dim), *state.values],
-        dtype=_dtypes()[kind],
-    )
-    spow = _shift_powers(kind, dim, shift, table.coef.shape[1] - 1)
-    coef = table.coef[..., None] if kind is Kind.VECTOR else table.coef
-    terms = coef * _times(moments[table.index], spow)
-    running = np.cumsum(terms, axis=1)
-    if len(table.fractional):
-        first = terms[table.fractional, 0].reshape(-1, dim or 1)
-        for r in table.fractional[~first.any(axis=1)]:
-            running[r] += pow_payload(kind, shift, table.orders[r])
+    kind = state.kind
+    one = one_payload(kind, state.dim)
+    spow = [one]
+    for _ in range(table.width - 1):
+        spow.append(spow[-1] * shift)
+    if kind is Kind.VECTOR:
+        return _recentered_columns(state, shift, table, spow)
+    moments = (one, zero_payload(kind), *state.values)
+    # Past its depth a row adds 0 * (M_0 * shift**k) for each k up to the
+    # width: +-0, or nan where shift**k overflowed. Such a run of terms adds
+    # to any sum as its own sum started from -0 does, so each row adds one
+    # tail sum: tail[d] sums the padding from k = d up.
+    negative_zero = -0.0 if kind is Kind.SCALAR else complex(-0.0, -0.0)
+    padding = (0.0 * (one * p) for p in reversed(spow))
+    tail = list(accumulate(padding, add, initial=negative_zero))[::-1]
+    coef, moment_of, power_of, spans = table.cells
+    products = list(map(mul, coef, map(mul, moment_of(moments), power_of(spow))))
+    terms, running, sums = [], [], []
+    for order, (start, end) in zip(table.orders, spans):
+        row = products[start:end]
+        partial = list(accumulate(row))
+        total = partial[-1] + tail[len(row)]
+        if not row[0] and not _is_integer_order(order):
+            exact = pow_payload(kind, shift, order)
+            partial = [s + exact for s in partial]
+            total += exact
+        terms.append(row)
+        running.append(partial)
+        sums.append(total)
+    return terms, running, sums
+
+
+def _recentered_columns(
+    state: MomentState, shift: Payload, table: _Table, spow: list[Payload]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_recentered over arrays: the (rows, width, dim) term array, its
+    partial sums along k and each row's sum, with numpy's floating-point
+    warnings off, as an overflow is refused later."""
+    coef, index = table.arrays
+    with np.errstate(all="ignore"):
+        moments = np.array([spow[0], zero_payload(state.kind, state.dim), *state.values])
+        terms = coef[..., None] * (moments[index] * np.array(spow))
+        running = np.cumsum(terms, axis=1)
+        for r in table.fractional:
+            if not terms[r, 0].any():
+                running[r] += pow_payload(state.kind, shift, table.orders[r])
     return terms, running, running[:, -1]
 
 
-def _payloads(kind: Kind, values: np.ndarray) -> list[Payload]:
-    """An array's rows as payloads: floats, complex numbers or read-only arrays."""
+def _stepped(kind: Kind, old: float, recentered: Sequence, bsums: Sequence, zp: float) -> list:
+    """old * recentered[r] + bsums[r] / zp for every row r: the update's new
+    moments. A complex power sum is divided as numpy divides a complex array
+    by a real: both parts times 1 / zp, after adding the other part times
+    0 / zp, so the moments are the ones the array form gave."""
     if kind is Kind.VECTOR:
-        values.flags.writeable = False
-        return list(values)
-    return values.tolist()
+        with np.errstate(all="ignore"):
+            return list(_read_only(old * recentered + np.array(bsums) / zp))
+    if kind is Kind.SCALAR:
+        return [old * m + s / zp for m, s in zip(recentered, bsums)]
+    rat, scale = 0.0 / zp, 1.0 / zp
+    return [
+        old * m + complex((s.real + s.imag * rat) * scale, (s.imag - s.real * rat) * scale)
+        for m, s in zip(recentered, bsums)
+    ]
 
 
 def _advance(
@@ -495,13 +636,12 @@ def _advance(
     meanp = _advance_mean(state, batch, zp)
     shift = state.mean - meanp
     bsums = _power_sums(batch, meanp, table.orders, batch.columnar)
-    with np.errstate(all="ignore"):
-        terms, running, recentered = _recentered(state, shift, table)
-        values = (state.z / zp) * recentered + np.array(bsums) / zp
+    terms, running, recentered = _recentered(state, shift, table)
+    values = _stepped(state.kind, state.z / zp, recentered, bsums, zp)
     reports = {}
     if len(reported):
         reports = _series_reports(state.kind, table, reported, terms, running, shift)
-    return zp, meanp, _payloads(state.kind, values), reports
+    return zp, meanp, values, reports
 
 
 def _advance_ladder(
@@ -526,7 +666,7 @@ def update_integer(state: MomentState, batch: Batch) -> MomentState:
     """Advance every integer ladder order using only the batch.
 
     Each new moment combines (a) the old moments re-centred onto the new
-    mean through their binomial bracket, all orders in one array pass, and
+    mean through their binomial bracket, all orders in one kernel call, and
     (b) one weighted power sum over the appended records. Runtime is
     O((n_max - 1) * batch) plus O(n_max**2) ladder work independent of the
     absorbed count.
@@ -560,8 +700,8 @@ def _series_reports(
     kind: Kind,
     table: _Table,
     rows: Sequence[int],
-    terms: np.ndarray,
-    running: np.ndarray,
+    terms: Sequence,
+    running: Sequence,
     shift: Payload,
 ) -> dict[float, ConvergenceReport]:
     """The convergence report of each of ``rows``, series rows of ``table``,
@@ -569,13 +709,11 @@ def _series_reports(
     DEFAULT_FRACTIONAL_TOL. A zero shift is an exact collapse at any depth:
     every k >= 1 term carries shift**k = 0. An integer order's row is its
     whole finite binomial series, so it drops no tail."""
-    collapsed = not np.any(shift)
-    term_norms = norm_rows(kind, terms[rows]).tolist()
-    running_norms = norm_rows(kind, running[rows]).tolist()
+    collapsed = not (np.any(shift) if kind is Kind.VECTOR else shift)
     reports = {}
-    for r, tn, rn in zip(rows, term_norms, running_norms):
-        order, depth = table.orders[r], int(table.depths[r])
-        tn, rn = tn[: depth + 1], rn[: depth + 1]
+    for r in rows:
+        order, depth = table.orders[r], table.depths[r]
+        tn, rn = _norms(kind, terms[r][: depth + 1]), _norms(kind, running[r][: depth + 1])
         exact = collapsed or _is_integer_order(order)
         converged = exact or tail_converged(tn, rn, DEFAULT_FRACTIONAL_TOL)
         reports[order] = ConvergenceReport(
@@ -636,10 +774,13 @@ def merge_states(a: AnyState, b: AnyState) -> AnyState:
     meanp = wa * a.mean + wb * b.mean
 
     table = _ladder_table(a.ladder)
-    with np.errstate(all="ignore"):
-        _, _, ra = _recentered(a, a.mean - meanp, table)
-        _, _, rb = _recentered(b, b.mean - meanp, table)
-        values = wa * ra + wb * rb
+    _, _, ra = _recentered(a, a.mean - meanp, table)
+    _, _, rb = _recentered(b, b.mean - meanp, table)
+    if a.kind is Kind.VECTOR:
+        with np.errstate(all="ignore"):
+            values = list(wa * ra + wb * rb)
+    else:
+        values = [wa * x + wb * y for x, y in zip(ra, rb)]
 
     return MomentState(
         kind=a.kind,
@@ -648,7 +789,7 @@ def merge_states(a: AnyState, b: AnyState) -> AnyState:
         z=zp,
         mean=meanp,
         count=a.count + b.count,
-        values=_payloads(a.kind, values),
+        values=values,
     )
 
 

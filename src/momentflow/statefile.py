@@ -140,18 +140,38 @@ def _integer(doc: dict[str, Any], key: str) -> int:
     return v
 
 
-def _payload_reader(kind: Kind, dim: int | None) -> Callable[[Any], Payload]:
-    """Reads one payload of ``kind`` written in hex floats."""
+def _hex_float(value: Any, field: str) -> float:
+    """One number of the document, a hex-float string, as a float; anything
+    else raises IntegrityError naming ``field`` and the value it holds."""
+    try:
+        return float.fromhex(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        if isinstance(e, OverflowError):
+            raise IntegrityError(f"{field} is too large for a float, got {value!r}") from None
+        raise IntegrityError(f"{field} must be a hex-float string, got {value!r}") from None
+
+
+def _hex_floats(values: list, field: str) -> list[float]:
+    """The hex-float strings of the list ``field`` holds, as floats: item i
+    read as _hex_float reads ``field[i]``, after one pass over them all."""
+    try:
+        return list(map(float.fromhex, values))
+    except (TypeError, ValueError, OverflowError):
+        return [_hex_float(v, f"{field}[{i}]") for i, v in enumerate(values)]
+
+
+def _payload_reader(kind: Kind, dim: int | None) -> Callable[[Any, str], Payload]:
+    """Reads one payload of ``kind`` written in hex floats, the value of a
+    field it names in any error."""
     if kind is Kind.SCALAR:
-        return float.fromhex
+        return _hex_float
     width = 2 if kind is Kind.COMPLEX else dim
 
-    def read(v: Any) -> Payload:
+    def read(v: Any, field: str) -> Payload:
         if not isinstance(v, list) or len(v) != width:
             raise IntegrityError(f"{kind.value} value must be a list of {width} numbers")
-        if kind is Kind.COMPLEX:
-            return complex(float.fromhex(v[0]), float.fromhex(v[1]))
-        return np.array([float.fromhex(c) for c in v], dtype=np.float64)
+        parts = _hex_floats(v, field)
+        return complex(*parts) if kind is Kind.COMPLEX else np.array(parts, dtype=np.float64)
 
     return read
 
@@ -166,7 +186,7 @@ def _header(doc: dict[str, Any]) -> tuple[Kind, int | None, OrderLadder, int]:
             raise IntegrityError(f"vector_dim must be >= 1, got {dim}")
     if not isinstance(doc["orders"], list):
         raise IntegrityError("orders must be a list")
-    orders = tuple(float.fromhex(o) for o in doc["orders"])
+    orders = tuple(_hex_floats(doc["orders"], "orders"))
     ladder = _ladder(orders)
     if ladder.orders != orders:
         raise IntegrityError("orders must be sorted and distinct")
@@ -184,10 +204,10 @@ def _moment_state(
         kind=kind,
         dim=dim,
         ladder=ladder,
-        z=float.fromhex(doc["z"]),
-        mean=read(doc["mean"]),
+        z=_hex_float(doc["z"], "z"),
+        mean=read(doc["mean"], "mean"),
         count=count,
-        values=tuple(map(read, values)),
+        values=[read(v, f"moments[{i}]") for i, v in enumerate(values)],
     )
     _check_invariants(state)
     return state

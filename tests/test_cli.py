@@ -1142,6 +1142,8 @@ _LOAD_PROBE = (
 )
 _QUERIES = [["--order", "2"], ["--count"], ["--mean"], ["--z"], ["--format", "full-doc"]]
 _METRICS = [["--provider", "exp:1,0.5", "--n-star", "4"], ["--provider", "poly:0,0,1", "--n-star", "4"]]
+# Below COLUMNAR_MIN_RECORDS records a scalar or complex batch is held as
+# Python numbers and the update kernel loops over them: no numpy.
 _NUMPY_FREE = (
     [("scalar", ["init", "--orders", "2..20", "--kind", "scalar"])]
     + [("scalar", ["query", *q]) for q in _QUERIES]
@@ -1149,12 +1151,15 @@ _NUMPY_FREE = (
     + [("complex", ["init", "--orders", "2..8,2.5", "--kind", "complex"])]
     + [("complex", ["query", *q]) for q in _QUERIES + [["--order", "2.5"], ["--order", "0"]]]
     + [("complex", ["metric", *m]) for m in _METRICS]
+    + [(name, ["append", "--batch", "{batch}"]) for name in ("scalar", "complex", "complex-empty")]
+    + [(name, ["metric", *_METRICS[0], "--batch", "{batch}"]) for name in ("scalar", "complex")]
+    + [(name, ["verify", "--data", "{batch}"]) for name in ("scalar", "complex")]
 )
 _NUMPY_LOADING = [
     ("vector", ["query", "--order", "2"]),
     ("vector", ["query", "--mean"]),
-    ("scalar", ["append", "--batch", "{batch}"]),
-    ("complex", ["append", "--batch", "{batch}"]),
+    ("vector", ["append", "--batch", "{batch}"]),
+    ("scalar-32", ["append", "--batch", "{batch}"]),
 ]
 # The layers that a read of the state document never runs.
 _LAYERS = ("momentflow.accumulator", "momentflow.batchfile", "momentflow.metrics")
@@ -1169,7 +1174,9 @@ _READS = (
 @pytest.fixture(scope="module")
 def probe_states(tmp_path_factory):
     """A scalar 2..20, a complex 2..8,2.5 and a vector:3 2..4 state, each
-    holding three records, and a batch for each."""
+    holding three records, and a batch for each; "complex-empty", an empty
+    complex 2..8,2.5 state with the complex batch; and "scalar-32", the
+    scalar state with a batch of COLUMNAR_MIN_RECORDS records."""
     root = tmp_path_factory.mktemp("probe")
     specs = {
         "scalar": ("2..20", "scalar", ["x,weight", "1.5,1", "2,0.5", "4,1"]),
@@ -1183,6 +1190,12 @@ def probe_states(tmp_path_factory):
         assert main(["init", "--state", str(state), "--orders", orders, "--kind", kind]) == 0
         assert main(["append", "--state", str(state), "--batch", str(batch)]) == 0
         states[name] = (state, batch)
+    empty = root / "complex-empty.json"
+    assert main(["init", "--state", str(empty), "--orders", "2..8,2.5", "--kind", "complex"]) == 0
+    states["complex-empty"] = (empty, states["complex"][1])
+    big = root / "scalar-32.csv"
+    big.write_text("x,weight\n" + "".join(f"{i / 8},1\n" for i in range(COLUMNAR_MIN_RECORDS)))
+    states["scalar-32"] = (states["scalar"][0], big)
     return states
 
 

@@ -496,15 +496,31 @@ _NAMED_DAMAGE = {
     "format-1": (lambda: _FORMAT_1_DOCUMENT, 'README.md\'s "Format 1 documents"'),
     "z-not-a-string": (
         lambda: _sealed(Kind.SCALAR, None, lambda d: d.update(z=True)),
-        "structurally invalid: bad argument type",
+        "z must be a hex-float string, got True",
+    ),
+    "mean-not-a-string": (
+        lambda: _sealed(Kind.SCALAR, None, lambda d: d.update(mean=[1])),
+        "mean must be a hex-float string, got [1]",
+    ),
+    "moment-not-a-string": (
+        lambda: _sealed(Kind.COMPLEX, None, lambda d: d["moments"][1].__setitem__(0, 2.5)),
+        "moments[1][0] must be a hex-float string, got 2.5",
+    ),
+    "order-not-a-string": (
+        lambda: _sealed(Kind.SCALAR, None, lambda d: d["orders"].__setitem__(2, 4), empty=True),
+        "orders[2] must be a hex-float string, got 4",
+    ),
+    "unreadable-vector-component": (
+        lambda: _sealed(Kind.VECTOR, 3, lambda d: d["mean"].__setitem__(2, "0xg")),
+        "mean[2] must be a hex-float string, got '0xg'",
     ),
     "z-too-large-for-a-float": (
         lambda: _sealed(Kind.SCALAR, None, lambda d: d.update(z="0x1p+1024")),
-        "structurally invalid: hexadecimal value too large",
+        "z is too large for a float, got '0x1p+1024'",
     ),
     "order-too-large-for-a-float": (
         lambda: _sealed(Kind.SCALAR, None, lambda d: d["orders"].append("0x1p+1024"), empty=True),
-        "structurally invalid: hexadecimal value too large",
+        "orders[3] is too large for a float, got '0x1p+1024'",
     ),
     "complex-payload-width": (
         lambda: _sealed(Kind.COMPLEX, None, lambda d: d["mean"].append(d["mean"][0])),
