@@ -27,8 +27,9 @@ The re-centering kernel takes its form from the element kind, at every
 batch size: one loop over Python numbers on the scalar and complex kinds,
 one whole-table numpy pass on the vector kind, whose payloads are arrays.
 Below COLUMNAR_MIN_RECORDS records ``Batch.from_values`` holds a scalar or
-complex batch as Python numbers, so an update or metric update by such a
-batch loads no numpy, and neither does a merge of scalar or complex states.
+complex batch as Python numbers, whatever form the records come in, so an
+update or metric update by such a batch loads no numpy, and neither does a
+merge of scalar or complex states.
 
 Every operation returns a new value; states are immutable and safe to share
 across threads. Concurrent merges of disjoint states need no coordination.
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import add, itemgetter, mul
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .binomial import binomial_row
@@ -68,6 +69,7 @@ from .states import (
     EmptyState,
     MomentState,
     OrderLadder,
+    TAIL_TOL,
     _is_integer_order,
     tail_converged,
 )
@@ -93,16 +95,6 @@ NEG_ORDER_POLE_REL = 1e-9
 # complex batch as Python numbers and builds no array.
 COLUMNAR_MIN_RECORDS = 32
 
-DEFAULT_FRACTIONAL_TOL = 1e-10
-
-
-@lru_cache(maxsize=None)
-def _dtypes() -> dict[Kind, np.dtype]:
-    """Each kind's value dtype, resolved on first use: numpy loads only
-    when something needs it. Weights take the scalar kind's."""
-    f64 = np.dtype(np.float64)
-    return {Kind.SCALAR: f64, Kind.COMPLEX: np.dtype(np.complex128), Kind.VECTOR: f64}
-
 
 class Batch:
     """An appended chunk of weighted records, all of one element kind.
@@ -112,41 +104,14 @@ class Batch:
     ``weights`` is a read-only (n,) float64 array. ``records`` holds the
     same records as Python payloads and floats, for the per-record passes.
 
-    ``Batch(kind, dim, values, weights)`` takes the two arrays and builds
-    ``records`` on first access. ``from_values`` copies from any sequences;
-    below COLUMNAR_MIN_RECORDS scalar or complex records it keeps only
-    ``records``, all that the passes over so small a batch read, and builds
-    the arrays on first access, so such a batch loads no numpy. A batch is
-    read-only either way.
+    ``from_values`` builds every batch; what it holds follows the kind and
+    the record count, not the form the input came in. Fewer than
+    COLUMNAR_MIN_RECORDS scalar or complex records are held as ``records``,
+    all that the passes over so small a batch read, so such a batch loads
+    no numpy; the arrays are built on first access. Any other batch holds
+    the arrays and builds ``records`` on first access. A batch is read-only
+    either way.
     """
-
-    def __init__(
-        self, kind: Kind, dim: int | None, values: np.ndarray, weights: np.ndarray
-    ) -> None:
-        if not (isinstance(values, np.ndarray) and isinstance(weights, np.ndarray)):
-            raise ValidationError("a Batch holds arrays; build one from sequences with from_values")
-        if values.size == 0:
-            raise EmptyBatch("batch must contain at least one record")
-        want_ndim = 2 if kind is Kind.VECTOR else 1
-        dtypes = _dtypes()
-        if values.dtype != dtypes[kind] or values.ndim != want_ndim:
-            raise KindMismatch(
-                f"{kind.value} batch needs {want_ndim}-D {dtypes[kind]} "
-                f"values, got {values.ndim}-D {values.dtype}"
-            )
-        if kind is Kind.VECTOR and values.shape[1] != dim:
-            raise KindMismatch(f"vector records have {values.shape[1]} components, want {dim}")
-        if weights.shape != (len(values),):
-            raise ValidationError("values and weights differ in length")
-        if weights.dtype != dtypes[Kind.SCALAR]:
-            raise ValidationError(f"weights must be float64, got {weights.dtype}")
-        vars(self).update(kind=kind, dim=dim, size=len(values), values=values, weights=weights)
-        # A small batch is checked through its per-record form, which its
-        # passes use anyway; numpy's fixed cost per call exceeds the loop.
-        if not (self.columnar and np.isfinite(weights).all()):
-            _require_finite_weights(self.records[1])
-        values.flags.writeable = False
-        weights.flags.writeable = False
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"a Batch is read-only: cannot set {name!r}")
@@ -165,11 +130,11 @@ class Batch:
 
     @cached_property
     def values(self) -> np.ndarray:
-        return _read_only(np.array(self.records[0], dtype=_dtypes()[self.kind]))
+        return _read_only(np.array(self.records[0]))
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return _read_only(np.array(self.records[1], dtype=_dtypes()[Kind.SCALAR]))
+        return _read_only(np.array(self.records[1]))
 
     def weighted_sum(self, column: np.ndarray) -> Payload:
         """sum_i w_i * column[i] for a column shaped like ``values``, as a payload."""
@@ -189,48 +154,47 @@ class Batch:
         dim: int | None = None,
     ) -> "Batch":
         """Copy a batch out of per-record values: floats, complex numbers or
-        1-D component sequences, or one array already laid out by column."""
-        # An array has __array__; anything else that is not a list or a
-        # tuple is listed first. Testing for np.ndarray would load numpy.
-        if not isinstance(values, (list, tuple)) and not hasattr(values, "__array__"):
+        1-D component sequences, in any iterable or one array laid out by
+        column. At every size and from every input form, each value (each
+        vector component) is read by float(), or by complex() on the complex
+        kind, and each weight by float(). A value that does not read, or a
+        complex number given to a real kind, raises KindMismatch; a weight
+        that does not read or is not finite raises ValidationError."""
+        # The record count picks the held form, so an iterator is listed first.
+        if not hasattr(values, "__len__"):
             values = list(values)
-        if not isinstance(weights, (list, tuple)) and not hasattr(weights, "__array__"):
+        if not hasattr(weights, "__len__"):
             weights = list(weights)
-        if (
-            kind is not Kind.VECTOR
-            and isinstance(values, (list, tuple))
-            and isinstance(weights, (list, tuple))
-            and len(values) < COLUMNAR_MIN_RECORDS
-        ):
-            return cls._from_numbers(kind, dim, values, weights)
-        dtypes = _dtypes()
-        try:
-            arr = np.array(values, dtype=dtypes[kind])
-        except ValueError:
-            raise KindMismatch(f"{kind.value} records do not share one shape") from None
-        if kind is Kind.VECTOR and dim is None and arr.ndim == 2:
-            dim = arr.shape[1]
-        weights = np.array(weights, dtype=dtypes[Kind.SCALAR])
-        return cls(kind=kind, dim=dim, values=arr, weights=weights)
-
-    @classmethod
-    def _from_numbers(
-        cls, kind: Kind, dim: int | None, values: Sequence, weights: Sequence
-    ) -> "Batch":
-        """A batch held as ``records`` alone: each value taken by float() or
-        complex(), each weight by float(), as the arrays would take them."""
-        try:
-            numbers = tuple(map(float if kind is Kind.SCALAR else complex, values))
-        except (TypeError, ValueError):
-            raise KindMismatch(f"{kind.value} records must each be one number") from None
-        weights = tuple(map(float, weights))
-        if not numbers:
-            raise EmptyBatch("batch must contain at least one record")
-        if len(weights) != len(numbers):
-            raise ValidationError("values and weights differ in length")
-        _require_finite_weights(weights)
         batch = object.__new__(cls)
-        vars(batch).update(kind=kind, dim=dim, size=len(numbers), records=(numbers, weights))
+        held = vars(batch)
+        read = complex if kind is Kind.COMPLEX else float
+        if kind is not Kind.VECTOR and len(values) < COLUMNAR_MIN_RECORDS:
+            values = _numbers(read, values, KindMismatch, "values")
+            if not values:
+                raise EmptyBatch("batch must contain at least one record")
+            weights = _numbers(float, weights, ValidationError, "weights")
+            held["records"] = values, weights
+            finite = all(map(math.isfinite, weights))
+        else:
+            ndim = 2 if kind is Kind.VECTOR else 1
+            values = _column(read, values, ndim, KindMismatch, "values")
+            if values.size == 0:
+                raise EmptyBatch("batch must contain at least one record")
+            if kind is Kind.VECTOR:
+                dim = values.shape[1] if dim is None else dim
+                if values.shape[1] != dim:
+                    raise KindMismatch(
+                        f"vector records have {values.shape[1]} components, want {dim}"
+                    )
+            weights = _column(float, weights, 1, ValidationError, "weights")
+            held.update(values=values, weights=weights)
+            finite = np.isfinite(weights).all()
+        if len(weights) != len(values):
+            raise ValidationError("values and weights differ in length")
+        if not finite:
+            bad = next(w for w in map(float, weights) if not math.isfinite(w))
+            raise ValidationError(f"weight must be finite, got {bad!r}")
+        held.update(kind=kind, dim=dim, size=len(values))
         return batch
 
 
@@ -239,10 +203,46 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _require_finite_weights(weights: Iterable[float]) -> None:
-    bad = next((w for w in weights if not math.isfinite(w)), None)
-    if bad is not None:
-        raise ValidationError(f"weight must be finite, got {bad!r}")
+def _is_complex(x: object) -> bool:
+    """Whether ``x`` is a complex number, Python's or numpy's, by its type."""
+    import numbers  # loaded only when a value is not a float or an int
+
+    return isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real)
+
+
+def _numbers(read: type, items: Sequence, error: type[Exception], what: str) -> tuple:
+    """Each of ``items`` read by ``read``, float or complex; ``error``, naming
+    ``what``, if one does not read or if float is given a complex number,
+    which float() refuses from Python and would cut to its real part from
+    numpy. Only items other than floats and ints are tested for one."""
+    try:
+        if read is float and not {float, int}.issuperset(map(type, items)):
+            if any(map(_is_complex, items)):
+                raise TypeError
+        return tuple(map(read, items))
+    except (TypeError, ValueError, OverflowError):
+        number = "real" if read is float else "complex"
+        raise error(f"{what} must each be one {number} number") from None
+
+
+def _column(
+    read: type, items: Sequence, ndim: int, error: type[Exception], what: str
+) -> np.ndarray:
+    """``items`` copied into a read-only ``ndim``-D array of ``read``'s
+    dtype, float64 or complex128, each entry read as _numbers reads it.
+    numpy converts a bool, integer or float array (and a complex one for
+    complex) as float() or complex() would; any other array, one of None,
+    objects or strings or a complex one for float, is read entry by entry
+    through _numbers."""
+    try:
+        arr = np.array(items)
+    except ValueError:
+        raise error(f"{what} do not share one shape") from None
+    if arr.dtype.kind not in ("biufc" if read is complex else "biuf"):
+        arr = np.array(_numbers(read, arr.ravel().tolist(), error, what)).reshape(arr.shape)
+    if arr.ndim != ndim:
+        raise error(f"{what} must form a {ndim}-D array, got {arr.ndim}-D")
+    return _read_only(arr.astype(read, copy=False))
 
 
 def _check_state_batch(state: AnyState, batch: Batch) -> None:
@@ -442,20 +442,6 @@ class _Table:
         return max(self.depths) + 1
 
     @cached_property
-    def cells(self) -> tuple[tuple[float, ...], Callable, Callable, tuple]:
-        """Every row's terms laid end to end: their coefficients; what picks
-        their moments M[index[r][k]] out of the moment tuple, and what picks
-        their powers shift**k out of the power list, each in one call; and
-        the slice of each row. Each pick takes one item more than there are
-        terms (item 0), so that it returns a tuple even for a table of one
-        term; the products stop at the last coefficient."""
-        coef = tuple(c for row in self.coef for c in row)
-        moment_of = itemgetter(*(i for row in self.index for i in row), 0)
-        power_of = itemgetter(*(k for row in self.coef for k in range(len(row))), 0)
-        ends = tuple(accumulate(len(row) for row in self.coef))
-        return coef, moment_of, power_of, tuple(zip((0, *ends), ends))
-
-    @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``coef`` and ``index`` as (rows, width) arrays, zero past each
         row's depth: the vector kind's whole-array form reads these."""
@@ -533,10 +519,7 @@ def _norms(kind: Kind, row: Sequence[Payload]) -> list[float]:
     row's last axis."""
     if kind is Kind.VECTOR:
         return np.hypot.reduce(row, axis=-1, initial=0.0).tolist()
-    try:
-        return list(map(abs, row))
-    except OverflowError:
-        return list(map(_modulus, row))
+    return list(map(_modulus, row))
 
 
 def _recentered(
@@ -573,11 +556,9 @@ def _recentered(
     negative_zero = -0.0 if kind is Kind.SCALAR else complex(-0.0, -0.0)
     padding = (0.0 * (one * p) for p in reversed(spow))
     tail = list(accumulate(padding, add, initial=negative_zero))[::-1]
-    coef, moment_of, power_of, spans = table.cells
-    products = list(map(mul, coef, map(mul, moment_of(moments), power_of(spow))))
     terms, running, sums = [], [], []
-    for order, (start, end) in zip(table.orders, spans):
-        row = products[start:end]
+    for order, coef, index in zip(table.orders, table.coef, table.index):
+        row = [c * (moments[i] * p) for c, i, p in zip(coef, index, spow)]
         partial = list(accumulate(row))
         total = partial[-1] + tail[len(row)]
         if not row[0] and not _is_integer_order(order):
@@ -706,19 +687,17 @@ def _series_reports(
 ) -> dict[float, ConvergenceReport]:
     """The convergence report of each of ``rows``, series rows of ``table``,
     from its term and running norms through its depth, at tolerance
-    DEFAULT_FRACTIONAL_TOL. A zero shift is an exact collapse at any depth:
-    every k >= 1 term carries shift**k = 0. An integer order's row is its
-    whole finite binomial series, so it drops no tail."""
+    TAIL_TOL. A zero shift is an exact collapse at any depth: every k >= 1
+    term carries shift**k = 0. An integer order's row is its whole finite
+    binomial series, so it drops no tail."""
     collapsed = not (np.any(shift) if kind is Kind.VECTOR else shift)
     reports = {}
     for r in rows:
         order, depth = table.orders[r], table.depths[r]
         tn, rn = _norms(kind, terms[r][: depth + 1]), _norms(kind, running[r][: depth + 1])
         exact = collapsed or _is_integer_order(order)
-        converged = exact or tail_converged(tn, rn, DEFAULT_FRACTIONAL_TOL)
-        reports[order] = ConvergenceReport(
-            order, depth, DEFAULT_FRACTIONAL_TOL, tuple(tn), converged
-        )
+        converged = exact or tail_converged(tn, rn, TAIL_TOL)
+        reports[order] = ConvergenceReport(order, depth, TAIL_TOL, tuple(tn), converged)
     return reports
 
 
@@ -735,7 +714,7 @@ def update_fractional(
     truncated where the state's chain of stored orders order-1, order-2, ...
     ends, as on an append; it holds while the mean shift is below every
     absorbed record's distance from the mean, and the report tells whether
-    its tail died out within DEFAULT_FRACTIONAL_TOL. It starts at zero, or
+    its tail died out within TAIL_TOL. It starts at zero, or
     for a zero-spread state at its exact value shift**order. An
     integer-valued order takes its exact binomial row, reproducing the
     integer update, and reports converged. A zero shift leaves only the k=0

@@ -245,6 +245,9 @@ def cmd_metric(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # A nan or negative tolerance would fail every order, as damaged data does.
+    if not 0 <= args.tol < float("inf"):
+        raise ValidationError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     path = _state_path(args)
     state = load_state(path)
     if isinstance(state, EmptyState):

@@ -24,12 +24,10 @@ from typing import TYPE_CHECKING, ContextManager, Protocol, Sequence
 from .binomial import MAX_EXACT_ORDER, binomial_row
 from .elements import Kind, Payload, all_finite, norm_payload, np
 from .errors import LadderTooShort, NumericError, ValidationError
-from .states import DEFAULT_TRUNCATION, MomentState, tail_converged
+from .states import DEFAULT_TRUNCATION, TAIL_TOL, MomentState, tail_converged
 
 if TYPE_CHECKING:
     from .accumulator import Batch
-
-TAIL_TOL = 1e-10
 
 
 class CoefficientProvider(Protocol):

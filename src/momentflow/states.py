@@ -25,6 +25,9 @@ from .errors import BadLadderSpec, LadderMismatch, OrderNotInLadder
 DEFAULT_FRACTIONAL_CUTOFF = 12
 DEFAULT_TRUNCATION = 14
 
+# The tail tolerance of both series' monitors (tail_converged below).
+TAIL_TOL = 1e-10
+
 
 def tail_converged(term_norms: Sequence[float], running: Sequence[float], tol: float) -> bool:
     """The series tail monitor of both series, a fractional update's and a

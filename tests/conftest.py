@@ -50,11 +50,11 @@ def random_batch(rng, kind, size, dim=None, weight_lo=0.05):
 def concat_batches(a, b):
     # np.concatenate, never `+`: on arrays `+` adds elementwise (and
     # broadcasts a one-record batch) instead of joining.
-    return Batch(
-        kind=a.kind,
+    return Batch.from_values(
+        a.kind,
+        np.concatenate([a.values, b.values]),
+        np.concatenate([a.weights, b.weights]),
         dim=a.dim,
-        values=np.concatenate([a.values, b.values]),
-        weights=np.concatenate([a.weights, b.weights]),
     )
 
 

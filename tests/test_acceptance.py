@@ -60,8 +60,8 @@ def _draw_case(rng, kind, dim):
 
     base = draw(n)
     extra = draw(delta)
-    joined = Batch(kind=kind, dim=dim, values=np.concatenate([base.values, extra.values]),
-                   weights=np.concatenate([base.weights, extra.weights]))
+    joined = Batch.from_values(kind, np.concatenate([base.values, extra.values]),
+                               np.concatenate([base.weights, extra.weights]), dim=dim)
     return base, extra, joined
 
 

@@ -266,8 +266,66 @@ def test_batch_rejects_malformed_columns():
         Batch.from_values(Kind.SCALAR, [1.0, 2.0], [float("inf"), 1.0])
     with pytest.raises(ValidationError):
         Batch.from_values(Kind.SCALAR, [1.0] * 40, [1.0] * 39 + [float("-inf")])
-    with pytest.raises(ValidationError):
-        Batch(kind=Kind.SCALAR, dim=None, values=(1.0, 2.0), weights=(1.0, 1.0))
+
+
+def _last_replaced(first, last):
+    return lambda n: [first] * (n - 1) + [last]
+
+
+_ONES = _last_replaced(1.0, 1.0)
+
+
+@pytest.mark.parametrize("form", ["list", "ndarray"])
+@pytest.mark.parametrize("n", [3, 40])
+@pytest.mark.parametrize(
+    "kind,values,weights,error",
+    [
+        (Kind.SCALAR, _last_replaced(1.0, None), _ONES, KindMismatch),
+        (Kind.COMPLEX, _last_replaced(1j, None), _ONES, KindMismatch),
+        (Kind.SCALAR, _last_replaced(1.0, 2j), _ONES, KindMismatch),
+        (Kind.SCALAR, lambda n: list(np.full(n, 1 + 2j)), _ONES, KindMismatch),
+        (Kind.SCALAR, lambda n: list(np.full(n, 1 + 2j, np.complex64)), _ONES, KindMismatch),
+        (Kind.VECTOR, _last_replaced([1.0, 2.0], [1.0, None]), _ONES, KindMismatch),
+        (Kind.SCALAR, _ONES, _last_replaced(1.0, None), ValidationError),
+        (Kind.SCALAR, _ONES, _last_replaced(1.0, float("nan")), ValidationError),
+        (Kind.SCALAR, _ONES, _last_replaced(1.0, float("inf")), ValidationError),
+    ],
+    ids=[
+        "none-value",
+        "none-complex-value",
+        "python-complex-for-scalar",
+        "numpy-complex128-for-scalar",
+        "numpy-complex64-for-scalar",
+        "none-vector-component",
+        "none-weight",
+        "nan-weight",
+        "inf-weight",
+    ],
+)
+def test_one_input_rule_set_at_every_size_and_form(kind, values, weights, error, n, form):
+    values, weights = values(n), weights(n)
+    if form == "ndarray":
+        values, weights = np.array(values), np.array(weights)
+    with pytest.raises(ValidationError) as raised:
+        Batch.from_values(kind, values, weights)
+    assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("form", [list, tuple, iter, np.array])
+def test_the_held_form_follows_the_record_count(form):
+    small = Batch.from_values(Kind.COMPLEX, form([1j, 2.0]), form([1.0, 2.0]))
+    assert set(vars(small)) >= {"records"} and "values" not in vars(small)
+    assert small.records == ((1j, 2 + 0j), (1.0, 2.0))
+    n = COLUMNAR_MIN_RECORDS
+    large = Batch.from_values(Kind.SCALAR, form([1.5] * n), form([1.0] * n))
+    assert "records" not in vars(large) and large.values.tolist() == [1.5] * n
+    vector = Batch.from_values(Kind.VECTOR, form([[1.0, 2.0]]), form([1.0]))
+    assert "records" not in vars(vector) and vector.dim == 2
+
+
+def test_a_batch_is_built_only_by_from_values():
+    with pytest.raises(TypeError):
+        Batch(Kind.SCALAR, None, np.array([1.0]), np.array([1.0]))
 
 
 def test_empty_batch_rejected():

@@ -405,6 +405,17 @@ def test_verify_tol_zero_fails(tmp_path, capsys):
     assert main(["verify", "--state", state, "--data", str(full), "--tol", "1e-8"]) == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_refuses_a_tolerance_that_is_not_a_finite_number_at_least_0(
+    tmp_path, capsys, tol
+):
+    state, full = _session(tmp_path, capsys)
+    assert main(["verify", "--state", state, "--data", str(full), "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --tol must be a finite number >= 0, got {float(tol)!r}\n"
+
+
 @pytest.mark.parametrize(
     "kind,header,rows,mean,m2",
     [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,9 @@ from momentflow import (
     update_integer,
     update_normalizer,
 )
-from momentflow.accumulator import DEFAULT_FRACTIONAL_TOL
 from momentflow.cli import main
 from momentflow.errors import DomainError, LadderMismatch
-from momentflow.states import tail_converged
+from momentflow.states import TAIL_TOL, tail_converged
 
 from conftest import concat_batches, random_batch
 
@@ -86,6 +87,20 @@ def test_zero_shift_collapses_exactly():
     assert value == 0.5 * state.moments[2.5]
 
 
+def test_a_term_modulus_past_the_float_range_reports_inf():
+    # |1.5e308 (1 + i)| exceeds the largest float: CPython's abs() raises
+    # OverflowError there, and the report reads inf, as np.abs gives.
+    ladder = OrderLadder(fractional_chain(2.5, 3))
+    huge = complex(1.5e308, 1.5e308)
+    state = MomentState(
+        kind=Kind.COMPLEX, dim=None, ladder=ladder, z=1.0, mean=0j, count=1,
+        values=[huge] * len(ladder),
+    )
+    _, report = update_fractional(state, Batch.from_values(Kind.COMPLEX, [0j], [1.0]), 2.5)
+    assert report.term_norms == (math.inf, 0.0, 0.0, 0.0)
+    assert report.converged
+
+
 def test_large_shift_reports_divergence(rng):
     order = 2.5
     ladder = OrderLadder(fractional_chain(order, 12))
@@ -147,7 +162,7 @@ def test_report_shape(rng):
     _, report = update_fractional(state, extra, 2.5)
     assert report.order == 2.5
     assert report.cutoff == 5
-    assert report.tol == DEFAULT_FRACTIONAL_TOL
+    assert report.tol == TAIL_TOL
     assert len(report.term_norms) == 6
 
 

@@ -3,7 +3,7 @@
 The scalar and complex kinds re-centre through a loop over Python numbers;
 the whole-table array form below is the oracle it must match bit for bit
 (signs of zeros, infinities and nans included), and which the vector kind
-still runs. A batch held as Python numbers and the same records held as
+still runs. A batch built from lists and the same records given as
 arrays must give identical updates, merges and metrics.
 """
 
@@ -183,8 +183,8 @@ def _batch(rng, kind, n):
 
 
 def _as_arrays(batch):
-    return Batch(kind=batch.kind, dim=None, values=np.array(batch.values),
-                 weights=np.array(batch.weights))
+    """The batch's records given to from_values as ndarrays, not lists."""
+    return Batch.from_values(batch.kind, np.array(batch.values), np.array(batch.weights))
 
 
 def _state_bits(state):
