@@ -26,6 +26,8 @@ Two evaluation routes exist and are kept deliberately independent:
 The re-centering kernel takes its form from the element kind, at every
 batch size: one loop over Python numbers on the scalar and complex kinds,
 one whole-table numpy pass on the vector kind, whose payloads are arrays.
+Either way each order's re-centred value is a function of its own row
+alone, summed through that row's own depth.
 Below COLUMNAR_MIN_RECORDS records ``Batch.from_values`` holds a scalar or
 complex batch as Python numbers, whatever form the records come in, so an
 update or metric update by such a batch loads no numpy, and neither does a
@@ -41,13 +43,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .binomial import binomial_row
 from .elements import (
     Kind,
     Payload,
+    norm_payload,
     np,
     one_payload,
     pow_payload,
@@ -352,7 +354,7 @@ def _pole_guard(batch: Batch, mean: Payload, z: float) -> None:
         on_pole = bool(np.any(ad <= thr))
     else:
         values, weights = batch.records
-        ad = [_modulus(x - mean) for x in values]
+        ad = [norm_payload(batch.kind, x - mean) for x in values]
         m2 = sum(w * (a * a) for a, w in zip(ad, weights))
         thr = NEG_ORDER_POLE_REL * math.sqrt(abs(m2 / z))
         on_pole = any(a <= thr for a in ad)
@@ -423,19 +425,21 @@ def _advance_mean(state: MomentState, batch: Batch, zp: float) -> Payload:
 class _Table:
     """Coefficients and moment indices for a set of series rows.
 
-    Row r re-centres order q = ``orders[r]`` through the terms
+    Row r re-centres order q = ``orders[r]`` through its own terms
     k = 0..``depths[r]``: ``coef[r][k]`` is C(q, k), exact for an integer q
     and generalized otherwise; ``index[r][k]`` is the position of M_(q-k) in
-    [M_0, M_1, *ladder.orders]. Every row is summed through ``width`` terms,
-    the deepest row's depth plus one: past its depth a row's terms are
-    0 * M_0 * shift**k. ``fractional`` lists the rows of non-integer orders.
+    [M_0, M_1, *ladder.orders]. ``fractional`` lists the rows of
+    non-integer orders.
     """
 
     orders: tuple[float, ...]
-    depths: tuple[int, ...]
     coef: tuple[tuple[float, ...], ...]
     index: tuple[tuple[int, ...], ...]
     fractional: tuple[int, ...]
+
+    @cached_property
+    def depths(self) -> tuple[int, ...]:
+        return tuple(len(c) - 1 for c in self.coef)
 
     @property
     def width(self) -> int:
@@ -454,72 +458,33 @@ class _Table:
 
 
 @lru_cache(maxsize=64)
-def _table(ladder: OrderLadder, rows: tuple[tuple[float, int], ...]) -> _Table:
-    """The table of ``rows``, (order, depth) pairs, over ``ladder``'s moments
-    laid out as M_0 = 1, M_1 = 0, then the stored moments in ladder order."""
+def _table(ladder: OrderLadder, orders: tuple[float, ...]) -> _Table:
+    """The rows of ``orders`` over ``ladder``'s moments laid out as M_0 = 1,
+    M_1 = 0, then the stored moments in ladder order. An integer order
+    n >= 0 takes its n + 1 exact binomial terms; any other order runs as
+    far past k = 0 as its chain of stored orders order-1, order-2, ...
+    reaches. An order that is neither stored nor 0 or 1 raises
+    LadderMismatch."""
     position = {o: i for i, o in enumerate((0.0, 1.0, *ladder.orders))}
     coef, index = [], []
-    for order, depth in rows:
-        exact = binomial_row(int(order)) if _is_integer_order(order) and order >= 0 else None
-        row_coef, row_index = [], []
-        c = 1.0
-        for k in range(depth + 1):
-            if exact is not None:
-                c = exact[k] if k < len(exact) else 0
-            elif k:
-                c *= (order - (k - 1)) / k
-            if c and order - k not in position:
-                raise LadderMismatch(
-                    f"updating order {order} at cutoff {depth} needs ladder order {order - k}"
-                )
-            row_coef.append(float(c))
-            row_index.append(position[order - k] if c else 0)
-        coef.append(tuple(row_coef))
-        index.append(tuple(row_index))
+    for order in orders:
+        if order not in position:
+            raise LadderMismatch(f"order {order} is not stored in the ladder")
+        if _is_integer_order(order):
+            row = list(map(float, binomial_row(int(order))))
+        else:
+            row = [1.0]
+            while order - len(row) in ladder:
+                k = len(row)
+                row.append(row[-1] * ((order - (k - 1)) / k))
+        coef.append(tuple(row))
+        index.append(tuple(position[order - k] for k in range(len(row))))
     return _Table(
-        orders=tuple(order for order, _ in rows),
-        depths=tuple(depth for _, depth in rows),
+        orders=orders,
         coef=tuple(coef),
         index=tuple(index),
-        fractional=tuple(r for r, (order, _) in enumerate(rows) if not _is_integer_order(order)),
+        fractional=tuple(r for r, order in enumerate(orders) if not _is_integer_order(order)),
     )
-
-
-def _series_depth(ladder: OrderLadder, order: float) -> int:
-    """How deep ``order``'s re-centering series runs over ``ladder``: an
-    integer order n >= 0 through its n + 1 exact binomial terms, any other
-    order as far past k = 0 as its chain of stored orders reaches."""
-    if _is_integer_order(order) and order >= 0:
-        return int(order)
-    depth = 0
-    while order - (depth + 1) in ladder:
-        depth += 1
-    return depth
-
-
-@lru_cache(maxsize=32)
-def _ladder_table(ladder: OrderLadder) -> _Table:
-    """Every ladder order's row, in ladder order, as deep as _series_depth
-    runs it."""
-    return _table(ladder, tuple((o, _series_depth(ladder, o)) for o in ladder.orders))
-
-
-def _modulus(p: Payload) -> float:
-    """abs(p); inf where CPython refuses a complex modulus too large for a
-    float, as np.abs gives there."""
-    try:
-        return abs(p)
-    except OverflowError:
-        return math.inf
-
-
-def _norms(kind: Kind, row: Sequence[Payload]) -> list[float]:
-    """The norm of each payload of a kernel row: the modulus of a scalar or
-    complex number, the hypot of a vector's components, which run along the
-    row's last axis."""
-    if kind is Kind.VECTOR:
-        return np.hypot.reduce(row, axis=-1, initial=0.0).tolist()
-    return list(map(_modulus, row))
 
 
 def _recentered(
@@ -529,13 +494,12 @@ def _recentered(
     onto a mean ``shift`` away, every order in one call.
 
     Returns, per row, its terms T[k] = coef[k] * (M[index[k]] * shift**k)
-    and their partial sums through its depth, taken strictly left to right;
-    and its sum through the table's width: an integer order's bracket, a
-    fractional order's truncated series. A row's value depends only on its
-    own terms, not on which rows share the table. A non-integer order whose
-    stored moment (its k = 0 term) is exactly 0 belongs to a zero-spread
-    state, every record on the mean: the row starts from its exact value
-    shift**order.
+    and their partial sums, taken strictly left to right; and its sum
+    through its own depth: an integer order's bracket, a fractional order's
+    truncated series. A row's value is a function of its own row alone, not
+    of which rows share the table. A non-integer order whose stored moment
+    (its k = 0 term) is exactly 0 belongs to a zero-spread state, every
+    record on the mean: the row starts from its exact value shift**order.
 
     On the scalar and complex kinds this is one loop over Python numbers.
     The vector kind, whose payloads are arrays, takes the whole-table array
@@ -549,34 +513,25 @@ def _recentered(
     if kind is Kind.VECTOR:
         return _recentered_columns(state, shift, table, spow)
     moments = (one, zero_payload(kind), *state.values)
-    # Past its depth a row adds 0 * (M_0 * shift**k) for each k up to the
-    # width: +-0, or nan where shift**k overflowed. Such a run of terms adds
-    # to any sum as its own sum started from -0 does, so each row adds one
-    # tail sum: tail[d] sums the padding from k = d up.
-    negative_zero = -0.0 if kind is Kind.SCALAR else complex(-0.0, -0.0)
-    padding = (0.0 * (one * p) for p in reversed(spow))
-    tail = list(accumulate(padding, add, initial=negative_zero))[::-1]
-    terms, running, sums = [], [], []
+    terms, running = [], []
     for order, coef, index in zip(table.orders, table.coef, table.index):
         row = [c * (moments[i] * p) for c, i, p in zip(coef, index, spow)]
         partial = list(accumulate(row))
-        total = partial[-1] + tail[len(row)]
         if not row[0] and not _is_integer_order(order):
             exact = pow_payload(kind, shift, order)
             partial = [s + exact for s in partial]
-            total += exact
         terms.append(row)
         running.append(partial)
-        sums.append(total)
-    return terms, running, sums
+    return terms, running, [partial[-1] for partial in running]
 
 
 def _recentered_columns(
     state: MomentState, shift: Payload, table: _Table, spow: list[Payload]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_recentered over arrays: the (rows, width, dim) term array, its
-    partial sums along k and each row's sum, with numpy's floating-point
-    warnings off, as an overflow is refused later."""
+    """_recentered over arrays: the (rows, width, dim) term array, zero past
+    each row's depth, its partial sums along k and each row's sum at its
+    own depth, with numpy's floating-point warnings off, as an overflow is
+    refused later."""
     coef, index = table.arrays
     with np.errstate(all="ignore"):
         moments = np.array([spow[0], zero_payload(state.kind, state.dim), *state.values])
@@ -585,24 +540,16 @@ def _recentered_columns(
         for r in table.fractional:
             if not terms[r, 0].any():
                 running[r] += pow_payload(state.kind, shift, table.orders[r])
-    return terms, running, running[:, -1]
+    return terms, running, running[range(len(table.orders)), table.depths]
 
 
 def _stepped(kind: Kind, old: float, recentered: Sequence, bsums: Sequence, zp: float) -> list:
     """old * recentered[r] + bsums[r] / zp for every row r: the update's new
-    moments. A complex power sum is divided as numpy divides a complex array
-    by a real: both parts times 1 / zp, after adding the other part times
-    0 / zp, so the moments are the ones the array form gave."""
+    moments."""
     if kind is Kind.VECTOR:
         with np.errstate(all="ignore"):
             return list(_read_only(old * recentered + np.array(bsums) / zp))
-    if kind is Kind.SCALAR:
-        return [old * m + s / zp for m, s in zip(recentered, bsums)]
-    rat, scale = 0.0 / zp, 1.0 / zp
-    return [
-        old * m + complex((s.real + s.imag * rat) * scale, (s.imag - s.real * rat) * scale)
-        for m, s in zip(recentered, bsums)
-    ]
+    return [old * m + s / zp for m, s in zip(recentered, bsums)]
 
 
 def _advance(
@@ -630,7 +577,7 @@ def _advance_ladder(
 ) -> tuple[MomentState, dict[float, ConvergenceReport]]:
     """Every ladder order advanced by one update step, with a report for
     each fractional order's series."""
-    table = _ladder_table(state.ladder)
+    table = _table(state.ladder, state.ladder.orders)
     zp, meanp, values, reports = _advance(state, batch, table, table.fractional)
     return MomentState(
         kind=state.kind,
@@ -694,7 +641,8 @@ def _series_reports(
     reports = {}
     for r in rows:
         order, depth = table.orders[r], table.depths[r]
-        tn, rn = _norms(kind, terms[r][: depth + 1]), _norms(kind, running[r][: depth + 1])
+        tn = [norm_payload(kind, t) for t in terms[r][: depth + 1]]
+        rn = [norm_payload(kind, s) for s in running[r][: depth + 1]]
         exact = collapsed or _is_integer_order(order)
         converged = exact or tail_converged(tn, rn, TAIL_TOL)
         reports[order] = ConvergenceReport(order, depth, TAIL_TOL, tuple(tn), converged)
@@ -723,7 +671,7 @@ def update_fractional(
     _require_nonempty(state)
     _check_state_batch(state, batch)
     order = float(order)
-    table = _table(state.ladder, ((order, _series_depth(state.ladder, order)),))
+    table = _table(state.ladder, (order,))
     _, _, (value,), reports = _advance(state, batch, table, [0])
     (report,) = reports.values()
     return value, report
@@ -752,7 +700,7 @@ def merge_states(a: AnyState, b: AnyState) -> AnyState:
     wa, wb = a.z / zp, b.z / zp
     meanp = wa * a.mean + wb * b.mean
 
-    table = _ladder_table(a.ladder)
+    table = _table(a.ladder, a.ladder.orders)
     _, _, ra = _recentered(a, a.mean - meanp, table)
     _, _, rb = _recentered(b, b.mean - meanp, table)
     if a.kind is Kind.VECTOR:

@@ -185,11 +185,16 @@ def norm_payload(kind: Kind, value: Payload) -> float:
     """Euclidean norm: |x| for scalars, modulus for complex, 2-norm for vectors.
 
     hypot keeps the vector norm scale-safe: squaring tiny or huge components
-    directly would under/overflow.
+    directly would under/overflow. A norm past the float range is inf, as
+    hypot gives for a vector, where CPython's abs() refuses a complex
+    modulus with OverflowError; any other norm is abs()'s to the bit.
     """
     if kind is Kind.VECTOR:
         return math.hypot(*value)
-    return abs(value)
+    try:
+        return abs(value)
+    except OverflowError:
+        return math.inf
 
 
 def all_finite(kind: Kind, payloads: Sequence[Payload]) -> bool:

@@ -9,8 +9,8 @@ the stored ladder plus the batch's exact g values.
 
 Coefficient providers must be deterministic and re-entrant; everything in
 this module is a pure function over immutable inputs. A coefficient, batch
-term or value that is not finite, or a math overflow on the way to one,
-raises NumericError: a metric is never reported as inf or nan.
+term, value or tail estimate that is not finite, or a math overflow on the
+way to one, raises NumericError: a metric is never reported as inf or nan.
 """
 
 from __future__ import annotations
@@ -224,6 +224,8 @@ def metric_from_moments(state: MomentState, spec: MetricSpec) -> MetricResult:
     except OverflowError as e:
         raise NumericError(f"metric overflowed: {e}") from None
     _require_finite(kind, "value", (acc,))
+    if not math.isfinite(term_norms[-1]):
+        raise NumericError("metric tail estimate is not finite")
     converged = tail_converged(term_norms, running, TAIL_TOL) or all(
         norm_payload(kind, c) == 0.0 for c in coeffs[spec.n_star + 1 :]
     )

@@ -10,9 +10,11 @@ On each of seven ladders it runs ``init``, appends of 1 to 256 records,
 and a final ``verify`` over the records the state absorbed, all through
 ``momentflow.cli.main`` in a temporary directory. The digest covers every
 command's argv, exit code, stdout and stderr and the state document after
-it. Under the total it prints one digest per command kind (``KINDS``), so a
-change can show that it moves one kind of output and leaves the others
-alone; ``session_records`` gives each command's record for a finer diff.
+it. Under the total it prints one digest per command kind (``init``,
+``append``, ``query``, ``metric``, ``metric --batch``, ``verify``), then
+one per ladder (``complex 2..20``, say), so a change can show that it moves
+one kind of output, or one ladder's, and leaves the others alone;
+``session_records`` gives each command's record for a finer diff.
 Compare the digests of two commits on one machine: BLAS may sum in another
 order elsewhere, so no digest value is kept.
 """
@@ -41,7 +43,6 @@ LADDERS = (
     ("scalar", "2..6", (), ("2", "6"), 6),
 )
 APPEND_SIZES = (1, 3, 5, 8, 31, 32, 40, 256)
-KINDS = ("init", "append", "query", "metric", "metric --batch", "verify")
 
 
 def _rows(kind: str, n: int, rng: np.random.Generator) -> list[str]:
@@ -64,9 +65,9 @@ def _header(kind: str) -> str:
     return ",".join(f"x{i}" for i in range(int(kind.split(":")[1]))) + ",weight"
 
 
-def session_records(ladders=LADDERS) -> list[tuple[str, bytes]]:
-    """Each command of the session over ``ladders`` in turn: its kind, one
-    of ``KINDS``, and the bytes the digests take from it."""
+def session_records(ladders=LADDERS) -> list[tuple[str, str, bytes]]:
+    """Each command of the session over ``ladders`` in turn: its ladder's
+    label, its command kind and the bytes the digests take from it."""
     records = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -80,10 +81,12 @@ def session_records(ladders=LADDERS) -> list[tuple[str, bytes]]:
                     code = main(argv)
                 doc = Path(state).read_bytes() if Path(state).is_file() else b""
                 kind = "metric --batch" if command == "metric" and "--batch" in options else command
-                records.append((kind, repr((argv, code, out.getvalue(), err.getvalue(), doc)).encode()))
+                record = repr((argv, code, out.getvalue(), err.getvalue(), doc)).encode()
+                records.append((label, kind, record))
                 return code
 
             for i, (kind, orders, extra, queried, n_star) in enumerate(ladders):
+                label = " ".join((kind, orders, *extra))
                 state, absorbed = f"s{i}.json", []
                 run(state, "init", "--orders", orders, "--kind", kind, *extra)
                 for j, n in enumerate(APPEND_SIZES):
@@ -106,29 +109,37 @@ def session_records(ladders=LADDERS) -> list[tuple[str, bytes]]:
     return records
 
 
-def kind_digests(ladders=LADDERS) -> tuple[str, int, dict[str, tuple[str, int]]]:
-    """The SHA-256 of the session over ``ladders``, its command count, and
-    each kind's SHA-256 over its own commands with their count."""
-    total = hashlib.sha256()
-    kinds = {kind: hashlib.sha256() for kind in KINDS}
-    counts = dict.fromkeys(KINDS, 0)
+def _digests(groups: list[tuple[str, bytes]]) -> dict[str, tuple[str, int]]:
+    """The SHA-256 over each group's records, in order, with their count."""
+    hashes, counts = {}, {}
+    for group, record in groups:
+        hashes.setdefault(group, hashlib.sha256()).update(record)
+        counts[group] = counts.get(group, 0) + 1
+    return {group: (h.hexdigest(), counts[group]) for group, h in hashes.items()}
+
+
+def digests(
+    ladders=LADDERS,
+) -> tuple[str, int, dict[str, tuple[str, int]], dict[str, tuple[str, int]]]:
+    """The SHA-256 of the session over ``ladders`` and its command count;
+    then each command kind's SHA-256 over its own commands with their
+    count, and each ladder's."""
     records = session_records(ladders)
-    for kind, record in records:
+    total = hashlib.sha256()
+    for _, _, record in records:
         total.update(record)
-        kinds[kind].update(record)
-        counts[kind] += 1
-    by_kind = {kind: (h.hexdigest(), counts[kind]) for kind, h in kinds.items()}
-    return total.hexdigest(), len(records), by_kind
+    by_kind = _digests([(kind, record) for _, kind, record in records])
+    by_ladder = _digests([(label, record) for label, _, record in records])
+    return total.hexdigest(), len(records), by_kind, by_ladder
 
 
 def session_digest(ladders=LADDERS) -> tuple[str, int]:
     """The SHA-256 of the session over ``ladders`` and its command count."""
-    hexdigest, count, _ = kind_digests(ladders)
-    return hexdigest, count
+    return digests(ladders)[:2]
 
 
 if __name__ == "__main__":
-    hexdigest, count, by_kind = kind_digests()
+    hexdigest, count, by_kind, by_ladder = digests()
     print(f"{hexdigest}  {count} commands")
-    for kind, (kind_hex, kind_count) in by_kind.items():
-        print(f"  {kind_hex}  {kind_count} {kind}")
+    for group, (group_hex, group_count) in (*by_kind.items(), *by_ladder.items()):
+        print(f"  {group_hex}  {group_count} {group}")

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import errno
 import json
@@ -40,7 +41,7 @@ from momentflow.errors import (
     TimingUnstable,
 )
 
-from cli_digest import LADDERS, kind_digests, session_digest
+from cli_digest import LADDERS, digests, session_digest
 
 
 def write_scalar_csv(path, rows):
@@ -377,6 +378,24 @@ def test_verify_judges_a_cancelling_complex_moment_by_the_spread(tmp_path, capsy
     out = capsys.readouterr().out
     assert "order=2 " in out and "MISMATCH" in out
     assert "order=3 " in out and "verify FAILED: 1 mismatched" in out
+
+
+def test_verify_and_metric_on_a_complex_moment_past_the_float_range(tmp_path, capsys):
+    # M2 = d**2 is finite, but its modulus |d|**2 = 1.84e308 is not: verify
+    # judges it with an infinite norm, and metric refuses its tail estimate.
+    d = cmath.rect(1.356e154, math.pi / 8)
+    state, data = str(tmp_path / "s.json"), tmp_path / "data.csv"
+    data.write_text("re,im,weight\n" + "".join(f"{x.real!r},{x.imag!r},0.5\n" for x in (d, -d)))
+    assert main(["init", "--state", state, "--orders", "2..2", "--kind", "complex"]) == 0
+    assert main(["append", "--state", state, "--batch", str(data)]) == 0
+    (m2,) = load_state(state).values
+    assert cmath.isfinite(m2) and math.hypot(m2.real, m2.imag) == math.inf
+    capsys.readouterr()
+    assert main(["verify", "--state", state, "--data", str(data)]) == 0
+    assert re.search(r"^order=2 rel_err=\S+ ok$", capsys.readouterr().out, re.MULTILINE)
+    argv = ["metric", "--state", state, "--provider", "poly:0,0,1", "--n-star", "2"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "numeric error: metric tail estimate is not finite\n")
 
 
 def test_tamper_without_redigest_is_integrity_error(tmp_path, capsys):
@@ -1363,7 +1382,7 @@ def test_the_lazy_numpy_path_prints_what_the_eager_one_does():
         "assert 'numpy' not in sys.modules\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "import cli_digest, numpy\n"
-        "by_kind = cli_digest.kind_digests()[2]\n"
+        "by_kind = cli_digest.digests()[2]\n"
         "held = sorted({type(m.np).__name__ for n, m in list(sys.modules.items())\n"
         "               if n.split('.')[0] == 'momentflow' and hasattr(m, 'np')})\n"
         "print(json.dumps([by_kind, held]))\n"
@@ -1372,7 +1391,7 @@ def test_the_lazy_numpy_path_prints_what_the_eager_one_does():
     assert r.returncode == 0, r.stderr
     lazy, held = json.loads(r.stdout)
     assert held == ["module"]
-    assert {kind: tuple(v) for kind, v in lazy.items()} == kind_digests()[2]
+    assert {kind: tuple(v) for kind, v in lazy.items()} == digests()[2]
 
 
 def test_numpy_loaded_first_is_taken_as_it_is():

@@ -29,10 +29,8 @@ from momentflow.accumulator import (
     COLUMNAR_MIN_RECORDS,
     _advance,
     _advance_mean,
-    _ladder_table,
     _power_sums,
     _recentered,
-    _series_depth,
     _table,
     update_normalizer,
 )
@@ -62,8 +60,8 @@ def _times(a, b):
 
 def _array_kernel(state, shift, table):
     """The whole-array kernel: the padded term matrix, its cumsum along k,
-    and each row's last column, with zero-spread fractional rows started
-    from shift**order."""
+    and each row's sum at its own depth, with zero-spread fractional rows
+    started from shift**order."""
     dtype = np.complex128 if state.kind is Kind.COMPLEX else np.float64
     coef, index = table.arrays
     moments = np.array([1.0, 0.0, *state.values], dtype=dtype)
@@ -76,7 +74,7 @@ def _array_kernel(state, shift, table):
         for r in table.fractional:
             if not terms[r, 0]:
                 running[r] += pow_payload(state.kind, shift, table.orders[r])
-    return terms, running, running[:, -1]
+    return terms, running, running[range(len(table.orders)), table.depths]
 
 
 def _bits(x):
@@ -120,9 +118,8 @@ SHIFTS = {
 @pytest.mark.parametrize("kind", [Kind.SCALAR, Kind.COMPLEX], ids=lambda k: k.value)
 @pytest.mark.parametrize("ladder", list(LADDERS.values()), ids=list(LADDERS))
 def test_python_kernel_matches_the_array_form_bit_for_bit(rng, kind, ladder):
-    tables = [_ladder_table(ladder)] + [
-        _table(ladder, ((o, _series_depth(ladder, o)),)) for o in (2.0, 7.0, 2.5, -3.5)
-        if o in ladder
+    tables = [_table(ladder, ladder.orders)] + [
+        _table(ladder, (o,)) for o in (2.0, 7.0, 2.5, -3.5) if o in ladder
     ]
     for trial in range(40):
         values = _random_values(rng, kind, ladder)
@@ -144,12 +141,23 @@ def test_python_kernel_matches_the_array_form_bit_for_bit(rng, kind, ladder):
                     assert _same(running[r], want[1][r, : depth + 1])
 
 
+@pytest.mark.parametrize("kind", [Kind.SCALAR, Kind.COMPLEX], ids=lambda k: k.value)
+def test_each_order_is_a_function_of_its_own_row(kind):
+    # shift**20 overflows, while every term of the low orders' rows stays
+    # finite: a row summed past its own depth would read the overflow.
+    state = from_batch(Batch.from_values(kind, [0, 1, 2], [1, 1, 1]), INTEGER)
+    batch = Batch.from_values(kind, [4e20], [3])
+    appended, _ = append_batch(state, batch)
+    for order, value in zip(INTEGER.orders, appended.values):
+        assert _bits(value) == _bits(update_fractional(state, batch, order)[0]), order
+
+
 @pytest.mark.parametrize("kind,ladder", FILLED, ids=FILLED_IDS)
 @pytest.mark.parametrize("size", [3, COLUMNAR_MIN_RECORDS + 8])
 def test_update_step_matches_the_array_form(rng, kind, ladder, size):
     # The new moments are Z/Z' times the re-centred ones plus the batch's
-    # power sums over Z', combined as numpy combines the two arrays.
-    table = _ladder_table(ladder)
+    # power sums over Z', each part of a complex sum divided by Z'.
+    table = _table(ladder, ladder.orders)
     for _ in range(10):
         state = from_batch(_batch(rng, kind, 24), ladder)
         batch = _batch(rng, kind, size)
@@ -157,10 +165,10 @@ def test_update_step_matches_the_array_form(rng, kind, ladder, size):
         assert zp == update_normalizer(state, batch)
         assert meanp == _advance_mean(state, batch, zp)
         terms, _, recentered = _array_kernel(state, state.mean - meanp, table)
+        bsums = _power_sums(batch, meanp, table.orders, batch.columnar)
+        quotients = np.array([complex(s.real / zp, s.imag / zp) for s in bsums])
         with np.errstate(all="ignore"):
-            want = (state.z / zp) * recentered + np.array(
-                _power_sums(batch, meanp, table.orders, batch.columnar)
-            ) / zp
+            want = (state.z / zp) * recentered + quotients
         assert _same(values, want)
         # A report's term norms are abs() of the terms. np.abs fuses a
         # multiply-add where the CPU has one, so no pure-Python modulus
@@ -222,7 +230,7 @@ def test_merge_matches_the_array_form(rng):
         a = from_batch(_batch(rng, kind, 9), INTEGER)
         b = from_batch(_batch(rng, kind, 6), INTEGER)
         merged = merge_states(a, b)
-        table = _ladder_table(INTEGER)
+        table = _table(INTEGER, INTEGER.orders)
         wa, wb = a.z / merged.z, b.z / merged.z
         ra = _array_kernel(a, a.mean - merged.mean, table)[2]
         rb = _array_kernel(b, b.mean - merged.mean, table)[2]
