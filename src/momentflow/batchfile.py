@@ -11,12 +11,13 @@ a format error naming path and line; blank rows are skipped.
 
 A file of at least COLUMNAR_MIN_RECORDS records that the csv module
 would split exactly as ``str.split`` does (no quote, no NUL, no lone CR,
-no line over the csv field limit) is parsed in one pass by numpy's C text
-reader, which converts each field with the routine float() uses, so the
-values are bit-identical. Any other file, or one that reader refuses (an
-underscore, a non-ASCII digit, a row of the wrong width) or that holds a
-non-finite value, is parsed row by row through the csv module, which
-reports the first bad row by path and line.
+no line over the csv field limit) and that holds none of U+001C-U+001F
+(numpy's reader strips them around a field, float() refuses them) is
+parsed in one pass by numpy's C text reader, which converts each field
+with the routine float() uses, so the values are bit-identical. Any other
+file, or one that reader refuses (an underscore, a non-ASCII digit, a row
+of the wrong width) or that holds a non-finite value, is parsed row by row
+through the csv module, which reports the first bad row by path and line.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ from pathlib import Path
 from .accumulator import COLUMNAR_MIN_RECORDS, Batch
 from .elements import Kind, np
 from .errors import BadKindSpec, BatchFormatError, EmptyBatch
+
+
+# A quote or NUL, which the csv module reads otherwise than str.split, and
+# U+001C-U+001F, which numpy's reader strips around a field as whitespace
+# and float() refuses: a text holding any of them is read row by row.
+_ROW_PATH_CHARS = '"\0\x1c\x1d\x1e\x1f'
 
 
 def expected_header(kind: Kind, dim: int | None) -> list[str]:
@@ -68,30 +75,42 @@ def _read_text(path: Path) -> str:
 def _table(text: str, header: list[str]) -> np.ndarray | None:
     """All records as one (records, ncol) float64 table, read by numpy's C
     text reader; None if there are fewer than COLUMNAR_MIN_RECORDS records,
-    the csv module might split the text otherwise than str.split, the
-    header differs, or the reader refuses a field or reads a non-finite one."""
-    # Counting newlines first keeps a small batch from splitting its text.
-    if text.count("\n") < COLUMNAR_MIN_RECORDS or '"' in text or "\0" in text:
-        return None
-    text = text.replace("\r\n", "\n")
+    the csv module might split the text otherwise than str.split, a field
+    holds a character only numpy's reader strips, the header differs, or
+    the reader refuses a field or reads a non-finite one.
+
+    A text with no CR and no blank row is split once and handed to the
+    reader with no other pass that copies or counts it."""
     if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    # The header and each record take a line of their own, so a text of so
+    # few lines holds too few records: a small batch stops here.
+    if len(lines) <= COLUMNAR_MIN_RECORDS:
         return None
-    first, _, body = text.partition("\n")
-    if [c.strip() for c in first.split(",")] != header:
+    if any(c in text for c in _ROW_PATH_CHARS):
         return None
-    records = list(filter(None, body.split("\n")))
-    if len(records) < COLUMNAR_MIN_RECORDS:
+    if [c.strip() for c in lines[0].split(",")] != header:
+        return None
+    if not lines[-1]:
+        lines.pop()
+    if not all(lines):
+        lines = list(filter(None, lines))
+    records = len(lines) - 1
+    if records < COLUMNAR_MIN_RECORDS:
         return None
     limit = csv.field_size_limit()
-    if len(body) > limit and max(map(len, records)) > limit:
+    if len(text) > limit and max(map(len, lines)) > limit:
         return None
     try:
-        table = np.loadtxt(records, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2, skiprows=1)
     except ValueError:
         return None
     # The shape check catches rows all one wrong width, and any line the
     # reader would skip that the csv module counts as a record.
-    if table.shape != (len(records), len(header)) or not np.isfinite(table).all():
+    if table.shape != (records, len(header)) or not np.isfinite(table).all():
         return None
     return table
 

@@ -93,9 +93,10 @@ STATE_ENV_VAR = "MF_STATE"
 # verify's default bound on each order's scaled error (elements.relative_error)
 # between the stored moments and a from-scratch recomputation: loose enough for
 # the rounding of honest appends, tight enough to flag a wrong moment. That
-# rounding is about 1e-15 on data centred near 0 and grows with |mean| / spread:
-# 300 appends of 8 unit-spread scalar records to 2..20 left 6e-9 at mean 1e6,
-# and 1.5e-7 (so verify fails) at mean 1e7.
+# rounding is about 1e-15 on data centred near 0 and grows with |mean| / spread,
+# past this bound at a large offset: 300 appends of 8 unit-spread scalar records
+# to 2..20 at mean 1e6 left odd orders 5..19 at 2.7e-8 to 6.2e-7, so verify
+# fails those honest states (ROADMAP, direction 2, has the mend).
 DEFAULT_VERIFY_TOL = 1e-8
 
 

@@ -1,4 +1,5 @@
 import cmath
+import csv
 import dataclasses
 import errno
 import json
@@ -261,11 +262,64 @@ def test_csv_bad_rows_name_path_and_line(tmp_path, kind, dim, header, row, good_
         (",".join(row[:-1] + [""]), "not a decimal number"),
         (" \t ", "columns"),
         (",".join(row[:-1] + ["1.0 #c"]), "not a decimal number"),
+        (",".join(row[:-1] + ["1.0\x1c"]), "not a decimal number"),
     ):
         p.write_text("\n".join(lead + [bad_row, good, "nan" + good]) + "\n")
         with pytest.raises(BatchFormatError, match=message) as exc:
             read_batch_csv(p, kind, dim)
         assert f"{p}:{line}:" in str(exc.value)
+
+
+# numpy's text reader strips U+001C-U+001F around a field as whitespace, and
+# float() refuses them, so a file holding one is read row by row at any size.
+@pytest.mark.parametrize("records", [2, COLUMNAR_MIN_RECORDS + 8])
+@pytest.mark.parametrize("char", "\x1c\x1d\x1e\x1f")
+def test_csv_separator_controls_are_refused_at_every_size(tmp_path, char, records):
+    p = tmp_path / "b.csv"
+    for bad_row in (f"1.5,1.0{char}", f"{char}1.5,1.0"):
+        p.write_text("x,weight\n" + f"{bad_row}\n" * records)
+        with pytest.raises(BatchFormatError, match=f"{p}:2: .* is not a decimal number"):
+            read_batch_csv(p, Kind.SCALAR)
+
+
+# The shapes of a plain file that numpy's text reader reads whole. The same
+# records with one quoted field go through the csv module row by row.
+PLAIN_SHAPES = {
+    "lf": lambda lines: "\n".join(lines) + "\n",
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "blank-row": lambda lines: "\n".join(lines[:9] + [""] + lines[9:]) + "\n",
+    "no-final-newline": lambda lines: "\n".join(lines),
+}
+
+
+@pytest.mark.parametrize("records", [COLUMNAR_MIN_RECORDS - 1, 150])
+@pytest.mark.parametrize("shape", PLAIN_SHAPES)
+@pytest.mark.parametrize("kind,dim,header,row", _KIND_ROWS)
+def test_plain_csv_route_and_bit_identity(tmp_path, monkeypatch, kind, dim, header, row, shape, records):
+    rng = np.random.default_rng(records)
+    fields = rng.normal(size=(records, len(row))) * 10.0 ** rng.integers(-30, 30, size=(records, len(row)))
+    fields[:, -1] = np.abs(fields[:, -1])
+    lines = [",".join(map(repr, r)) for r in fields.tolist()]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_bytes(PLAIN_SHAPES[shape]([header] + lines).encode())
+    first = lines[0].split(",")
+    lines[0] = ",".join([f'"{first[0]}"'] + first[1:])
+    quoted.write_bytes(PLAIN_SHAPES[shape]([header] + lines).encode())
+
+    by_rows = read_batch_csv(quoted, kind, dim)
+    calls = []
+    reader = csv.reader
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", spy)
+    got = read_batch_csv(plain, kind, dim)
+    assert bool(calls) == (records < COLUMNAR_MIN_RECORDS)
+    for a, b in ((got.values, by_rows.values), (got.weights, by_rows.weights)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
