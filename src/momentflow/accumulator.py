@@ -42,13 +42,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .binomial import binomial_row
 from .elements import (
     Kind,
     Payload,
+    left_sum,
     norm_payload,
     np,
     one_payload,
@@ -279,11 +281,7 @@ def _batch_sum(batch: Batch, g: Callable[[Payload], Payload], columnar: bool) ->
     if columnar:
         with np.errstate(all="ignore"):
             return batch.weighted_sum(g(batch.values))
-    acc = None
-    for x, w in zip(*batch.records):
-        t = w * g(x)
-        acc = t if acc is None else acc + t
-    return acc
+    return left_sum(w * g(x) for x, w in zip(*batch.records))
 
 
 @lru_cache(maxsize=64)
@@ -322,11 +320,7 @@ def _power_sums(
                 wp = w * p
                 sums[j] = wp if sums[j] is None else sums[j] + wp
         for q in rest:
-            acc = None
-            for d, w in zip(devs, weights):
-                t = w * pow_payload(batch.kind, d, q)
-                acc = t if acc is None else acc + t
-            sums.append(acc)
+            sums.append(left_sum(w * pow_payload(batch.kind, d, q) for d, w in zip(devs, weights)))
         return [sums[i] for i in pick]
     sums = []
     with np.errstate(all="ignore"):
@@ -355,7 +349,7 @@ def _pole_guard(batch: Batch, mean: Payload, z: float) -> None:
     else:
         values, weights = batch.records
         ad = [norm_payload(batch.kind, x - mean) for x in values]
-        m2 = sum(w * (a * a) for a, w in zip(ad, weights))
+        m2 = left_sum(w * (a * a) for a, w in zip(ad, weights))
         thr = NEG_ORDER_POLE_REL * math.sqrt(abs(m2 / z))
         on_pole = any(a <= thr for a in ad)
     if on_pole:
@@ -372,7 +366,7 @@ def _weight_sum_and_scale(batch: Batch, columnar: bool) -> tuple[float, float]:
         with np.errstate(all="ignore"):
             return float(batch.weights.sum()), float(np.abs(batch.weights).max())
     weights = batch.records[1]
-    return sum(weights), max(abs(w) for w in weights)
+    return left_sum(weights), max(map(abs, weights))
 
 
 def _direct(batch: Batch, ladder: OrderLadder, columnar: bool) -> MomentState:
@@ -507,9 +501,7 @@ def _recentered(
     """
     kind = state.kind
     one = one_payload(kind, state.dim)
-    spow = [one]
-    for _ in range(table.width - 1):
-        spow.append(spow[-1] * shift)
+    spow = list(accumulate(repeat(shift, table.width - 1), mul, initial=one))
     if kind is Kind.VECTOR:
         return _recentered_columns(state, shift, table, spow)
     moments = (one, zero_payload(kind), *state.values)

@@ -1,14 +1,14 @@
 """Exact binomial coefficients.
 
-Coefficients are computed with the multiplicative recurrence in exact
-integer arithmetic and capped at order 62, the largest order whose central
-coefficient still fits a 64-bit integer; exactness here beats any drift a
-floating recurrence would accumulate.
+Coefficients are math.comb's exact integers, capped at order 62, the
+largest order whose central coefficient still fits a 64-bit integer;
+exactness here beats any drift a floating recurrence would accumulate.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .errors import MaxOrderExceeded
 
@@ -24,10 +24,5 @@ def binomial_row(n: int) -> tuple[int, ...]:
         raise MaxOrderExceeded(
             f"order {n} exceeds the exact-binomial ceiling {MAX_EXACT_ORDER}"
         )
-    row = [1]
-    c = 1
-    for k in range(n):
-        c = c * (n - k) // (k + 1)
-        row.append(c)
-    return tuple(row)
+    return tuple(comb(n, k) for k in range(n + 1))
 

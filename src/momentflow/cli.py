@@ -23,6 +23,7 @@ from .elements import (
     Kind,
     Payload,
     format_kind,
+    left_sum,
     norm_payload,
     parse_kind_spec,
     relative_error,
@@ -200,6 +201,8 @@ def cmd_append(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     path = _state_path(args)
     if args.format == "full-doc":
+        if args.order is not None or args.z or args.mean or args.count:
+            raise ValidationError("--format full-doc prints the whole document; pass no selector")
         text = read_document(path)
         loads_state(text)
         sys.stdout.write(text)
@@ -264,7 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # (1/Z) sum w * d * conj(d), in from_batch's order of summation. On the
     # real kinds it is M2 itself; a complex M2 can cancel far below it.
     devs = (x - oracle.mean for x in full.records[0])
-    m2 = sum(w * (d * d.conjugate()) for d, w in zip(devs, full.records[1])) / oracle.z
+    m2 = left_sum(w * (d * d.conjugate()) for d, w in zip(devs, full.records[1])) / oracle.z
     m2_scale = norm_payload(oracle.kind, m2)
     for order, got, want in zip(state.ladder.orders, state.values, oracle.values):
         rel = relative_error(state.kind, got, want, m2_scale, order)
@@ -349,10 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="print a stored quantity")
     add_state(p)
-    p.add_argument("--order", type=float, help="moment order (0 and 1 are exact constants)")
-    p.add_argument("--z", action="store_true", help="print the weight sum")
-    p.add_argument("--mean", action="store_true", help="print the weighted mean")
-    p.add_argument("--count", action="store_true", help="print the record count")
+    selector = p.add_mutually_exclusive_group()
+    selector.add_argument("--order", type=float, help="moment order (0 and 1 are exact constants)")
+    selector.add_argument("--z", action="store_true", help="print the weight sum")
+    selector.add_argument("--mean", action="store_true", help="print the weighted mean")
+    selector.add_argument("--count", action="store_true", help="print the record count")
     p.add_argument("--format", choices=["plain", "full-doc"], default="plain")
     p.set_defaults(handler=cmd_query)
 

@@ -19,7 +19,10 @@ import cmath
 import math
 import sys
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from functools import reduce
+from itertools import repeat
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import BadKindSpec, DomainError
 
@@ -113,10 +116,7 @@ def pow_payload(kind: Kind, value: Payload, order: float) -> Payload:
         k = int(forder)
         if k == 0:
             return one_payload(kind, len(value) if kind is Kind.VECTOR else None)
-        r = value
-        for _ in range(k - 1):
-            r = r * value
-        return r
+        return reduce(mul, repeat(value, k))
     if kind is Kind.COMPLEX:
         z = complex(value)
         if z == 0:
@@ -195,6 +195,17 @@ def norm_payload(kind: Kind, value: Payload) -> float:
         return abs(value)
     except OverflowError:
         return math.inf
+
+
+def left_sum(items: Iterable[Payload]) -> Payload:
+    """The sum of ``items``, at least one, added left to right from the first.
+
+    The package sums Python numbers in this one order, here or through
+    itertools.accumulate, so that one order fixes their rounding. Builtin
+    sum() does not: from Python 3.12 on it compensates a float sum
+    (Neumaier), so a state document's bytes would follow the Python version.
+    """
+    return reduce(add, items)
 
 
 def all_finite(kind: Kind, payloads: Sequence[Payload]) -> bool:

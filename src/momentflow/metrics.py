@@ -19,6 +19,8 @@ import cmath
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
+from operator import mul
 from typing import TYPE_CHECKING, ContextManager, Protocol, Sequence
 
 from .binomial import MAX_EXACT_ORDER, binomial_row
@@ -97,9 +99,7 @@ class PolynomialMetric:
 
     def coefficients(self, center: Payload, max_order: int) -> list[Payload]:
         zero_like = center * 0.0
-        cpow: list[Payload] = [zero_like + 1.0]
-        for _ in range(self.degree):
-            cpow.append(cpow[-1] * center)
+        cpow = list(accumulate(repeat(center, self.degree), mul, initial=zero_like + 1.0))
         out: list[Payload] = []
         for n in range(max_order + 1):
             if n > self.degree:
@@ -213,24 +213,21 @@ def metric_from_moments(state: MomentState, spec: MetricSpec) -> MetricResult:
             if len(coeffs) != spec.n_star + 4:
                 raise ValidationError("provider returned the wrong number of coefficients")
             _require_finite(kind, "coefficient about the mean", coeffs)
-            acc = None
-            term_norms: list[float] = []
-            running: list[float] = []
-            for n, c in enumerate(coeffs[: spec.n_star + 1]):
-                term = c * state.moment(n)
-                acc = term if acc is None else acc + term
-                term_norms.append(norm_payload(kind, term))
-                running.append(norm_payload(kind, acc))
+            terms = [c * state.moment(n) for n, c in enumerate(coeffs[: spec.n_star + 1])]
+            partial = list(accumulate(terms))
+            term_norms = [norm_payload(kind, t) for t in terms]
+            running = [norm_payload(kind, s) for s in partial]
     except OverflowError as e:
         raise NumericError(f"metric overflowed: {e}") from None
-    _require_finite(kind, "value", (acc,))
+    value = partial[-1]
+    _require_finite(kind, "value", (value,))
     if not math.isfinite(term_norms[-1]):
         raise NumericError("metric tail estimate is not finite")
     converged = tail_converged(term_norms, running, TAIL_TOL) or all(
         norm_payload(kind, c) == 0.0 for c in coeffs[spec.n_star + 1 :]
     )
     return MetricResult(
-        value=acc,
+        value=value,
         truncation_order=spec.n_star,
         tail_estimate=term_norms[-1],
         converged=converged,

@@ -42,7 +42,7 @@ from momentflow.errors import (
     TimingUnstable,
 )
 
-from cli_digest import LADDERS, digests, session_digest
+from cli_digest import LADDERS, digests, pinned_digest, session_digest
 
 
 def write_scalar_csv(path, rows):
@@ -532,6 +532,22 @@ def test_query_without_a_selector_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "selectors,message",
+    [
+        (["--order", "2", "--count"], "argument --count: not allowed with argument --order"),
+        (["--z", "--mean"], "argument --mean: not allowed with argument --z"),
+        (["--format", "full-doc", "--order", "2"], "pass no selector"),
+    ],
+    ids=["order-count", "z-mean", "full-doc-order"],
+)
+def test_query_refuses_more_than_one_selector(tmp_path, capsys, selectors, message):
+    state, _ = _session(tmp_path, capsys)
+    assert main(["query", "--state", state, *selectors]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize(
     "command,message",
     [
         (["metric", "--provider", "exp:1,1"], "metrics need absorbed data"),
@@ -581,6 +597,17 @@ def test_cli_digest_is_repeatable():
     first = session_digest(LADDERS[3:4])
     assert first == session_digest(LADDERS[3:4])
     assert len(first[0]) == 64 and first[1] == 74
+
+
+def test_the_pinned_session_writes_the_same_bytes_everywhere():
+    # Scalar appends of fewer than 32 records, queries and polynomial
+    # metrics: IEEE-754 float arithmetic in one summation order, so the
+    # digest does not depend on the CPU, numpy or the Python version. A
+    # change that moves these bytes on purpose updates the value here.
+    assert pinned_digest() == (
+        "334d2d10003f1878f8a060dc40d67f5b81cda4915fc9c35a51fcc928ae40a981",
+        66,
+    )
 
 
 def test_append_empty_batch_exits_2(tmp_path, capsys):
