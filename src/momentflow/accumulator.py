@@ -51,9 +51,11 @@ from .elements import (
     Kind,
     Payload,
     left_sum,
-    norm_payload,
+    norms,
     np,
     one_payload,
+    outward,
+    pow_orders,
     pow_payload,
     pow_records,
     zero_payload,
@@ -288,11 +290,12 @@ def _batch_sum(batch: Batch, g: Callable[[Payload], Payload], columnar: bool) ->
 def _order_split(orders: tuple[float, ...]) -> tuple[int, tuple[float, ...], tuple[int, ...]]:
     """How _power_sums takes ``orders``: the top integer order from 2 up (1
     if none), whose sums 2..top come from one running power; the remaining
-    orders, in their given order; and where each of ``orders`` sits in the
-    sums 2..top followed by those of the remaining orders."""
+    orders, in the order that walks each chain of the power rule once
+    (elements.outward); and where each of ``orders`` sits in the sums 2..top
+    followed by those of the remaining orders."""
     top = int(max((o for o in orders if o >= 2 and _is_integer_order(o)), default=1))
     running = tuple(map(float, range(2, top + 1)))
-    rest = tuple(o for o in orders if o not in running)
+    rest = outward(o for o in orders if o not in running)
     position = {o: i for i, o in enumerate(running + rest)}
     return top, rest, tuple(position[o] for o in orders)
 
@@ -302,25 +305,29 @@ def _power_sums(
 ) -> list[Payload]:
     """sum_i w_i * (x_i - center)**q for each q in ``orders``, in that order,
     from one set of deviations: the integer orders from 2 up by one running
-    power, every other order under pow_payload's domain rules.
+    power, every other order by the power rule (elements.pow_records),
+    under its domain rules.
 
-    The whole-array pass multiplies one running power column in place and
-    holds one power column of the other orders at a time, so its temporaries
-    stay O(batch): no (records x orders) power matrix is ever formed.
+    The per-record pass takes each record's powers once, the running ones
+    and then one walk, and adds each into its order's sum, so every sum
+    runs left to right over the records. The whole-array pass multiplies
+    one running power column in place, and takes each other order's sum as
+    the walk reaches it, so its temporaries stay O(batch): no (records x
+    orders) power matrix is ever formed.
     """
     top, rest, pick = _order_split(orders)
     if not columnar:
         values, weights = batch.records
-        devs = [x - center for x in values]
-        sums: list = [None] * (top - 1)
-        for d, w in zip(devs, weights):
+        n = top - 1
+        sums: list = [None] * (n + len(rest))
+        for x, w in zip(values, weights):
+            d = x - center
+            walked = pow_orders(batch.kind, d, rest) if rest else ()
             p = d
-            for j in range(top - 1):
-                p = p * d
+            for j in range(len(sums)):
+                p = p * d if j < n else walked[j - n]
                 wp = w * p
                 sums[j] = wp if sums[j] is None else sums[j] + wp
-        for q in rest:
-            sums.append(left_sum(w * pow_payload(batch.kind, d, q) for d, w in zip(devs, weights)))
         return [sums[i] for i in pick]
     sums = []
     with np.errstate(all="ignore"):
@@ -329,7 +336,7 @@ def _power_sums(
         for _ in range(top - 1):
             p *= d
             sums.append(batch.weighted_sum(p))
-        sums.extend(batch.weighted_sum(c) for c in pow_records(batch.kind, d, rest))
+        sums.extend(map(batch.weighted_sum, pow_records(batch.kind, d, rest)))
     return [sums[i] for i in pick]
 
 
@@ -348,7 +355,7 @@ def _pole_guard(batch: Batch, mean: Payload, z: float) -> None:
         on_pole = bool(np.any(ad <= thr))
     else:
         values, weights = batch.records
-        ad = [norm_payload(batch.kind, x - mean) for x in values]
+        ad = norms(batch.kind, [x - mean for x in values])
         m2 = left_sum(w * (a * a) for a, w in zip(ad, weights))
         thr = NEG_ORDER_POLE_REL * math.sqrt(abs(m2 / z))
         on_pole = any(a <= thr for a in ad)
@@ -633,8 +640,8 @@ def _series_reports(
     reports = {}
     for r in rows:
         order, depth = table.orders[r], table.depths[r]
-        tn = [norm_payload(kind, t) for t in terms[r][: depth + 1]]
-        rn = [norm_payload(kind, s) for s in running[r][: depth + 1]]
+        tn = norms(kind, terms[r][: depth + 1])
+        rn = norms(kind, running[r][: depth + 1])
         exact = collapsed or _is_integer_order(order)
         converged = exact or tail_converged(tn, rn, TAIL_TOL)
         reports[order] = ConvergenceReport(order, depth, TAIL_TOL, tuple(tn), converged)

@@ -24,7 +24,7 @@ from operator import mul
 from typing import TYPE_CHECKING, ContextManager, Protocol, Sequence
 
 from .binomial import MAX_EXACT_ORDER, binomial_row
-from .elements import Kind, Payload, all_finite, norm_payload, np
+from .elements import Kind, Payload, all_finite, norms, np
 from .errors import LadderTooShort, NumericError, ValidationError
 from .states import DEFAULT_TRUNCATION, TAIL_TOL, MomentState, tail_converged
 
@@ -215,8 +215,8 @@ def metric_from_moments(state: MomentState, spec: MetricSpec) -> MetricResult:
             _require_finite(kind, "coefficient about the mean", coeffs)
             terms = [c * state.moment(n) for n, c in enumerate(coeffs[: spec.n_star + 1])]
             partial = list(accumulate(terms))
-            term_norms = [norm_payload(kind, t) for t in terms]
-            running = [norm_payload(kind, s) for s in partial]
+            term_norms = norms(kind, terms)
+            running = norms(kind, partial)
     except OverflowError as e:
         raise NumericError(f"metric overflowed: {e}") from None
     value = partial[-1]
@@ -224,7 +224,7 @@ def metric_from_moments(state: MomentState, spec: MetricSpec) -> MetricResult:
     if not math.isfinite(term_norms[-1]):
         raise NumericError("metric tail estimate is not finite")
     converged = tail_converged(term_norms, running, TAIL_TOL) or all(
-        norm_payload(kind, c) == 0.0 for c in coeffs[spec.n_star + 1 :]
+        n == 0.0 for n in norms(kind, coeffs[spec.n_star + 1 :])
     )
     return MetricResult(
         value=value,

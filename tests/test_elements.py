@@ -8,6 +8,7 @@ from momentflow import Batch, Kind, parse_kind_spec
 from momentflow.elements import (
     POW_FLOOR,
     norm_payload,
+    norms,
     one_payload,
     pow_payload,
     pow_records,
@@ -116,6 +117,16 @@ def test_norm():
     assert norm_payload(Kind.SCALAR, -3.0) == 3.0
     assert norm_payload(Kind.VECTOR, np.array([3.0, 4.0])) == 5.0
     assert norm_payload(Kind.COMPLEX, 3 + 4j) == 5.0
+
+
+def test_norms_read_a_modulus_past_the_float_range_as_inf_anywhere_in_a_list():
+    # CPython's abs() refuses |1.5e308 (1 + i)| with OverflowError; every
+    # other norm of the list is still abs()'s
+    huge = complex(1.5e308, 1.5e308)
+    assert norms(Kind.COMPLEX, [3 + 4j, huge, -1j]) == [5.0, math.inf, 1.0]
+    assert norms(Kind.SCALAR, (-3.0, 0.5)) == [3.0, 0.5]
+    assert norms(Kind.VECTOR, np.array([[3.0, 4.0], [1.5e308, 1.5e308]])) == [5.0, math.inf]
+    assert norm_payload(Kind.COMPLEX, huge) == math.inf
 
 
 def _dyadics(rng, n, kind, dim=None):

@@ -101,6 +101,20 @@ def test_a_term_modulus_past_the_float_range_reports_inf():
     assert report.converged
 
 
+def test_a_deeper_term_past_the_float_range_reports_inf_beside_finite_norms():
+    # mean 0 -> -1, so the shift is 1 and term 1 is C(2.5, 1) * M1.5, whose
+    # parts are finite and whose modulus is not; the terms around it stay
+    ladder = OrderLadder(fractional_chain(2.5, 3))
+    moments = {-0.5: 1 + 0j, 0.5: 1 + 0j, 1.5: complex(0.6e308, 0.6e308), 2.5: 1 + 0j}
+    state = MomentState(
+        kind=Kind.COMPLEX, dim=None, ladder=ladder, z=1.0, mean=0j, count=2,
+        values=[moments[o] for o in ladder.orders],
+    )
+    _, report = update_fractional(state, Batch.from_values(Kind.COMPLEX, [-2 + 0j], [1.0]), 2.5)
+    assert report.term_norms[0] == 1.0 and report.term_norms[1] == math.inf
+    assert all(map(math.isfinite, report.term_norms[2:]))
+
+
 def test_large_shift_reports_divergence(rng):
     order = 2.5
     ladder = OrderLadder(fractional_chain(order, 12))

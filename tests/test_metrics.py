@@ -9,6 +9,7 @@ from momentflow import (
     ExponentialMetric,
     Kind,
     MetricSpec,
+    MomentState,
     OrderLadder,
     PolynomialMetric,
     SinusoidMetric,
@@ -19,7 +20,7 @@ from momentflow import (
     update_normalizer,
 )
 from momentflow.accumulator import COLUMNAR_MIN_RECORDS
-from momentflow.errors import LadderTooShort, ValidationError
+from momentflow.errors import LadderTooShort, NumericError, ValidationError
 
 from conftest import concat_batches, random_batch, swapped_metric_update
 
@@ -38,6 +39,16 @@ def _scalar_state(values, weights, top=2):
 # ---------------------------------------------------------------------------
 # evaluation from stored moments
 # ---------------------------------------------------------------------------
+
+
+def test_a_tail_term_whose_modulus_is_past_the_float_range_is_refused():
+    # M2's parts are finite, its modulus is not: the tail estimate reads inf
+    state = MomentState(
+        kind=Kind.COMPLEX, dim=None, ladder=OrderLadder.integer_range(2, 2), z=1.0,
+        mean=0j, count=2, values=[complex(1.5e308, 1.5e308)],
+    )
+    with pytest.raises(NumericError, match="tail estimate is not finite"):
+        metric_from_moments(state, MetricSpec(PolynomialMetric([0, 0, 1]), n_star=2))
 
 
 def test_square_metric_on_small_state():
