@@ -498,19 +498,22 @@ def _recentered(
     and their partial sums, taken strictly left to right; and its sum
     through its own depth: an integer order's bracket, a fractional order's
     truncated series. A row's value is a function of its own row alone, not
-    of which rows share the table. A non-integer order whose stored moment
-    (its k = 0 term) is exactly 0 belongs to a zero-spread state, every
-    record on the mean: the row starts from its exact value shift**order.
+    of which rows share the table.
 
-    On the scalar and complex kinds this is one loop over Python numbers.
-    The vector kind, whose payloads are arrays, takes the whole-table array
-    form, which forms the same products and sums in the same order.
+    On the scalar and complex kinds this is one loop over Python numbers,
+    and a non-integer order whose stored moment (its k = 0 term) is exactly
+    0 belongs to a zero-spread state, every record on the mean: the row
+    starts from its exact value shift**order. The vector kind, whose
+    payloads are arrays, takes the whole-table array form, which forms the
+    same products and sums in the same order. It has no zero-spread case:
+    a vector state holds a fractional order only when every component
+    deviation of its fill was above POW_FLOOR.
     """
     kind = state.kind
     one = one_payload(kind, state.dim)
     spow = list(accumulate(repeat(shift, table.width - 1), mul, initial=one))
     if kind is Kind.VECTOR:
-        return _recentered_columns(state, shift, table, spow)
+        return _recentered_columns(state, table, spow)
     moments = (one, zero_payload(kind), *state.values)
     terms, running = [], []
     for order, coef, index in zip(table.orders, table.coef, table.index):
@@ -525,7 +528,7 @@ def _recentered(
 
 
 def _recentered_columns(
-    state: MomentState, shift: Payload, table: _Table, spow: list[Payload]
+    state: MomentState, table: _Table, spow: list[Payload]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_recentered over arrays: the (rows, width, dim) term array, zero past
     each row's depth, its partial sums along k and each row's sum at its
@@ -536,9 +539,6 @@ def _recentered_columns(
         moments = np.array([spow[0], zero_payload(state.kind, state.dim), *state.values])
         terms = coef[..., None] * (moments[index] * np.array(spow))
         running = np.cumsum(terms, axis=1)
-        for r in table.fractional:
-            if not terms[r, 0].any():
-                running[r] += pow_payload(state.kind, shift, table.orders[r])
     return terms, running, running[range(len(table.orders)), table.depths]
 
 

@@ -44,7 +44,7 @@ from .elements import (
     relative_error,
     zero_payload,
 )
-from .errors import AgreementError, TimingUnstable, ValidationError
+from .errors import AgreementError, BadLadderSpec, TimingUnstable, ValidationError
 from .states import MomentState, OrderLadder
 
 WARMUP_REPEATS = 3
@@ -80,6 +80,10 @@ class BenchScenario:
             raise ValidationError(f"repeats must be >= 10, got {self.repeats}")
         if not self.deltas or any(d < 1 for d in self.deltas):
             raise ValidationError("every delta must be >= 1")
+        for n in self.orders:
+            if not float(n).is_integer():
+                raise BadLadderSpec(f"bench orders must be integers, got {n}")
+        object.__setattr__(self, "orders", tuple(map(int, self.orders)))
         if not self.orders or any(not 2 <= n <= MAX_EXACT_ORDER for n in self.orders):
             raise ValidationError(f"orders must all be within 2..{MAX_EXACT_ORDER}")
         if self.kind is Kind.VECTOR and self.dim < 1:

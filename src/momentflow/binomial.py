@@ -1,8 +1,12 @@
 """Exact binomial coefficients.
 
 Coefficients are math.comb's exact integers, capped at order 62, the
-largest order whose central coefficient still fits a 64-bit integer;
+largest order whose row sum 2**n still fits a signed 64-bit integer;
 exactness here beats any drift a floating recurrence would accumulate.
+The update kernel (accumulator._table) uses them as floats, which hold
+every coefficient exactly only through order 56: from order 57 some are
+not representable as floats and round, 2 of them at order 57 and 21 at
+order 62.
 """
 
 from __future__ import annotations

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import os
 import sys
 from pathlib import Path
-from types import ModuleType
-from typing import Callable
+
+import momentflow
 
 from . import __version__
 from .elements import (
@@ -52,42 +51,32 @@ from .states import (
 )
 
 
-@functools.cache
-def _layer(name: str) -> ModuleType:
-    """This package's module ``name``, imported by the first call for it,
-    so that a command loads only the layers it runs."""
-    return importlib.import_module(f".{name}", __package__)
-
-
-def _on_first_call(module: str, name: str) -> Callable:
-    """Stands in for function ``name`` of ``_layer(module)``, which it
-    loads on its first call.
-
-    The function found then is kept here, so a later call costs one more
-    frame and no lookup. The stand-in never rebinds its own module-level
-    name: a caller that replaced that name (perfbench's tracer wraps each of
-    these) keeps its replacement.
-    """
-    target = None
-
-    def call(*args, **kwargs):
-        nonlocal target
-        if target is None:
-            target = getattr(_layer(module), name)
-        return target(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    return call
-
-
 # The handlers' calls into batch ingest, the update kernel and the metric
 # engine. The handlers call them by these names, which are the tracer's
-# patch points.
-read_batch_csv = _on_first_call("batchfile", "read_batch_csv")
-append_batch = _on_first_call("accumulator", "append_batch")
-from_batch = _on_first_call("accumulator", "from_batch")
-metric_update = _on_first_call("metrics", "metric_update")
-metric_from_moments = _on_first_call("metrics", "metric_from_moments")
+# patch points. Each reaches its function through the package root, which
+# imports the defining module on first access, so a command loads only the
+# layers it runs.
+
+
+def read_batch_csv(path, kind, dim):
+    return momentflow.read_batch_csv(path, kind, dim)
+
+
+def append_batch(state, batch):
+    return momentflow.append_batch(state, batch)
+
+
+def from_batch(batch, ladder):
+    return momentflow.from_batch(batch, ladder)
+
+
+def metric_update(state, batch, spec):
+    return momentflow.metric_update(state, batch, spec)
+
+
+def metric_from_moments(state, spec):
+    return momentflow.metric_from_moments(state, spec)
+
 
 STATE_ENV_VAR = "MF_STATE"
 
@@ -128,7 +117,6 @@ def parse_orders_spec(spec: str) -> tuple[float, ...]:
 
 
 def parse_provider_spec(spec: str):
-    metrics = _layer("metrics")
     name, _, args = spec.partition(":")
     name = name.strip().lower()
     try:
@@ -138,15 +126,15 @@ def parse_provider_spec(spec: str):
     if name == "poly":
         if not params:
             raise BadProviderSpec("poly provider needs at least one coefficient")
-        return metrics.PolynomialMetric(params)
+        return momentflow.PolynomialMetric(params)
     if name == "exp":
         if len(params) != 2:
             raise BadProviderSpec("exp provider needs exactly a,b")
-        return metrics.ExponentialMetric(*params)
+        return momentflow.ExponentialMetric(*params)
     if name == "sin":
         if len(params) != 2:
             raise BadProviderSpec("sin provider needs exactly a,b")
-        return metrics.SinusoidMetric(*params)
+        return momentflow.SinusoidMetric(*params)
     raise BadProviderSpec(f"unknown provider {name!r} (expected poly, exp or sin)")
 
 
@@ -233,7 +221,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
     if isinstance(state, EmptyState):
         raise ValidationError("state is empty; metrics need absorbed data")
     provider = parse_provider_spec(args.provider)
-    spec = _layer("metrics").MetricSpec(provider=provider, n_star=args.n_star)
+    spec = momentflow.MetricSpec(provider=provider, n_star=args.n_star)
     if args.batch:
         batch = read_batch_csv(args.batch, state.kind, state.dim)
         result = metric_update(state, batch, spec)
@@ -288,11 +276,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     kind, dim = parse_kind_spec(args.kind)
     orders = parse_orders_spec(args.orders)
-    int_orders = []
-    for o in orders:
-        if not float(o).is_integer():
-            raise BadLadderSpec(f"bench orders must be integers, got {o}")
-        int_orders.append(int(o))
     try:
         deltas = tuple(int(d.strip()) for d in args.deltas.split(","))
     except ValueError:
@@ -301,7 +284,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         kind=kind,
         base_size=args.N,
         deltas=deltas,
-        orders=tuple(int_orders),
+        orders=orders,
         repeats=args.repeats,
         seed=args.seed,
         dim=dim if dim is not None else 4,

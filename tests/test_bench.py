@@ -12,7 +12,7 @@ from momentflow.bench import (
     run_scenario,
     write_records_csv,
 )
-from momentflow.errors import AgreementError, TimingUnstable, ValidationError
+from momentflow.errors import AgreementError, BadLadderSpec, TimingUnstable, ValidationError
 
 from conftest import fractional_convergence_sweep
 
@@ -28,6 +28,9 @@ def test_scenario_validation():
         BenchScenario(orders=(2, 3, 63))
     with pytest.raises(ValidationError):
         BenchScenario(kind=Kind.COMPLEX)
+    with pytest.raises(BadLadderSpec, match="bench orders must be integers, got 2.5"):
+        BenchScenario(orders=(2, 2.5))
+    assert [type(n) for n in BenchScenario(orders=(2.0, 3.0)).orders] == [int, int]
     BenchScenario(kind=Kind.VECTOR, dim=4, repeats=10)
 
 

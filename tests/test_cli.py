@@ -962,6 +962,24 @@ def test_first_append_with_a_record_on_the_mean_exits_3_on_a_negative_order(tmp_
     assert Path(state).read_bytes() == before
 
 
+@pytest.mark.parametrize("records", [8, COLUMNAR_MIN_RECORDS + 8], ids=["per-record", "columnar"])
+def test_first_append_whose_deep_orders_overflow_exits_3_naming_them(tmp_path, capsys, records):
+    # |d| = 1e-45 takes d**-7.5 and deeper past the float range; the complex
+    # walk reads nan a few steps past the overflow; the save refuses inf and nan alike
+    state = str(tmp_path / "s.json")
+    assert main(["init", "--state", state, "--orders", "2..8,2.5", "--kind", "complex"]) == 0
+    before = Path(state).read_bytes()
+    batch = tmp_path / "b.csv"
+    rows = (1e-45 * cmath.exp(1j * (0.7 + 2.4 * k)) for k in range(records))
+    batch.write_text("re,im,weight\n" + "".join(f"{z.real!r},{z.imag!r},1.0\n" for z in rows))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["append", "--state", state, "--batch", str(batch)]) == 3
+    assert "non-finite M-9.5, M-8.5, M-7.5;" in capsys.readouterr().err
+    assert Path(state).read_bytes() == before
+
+
 def test_damaged_document_exits_4(tmp_path, capsys):
     state, _ = _session(tmp_path, capsys)
     doc = json.loads(Path(state).read_text())

@@ -188,3 +188,51 @@ def test_importing_the_root_loads_no_submodule_and_a_name_loads_only_its_own():
     assert bare == ["momentflow"]
     assert "momentflow.statefile" in after
     assert not {"momentflow.accumulator", "momentflow.cli", "momentflow.metrics"} & set(after)
+
+
+def _loaders(source):
+    """The importlib imports and import_module calls in ``source``, each as
+    its source text: the package root's ``__getattr__`` is the package's
+    one first-use loader, and every other module reaches a lazily loaded
+    name through it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "importlib" for alias in node.names):
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "importlib":
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "import_module":
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_loaders_finds_importlib_imports_and_import_module_calls():
+    source = (
+        "import json, importlib\n"
+        "import importlib.util as u\n"
+        "from importlib import import_module\n"
+        "m = importlib.import_module('.x', 'p')\n"
+        "n = import_module('y')\n"
+        "import json\n"
+    )
+    assert _loaders(source) == [
+        "import json, importlib",
+        "import importlib.util as u",
+        "from importlib import import_module",
+        "importlib.import_module('.x', 'p')",
+        "import_module('y')",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in Path(momentflow.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+)
+def test_no_module_but_the_root_loads_modules_by_name(module):
+    path = Path(momentflow.__file__).parent / module
+    assert _loaders(path.read_text(encoding="utf-8")) == []
