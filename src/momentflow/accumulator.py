@@ -54,7 +54,6 @@ from .elements import (
     norms,
     np,
     one_payload,
-    outward,
     pow_orders,
     pow_payload,
     pow_records,
@@ -171,13 +170,17 @@ class Batch:
             values = list(values)
         if not hasattr(weights, "__len__"):
             weights = list(weights)
+        try:
+            empty = len(values) == 0
+        except TypeError:  # a 0-d array holds no records to count
+            raise KindMismatch("values must hold one entry per record, got a 0-D array") from None
+        if empty:
+            raise EmptyBatch("batch must contain at least one record")
         batch = object.__new__(cls)
         held = vars(batch)
         read = complex if kind is Kind.COMPLEX else float
         if kind is not Kind.VECTOR and len(values) < COLUMNAR_MIN_RECORDS:
             values = _numbers(read, values, KindMismatch, "values")
-            if not values:
-                raise EmptyBatch("batch must contain at least one record")
             weights = _numbers(float, weights, ValidationError, "weights")
             held["records"] = values, weights
             finite = all(map(math.isfinite, weights))
@@ -290,12 +293,11 @@ def _batch_sum(batch: Batch, g: Callable[[Payload], Payload], columnar: bool) ->
 def _order_split(orders: tuple[float, ...]) -> tuple[int, tuple[float, ...], tuple[int, ...]]:
     """How _power_sums takes ``orders``: the top integer order from 2 up (1
     if none), whose sums 2..top come from one running power; the remaining
-    orders, in the order that walks each chain of the power rule once
-    (elements.outward); and where each of ``orders`` sits in the sums 2..top
-    followed by those of the remaining orders."""
+    orders, for the power rule; and where each of ``orders`` sits in the
+    sums 2..top followed by those of the remaining orders."""
     top = int(max((o for o in orders if o >= 2 and _is_integer_order(o)), default=1))
     running = tuple(map(float, range(2, top + 1)))
-    rest = outward(o for o in orders if o not in running)
+    rest = tuple(o for o in orders if o not in running)
     position = {o: i for i, o in enumerate(running + rest)}
     return top, rest, tuple(position[o] for o in orders)
 
@@ -305,8 +307,8 @@ def _power_sums(
 ) -> list[Payload]:
     """sum_i w_i * (x_i - center)**q for each q in ``orders``, in that order,
     from one set of deviations: the integer orders from 2 up by one running
-    power, every other order by the power rule (elements.pow_records),
-    under its domain rules.
+    power, every other order by the power rule (elements.pow_orders and
+    pow_records), under its domain rules.
 
     The per-record pass takes each record's powers once, the running ones
     and then one walk, and adds each into its order's sum, so every sum
@@ -336,7 +338,8 @@ def _power_sums(
         for _ in range(top - 1):
             p *= d
             sums.append(batch.weighted_sum(p))
-        sums.extend(map(batch.weighted_sum, pow_records(batch.kind, d, rest)))
+        walked = {i: batch.weighted_sum(column) for i, column in pow_records(batch.kind, d, rest)}
+    sums.extend(map(walked.get, range(len(rest))))
     return [sums[i] for i in pick]
 
 

@@ -103,75 +103,68 @@ def one_payload(kind: Kind, dim: int | None = None) -> Payload:
     return np.ones(dim, dtype=np.float64)
 
 
-def _chain_position(order: float) -> tuple[float, bool, int]:
-    """Where the power rule reaches ``order`` = f + k, k = floor(order): its
-    chain, the fractional part f in [0, 1) and whether k < 0 (the walk goes
-    down), and its distance |k| from the root d**f."""
-    k = math.floor(order)
-    return order - k, k < 0, abs(k)
-
-
-def outward(orders: Iterable[float]) -> tuple[float, ...]:
-    """``orders`` as floats, ordered so that pow_records walks each chain
-    once, outward from its root: one step per order."""
-    return tuple(sorted(map(float, orders), key=_chain_position))
-
-
 @lru_cache(maxsize=64)
-def _record_plan(orders: tuple[float, ...]) -> tuple:
-    """pow_orders' layout for ``orders``: each chain it walks, as
-    (f, down, length), its length the farthest distance asked for on it;
-    where each order sits, as (chain, distance); and the first order that
-    the complex kind's domain rule checks (the first negative one) and the
-    first that the real kinds' rule checks (the first that is not a
-    non-negative integer), None where there is none."""
-    orders = tuple(map(float, orders))
-    positions = [_chain_position(q) for q in orders]
-    lengths: dict[tuple[float, bool], int] = {}
-    for f, down, distance in positions:
-        lengths[f, down] = max(lengths.get((f, down), 0), distance)
-    chains = list(lengths)
-    return (
-        tuple((f, down, length) for (f, down), length in lengths.items()),
-        tuple((chains.index((f, down)), distance) for f, down, distance in positions),
-        next((q for q in orders if q < 0), None),
-        next((q for q in orders if q < 0 or not q.is_integer()), None),
+def _walk_plan(orders: tuple[float, ...]) -> tuple:
+    """The power rule's one plan for ``orders``, read by both of its forms:
+    each chain the walk takes, in the order ``orders`` first reach it, as
+    (f, down, stops). Its orders are q = f + k, k = floor(q), with f in
+    [0, 1) and down set where k < 0, so the walk divides; its stops are
+    (|k|, position in ``orders``), nearest the root d**f first."""
+    chains: dict[tuple[float, bool], list[tuple[int, int]]] = {}
+    for position, q in enumerate(map(float, orders)):
+        k = math.floor(q)
+        chains.setdefault((q - k, k < 0), []).append((abs(k), position))
+    return tuple((f, down, tuple(sorted(stops))) for (f, down), stops in chains.items())
+
+
+def _domain_error(kind: Kind, orders: Sequence[float], stops: tuple) -> DomainError:
+    """The one refusal of both forms, naming, on the real kinds, the first
+    of ``orders`` on the refused chain: the first that needs the rule."""
+    if kind is Kind.COMPLEX:
+        return DomainError("zero complex base with a non-positive exponent")
+    order = float(orders[min(position for _, position in stops)])
+    return DomainError(
+        f"real base or vector component not above {POW_FLOOR} under exponent {order}"
     )
 
 
 def pow_orders(kind: Kind, value: Payload, orders: Sequence[float]) -> list[Payload]:
     """One payload raised to each real power of ``orders``, componentwise, by
-    the power rule of pow_records, each order's value the same bits
-    whichever other orders share the call.
+    the power rule of pow_records over the same plan, each order's value
+    the same bits whichever other orders share the call.
 
     The root value**f is CPython's ``z ** f`` on the complex kind, which
     takes the principal branch by the modulus and argument as pow_records
     does, and ``value ** f`` on the real kinds. Each chain is walked once,
-    as far as its farthest order, every step one multiply or divide. A
-    non-negative integer order has no domain rule. Under any other order a
-    complex zero is refused below order 0 and reads 0 above it, and every
-    real component must exceed POW_FLOOR.
+    by one ``accumulate`` as far as its farthest order, every step one
+    multiply or divide, and each value is put at its order's position. The
+    domain rules and their message are pow_records', checked as each chain
+    is reached.
     """
-    chains, where, negative, checked = _record_plan(tuple(orders))
-    if kind is Kind.COMPLEX:
+    on_complex = kind is Kind.COMPLEX
+    if on_complex:
         value = complex(value)
-        if negative is not None and value == 0:
-            raise DomainError("zero complex base with a non-positive exponent")
-    elif checked is not None:
-        if kind is Kind.SCALAR:
-            if not value > POW_FLOOR:
-                raise DomainError(
-                    f"real base {value!r} not above {POW_FLOOR} under exponent {checked}"
-                )
-        elif not np.all(value > POW_FLOOR):
-            raise DomainError(f"vector component not above {POW_FLOOR} under exponent {checked}")
+    out: list = [None] * len(orders)
     roots: dict[float, Payload] = {}
-    walks = []
-    for f, down, length in chains:
+    for f, down, stops in _walk_plan(tuple(orders)):
+        # the chains under a domain rule: below order 0, and off the
+        # non-negative integers on the real kinds
+        if down or f and not on_complex:
+            if on_complex:
+                refused = value == 0
+            elif kind is Kind.SCALAR:
+                refused = not value > POW_FLOOR
+            else:
+                refused = not np.all(value > POW_FLOOR)
+            if refused:
+                raise _domain_error(kind, orders, stops)
         if f not in roots:
             roots[f] = value ** f if f else one_payload(kind, len(value) if kind is Kind.VECTOR else None)
-        walks.append(list(accumulate(repeat(value, length), truediv if down else mul, initial=roots[f])))
-    return [walks[c][distance] for c, distance in where]
+        step = truediv if down else mul
+        walk = list(accumulate(repeat(value, stops[-1][0]), step, initial=roots[f]))
+        for distance, position in stops:
+            out[position] = walk[distance]
+    return out
 
 
 def pow_payload(kind: Kind, value: Payload, order: float) -> Payload:
@@ -180,9 +173,12 @@ def pow_payload(kind: Kind, value: Payload, order: float) -> Payload:
     return pow_orders(kind, value, (order,))[0]
 
 
-def pow_records(kind: Kind, values: np.ndarray, orders: Sequence[float]) -> Iterator[np.ndarray]:
-    """Raise every record of a column to each real power of ``orders`` in
-    turn, one yielded column per order: pow_orders over a whole array.
+def pow_records(
+    kind: Kind, values: np.ndarray, orders: Sequence[float]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Raise every record of a column to each real power of ``orders``:
+    pow_orders over a whole array, yielding (position in ``orders``,
+    column) pairs in walk order.
 
     The power rule, the package's one definition of a real power: write
     q = f + k with k = floor(q) and f in [0, 1). The root d**f is 1 for
@@ -198,50 +194,45 @@ def pow_records(kind: Kind, values: np.ndarray, orders: Sequence[float]) -> Iter
     and its target, so an order overflows or underflows only where its true
     value does.
 
-    An order's value is the same product sequence whichever other orders
-    share the call. The walk carries on from its chain's frontier, the last
-    column it reached on that chain, when that is no farther from the root
-    than the order; else it starts again from the root. Orders in
-    ``outward`` order thus take one step each, and the walk holds one root
-    column per fractional part and one frontier column per chain, never a
-    (records x orders) table. The domain rules are pow_orders', checked over
-    the column once, when the first order that needs one is reached.
+    Both forms read one plan per tuple of orders: each chain, its orders'
+    stops nearest the root first. So each chain is walked once, one step
+    per unit of its farthest distance, whatever order the orders come in,
+    and an order's value is the same product sequence whichever other
+    orders share the call. The walk holds one root column per fractional
+    part and one frontier column, never a (records x orders) table. The
+    domain rules, one message for both forms: under an order below 0 a
+    complex zero is refused (above it the power reads 0), and under any
+    order but a non-negative integer every real component must exceed
+    POW_FLOOR. They are checked over the column once, as the first chain
+    that needs them is reached.
     """
+    on_complex = kind is Kind.COMPLEX
     refused = polar = None
     roots: dict[float, np.ndarray] = {}
-    frontier: dict[tuple[float, bool], tuple[int, np.ndarray]] = {}
-    for order in orders:
-        q = float(order)
-        f, down, distance = _chain_position(q)
-        if kind is Kind.COMPLEX:
-            if q < 0:
-                if refused is None:
-                    refused = bool(np.any(values == 0))
-                if refused:
-                    raise DomainError("zero complex base with a non-positive exponent")
-        elif f or down:
+    for f, down, stops in _walk_plan(tuple(orders)):
+        if down or f and not on_complex:
             if refused is None:
-                refused = not np.all(values > POW_FLOOR)
-            if refused:
-                raise DomainError(
-                    f"real base or vector component not above {POW_FLOOR} under exponent {q}"
-                )
-        reached, p = frontier.get((f, down), (None, None))
-        if reached is None or reached > distance:
-            if f not in roots:
-                if not f:
-                    roots[f] = np.ones_like(values)
-                elif kind is Kind.COMPLEX:
-                    if polar is None:
-                        polar = np.hypot(values.real, values.imag), np.arctan2(values.imag, values.real)
-                    roots[f] = _polar_power(*polar, f)
+                if on_complex:
+                    refused = bool(np.any(values == 0))
                 else:
-                    roots[f] = values ** f
-            reached, p = 0, roots[f]
-        for _ in range(distance - reached):
-            p = p / values if down else p * values
-        frontier[f, down] = distance, p
-        yield p
+                    refused = not np.all(values > POW_FLOOR)
+            if refused:
+                raise _domain_error(kind, orders, stops)
+        if f not in roots:
+            if not f:
+                roots[f] = np.ones_like(values)
+            elif on_complex:
+                if polar is None:
+                    polar = np.hypot(values.real, values.imag), np.arctan2(values.imag, values.real)
+                roots[f] = _polar_power(*polar, f)
+            else:
+                roots[f] = values ** f
+        p, reached = roots[f], 0
+        for distance, position in stops:
+            for _ in range(distance - reached):
+                p = p / values if down else p * values
+            reached = distance
+            yield position, p
 
 
 def _polar_power(modulus: np.ndarray, arg: np.ndarray, f: float) -> np.ndarray:

@@ -124,7 +124,10 @@ def fractional_chain(target: float, depth: int) -> tuple[float, ...]:
 def expand_fractional_targets(
     orders: Iterable[float], depth: int = DEFAULT_FRACTIONAL_CUTOFF
 ) -> tuple[float, ...]:
-    """Close a requested order set over the chains its fractional targets need."""
+    """Close a requested order set over the chains its fractional targets
+    need; a negative depth is refused whether or not there is one."""
+    if depth < 0:
+        raise BadLadderSpec(f"chain depth must be >= 0, got {depth}")
     out = {float(o) for o in orders}
     for o in sorted(out):
         if not _is_integer_order(o):

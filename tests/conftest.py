@@ -47,6 +47,13 @@ def random_batch(rng, kind, size, dim=None, weight_lo=0.05):
     return Batch.from_values(kind, values, weights, dim=dim)
 
 
+def by_position(pairs):
+    """elements.pow_records' (position, column) pairs as a list of columns,
+    each at its order's position."""
+    placed = dict(pairs)
+    return [placed[i] for i in range(len(placed))]
+
+
 def concat_batches(a, b):
     # np.concatenate, never `+`: on arrays `+` adds elementwise (and
     # broadcasts a one-record batch) instead of joining.

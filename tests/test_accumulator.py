@@ -336,6 +336,27 @@ def test_empty_batch_rejected():
         Batch.from_values(Kind.VECTOR, [[]], [1.0])
 
 
+@pytest.mark.parametrize("kind,dim", [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 2)])
+def test_an_empty_list_of_each_kind_is_an_empty_batch(kind, dim):
+    with pytest.raises(EmptyBatch, match="at least one record"):
+        Batch.from_values(kind, [], [], dim=dim)
+
+
+def test_values_of_the_wrong_dimensionality_are_refused():
+    n = COLUMNAR_MIN_RECORDS
+    with pytest.raises(KindMismatch, match="values must form a 1-D array, got 2-D"):
+        Batch.from_values(Kind.SCALAR, np.ones((n, 2)), [1.0] * n)
+    for kind in (Kind.SCALAR, Kind.VECTOR):
+        with pytest.raises(KindMismatch, match="one entry per record, got a 0-D array"):
+            Batch.from_values(kind, np.array(1.0), [1.0])
+
+
+def test_an_update_of_an_empty_state_is_refused():
+    empty = EmptyState(Kind.SCALAR, None, OrderLadder.integer_range(2, 4))
+    with pytest.raises(ValidationError, match="operation requires a non-empty state"):
+        update_normalizer(empty, Batch.from_values(Kind.SCALAR, [1.0], [1.0]))
+
+
 # ---------------------------------------------------------------------------
 # integer updates vs the reference path
 # ---------------------------------------------------------------------------

@@ -34,6 +34,13 @@ def test_scenario_validation():
     BenchScenario(kind=Kind.VECTOR, dim=4, repeats=10)
 
 
+def test_a_scenario_needs_a_base_record_and_a_vector_component():
+    with pytest.raises(ValidationError, match="base size must be >= 1, got 0"):
+        BenchScenario(base_size=0)
+    with pytest.raises(ValidationError, match="vector dim must be >= 1, got 0"):
+        BenchScenario(kind=Kind.VECTOR, dim=0)
+
+
 def test_seeded_draws_are_deterministic():
     s = BenchScenario(base_size=16, deltas=(1,), orders=(2,), repeats=10, seed=42)
     a_vals, a_w = draw_dataset(cell_rng(s, 1, 2), s, 16)

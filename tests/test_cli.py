@@ -655,6 +655,17 @@ def test_init_mixed_ladder_expands_fractional_chain(tmp_path, capsys):
     assert set(st.ladder.orders) == {2.0, 3.0, 2.5, 1.5, 0.5, -0.5, -1.5}
 
 
+@pytest.mark.parametrize(
+    "orders,kind", [("2..4", "scalar"), ("2,2.5", "complex")], ids=["integer", "fractional"]
+)
+def test_init_refuses_a_negative_frac_depth_on_every_ladder(tmp_path, capsys, orders, kind):
+    state = tmp_path / "s.json"
+    rc = main(["init", "--state", str(state), "--orders", orders, "--kind", kind, "--frac-depth", "-3"])
+    assert rc == 2
+    assert "chain depth must be >= 0" in capsys.readouterr().err
+    assert not state.exists()
+
+
 def test_mixed_ladder_append_session(tmp_path, capsys):
     state = str(tmp_path / "s.json")
     assert main(["init", "--state", state, "--orders", "2..3,2.5", "--kind", "complex", "--frac-depth", "6"]) == 0

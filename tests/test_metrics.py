@@ -113,6 +113,22 @@ def test_metric_of_an_empty_state_is_a_validation_error():
         metric_update(empty, Batch.from_values(Kind.SCALAR, [1.0], [1.0]), spec)
 
 
+class _ShortProvider:
+    """A provider that returns one coefficient too few."""
+
+    def coefficients(self, center, max_order):
+        return [1.0] * max_order
+
+    def evaluate(self, x):
+        return x
+
+
+def test_a_provider_with_the_wrong_number_of_coefficients_is_refused():
+    s = _scalar_state([1.0, 2.0, 4.0], [1.0, 1.0, 1.0], top=4)
+    with pytest.raises(ValidationError, match="provider returned the wrong number of coefficients"):
+        metric_from_moments(s, MetricSpec(_ShortProvider(), n_star=2))
+
+
 # ---------------------------------------------------------------------------
 # coefficient providers
 # ---------------------------------------------------------------------------
@@ -127,6 +143,11 @@ def test_polynomial_recentering_is_exact(rng):
         x = float(rng.uniform(-3, 3))
         series = sum(c * (x - center) ** n for n, c in enumerate(cs))
         assert series == pytest.approx(g.evaluate(x), rel=1e-10, abs=1e-10)
+
+
+def test_a_polynomial_needs_a_coefficient():
+    with pytest.raises(ValidationError, match="polynomial needs at least one coefficient"):
+        PolynomialMetric([])
 
 
 def test_polynomial_coefficients_beyond_degree_are_exact_zero():

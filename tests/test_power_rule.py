@@ -17,6 +17,8 @@ import pytest
 from momentflow.elements import Kind, pow_orders, pow_payload, pow_records
 from momentflow.errors import DomainError
 
+from conftest import by_position
+
 EPS = 2.0**-52  # twice the unit roundoff u
 HALF_ORDERS = [2.5 - k for k in range(13)]  # 2.5, 1.5, ..., -9.5
 
@@ -84,7 +86,7 @@ def deviations(rng, kind, n):
 @pytest.mark.parametrize("kind", [Kind.SCALAR, Kind.COMPLEX])
 def test_half_integer_powers_square_to_the_exact_integer_power(rng, kind):
     d = deviations(rng, kind, 200)
-    columns = list(pow_records(kind, d, HALF_ORDERS))
+    columns = by_position(pow_records(kind, d, HALF_ORDERS))
     worst = {}
     for i, x in enumerate(d.tolist()):
         exact = exact_powers(complex(x), 19)
@@ -118,7 +120,7 @@ def test_scalar_half_integer_powers_stay_within_the_walk_of_a_correctly_rounded_
     # an ulp of relative error, which is at most an ulp of the result: so
     # the walk is within 2 + |k| ulp of the correctly rounded d**q.
     d = deviations(rng, Kind.SCALAR, 200)
-    columns = list(pow_records(Kind.SCALAR, d, HALF_ORDERS))
+    columns = by_position(pow_records(Kind.SCALAR, d, HALF_ORDERS))
     for i, x in enumerate(d.tolist()):
         exact = exact_powers(complex(x), 19)
         for q, column, alone in zip(HALF_ORDERS, columns, pow_orders(Kind.SCALAR, x, HALF_ORDERS)):
@@ -141,9 +143,9 @@ def test_a_deep_order_overflows_only_where_its_true_value_does(rng, kind, modulu
     orders = [2.5, -9.5]
     d = modulus * (np.ones(16) if kind is Kind.SCALAR else np.exp(1j * rng.uniform(-np.pi, np.pi, 16)))
     with np.errstate(all="ignore"):
-        together = list(pow_records(kind, d, orders))
+        together = by_position(pow_records(kind, d, orders))
         for q, got in zip(orders, together):
-            (alone,) = pow_records(kind, d, [q])
+            ((_, alone),) = pow_records(kind, d, [q])
             assert got.tobytes() == alone.tobytes()
         records = [pow_orders(kind, x, orders) for x in d.tolist()]
     for x, (low, deep) in zip(d.tolist(), records):
@@ -165,5 +167,42 @@ def test_a_zero_complex_deviation_keeps_its_domain_rule():
         pow_orders(Kind.COMPLEX, 0j, [2.5, -9.5])
     with pytest.raises(DomainError, match="zero complex base"):
         pow_payload(Kind.COMPLEX, 0j, -0.5)
-    (column_power,) = pow_records(Kind.COMPLEX, column, [2.5])
+    ((_, column_power),) = pow_records(Kind.COMPLEX, column, [2.5])
     assert column_power[1] == 0 and pow_orders(Kind.COMPLEX, 0j, [2.5, 0.5]) == [0j, 0j]
+
+
+class _Counted(np.ndarray):
+    """An array that counts the ufunc calls made on it, by ufunc."""
+
+    calls: dict = {}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Counted.calls[ufunc] = _Counted.calls.get(ufunc, 0) + 1
+        out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+        return out.view(_Counted) if isinstance(out, np.ndarray) else out
+
+
+def test_a_column_walk_takes_one_step_per_unit_of_each_chains_farthest_distance(rng):
+    # Chain 0.5 up reaches 2.5 (2 multiplies), chain 0.5 down reaches -9.5
+    # (10 divides), whatever order the orders come in.
+    d = (0.5 + rng.random(16)).view(_Counted)
+    _Counted.calls = {}
+    list(pow_records(Kind.SCALAR, d, [-9.5, 2.5, -0.5, 0.5, 1.5]))
+    assert (_Counted.calls.get(np.multiply), _Counted.calls.get(np.divide)) == (2, 10)
+
+
+@pytest.mark.parametrize(
+    "kind,value,orders",
+    [
+        (Kind.SCALAR, -0.5, [2.0, 2.5, -0.5]),
+        (Kind.SCALAR, 0.0, [3.0, -1.0]),
+        (Kind.VECTOR, np.array([1.0, 0.0]), [2.0, 0.5]),
+        (Kind.COMPLEX, 0j, [2.5, -0.5]),
+    ],
+)
+def test_both_forms_refuse_with_one_message(kind, value, orders):
+    with pytest.raises(DomainError) as one:
+        pow_orders(kind, value, orders)
+    with pytest.raises(DomainError) as column:
+        list(pow_records(kind, np.array([value, value]), orders))
+    assert str(one.value) == str(column.value)
