@@ -50,11 +50,12 @@ from .binomial import binomial_row
 from .elements import (
     Kind,
     Payload,
+    _chain_start,
+    _walk_plan,
     left_sum,
     norms,
     np,
     one_payload,
-    pow_orders,
     pow_payload,
     pow_records,
     zero_payload,
@@ -289,58 +290,42 @@ def _batch_sum(batch: Batch, g: Callable[[Payload], Payload], columnar: bool) ->
     return left_sum(w * g(x) for x, w in zip(*batch.records))
 
 
-@lru_cache(maxsize=64)
-def _order_split(orders: tuple[float, ...]) -> tuple[int, tuple[float, ...], tuple[int, ...]]:
-    """How _power_sums takes ``orders``: the top integer order from 2 up (1
-    if none), whose sums 2..top come from one running power; the remaining
-    orders, for the power rule; and where each of ``orders`` sits in the
-    sums 2..top followed by those of the remaining orders."""
-    top = int(max((o for o in orders if o >= 2 and _is_integer_order(o)), default=1))
-    running = tuple(map(float, range(2, top + 1)))
-    rest = tuple(o for o in orders if o not in running)
-    position = {o: i for i, o in enumerate(running + rest)}
-    return top, rest, tuple(position[o] for o in orders)
-
-
 def _power_sums(
     batch: Batch, center: Payload, orders: tuple[float, ...], columnar: bool
 ) -> list[Payload]:
     """sum_i w_i * (x_i - center)**q for each q in ``orders``, in that order,
-    from one set of deviations: the integer orders from 2 up by one running
-    power, every other order by the power rule (elements.pow_orders and
-    pow_records), under its domain rules.
+    from one set of deviations: every order by the power rule's one plan,
+    elements._walk_plan, under its domain rules.
 
-    The per-record pass takes each record's powers once, the running ones
-    and then one walk, and adds each into its order's sum, so every sum
-    runs left to right over the records. The whole-array pass multiplies
-    one running power column in place, and takes each other order's sum as
-    the walk reaches it, so its temporaries stay O(batch): no (records x
-    orders) power matrix is ever formed.
+    The per-record pass walks each record's chains, from each chain's start
+    (elements._chain_start) one multiply or divide per step, and adds each
+    power into its order's sum as the walk reaches it, so every sum runs
+    left to right over the records. The whole-array pass sums each column
+    pow_records yields as it yields it, so its temporaries stay O(batch):
+    no (records x orders) power matrix is ever formed.
     """
-    top, rest, pick = _order_split(orders)
-    if not columnar:
-        values, weights = batch.records
-        n = top - 1
-        sums: list = [None] * (n + len(rest))
-        for x, w in zip(values, weights):
-            d = x - center
-            walked = pow_orders(batch.kind, d, rest) if rest else ()
-            p = d
-            for j in range(len(sums)):
-                p = p * d if j < n else walked[j - n]
-                wp = w * p
-                sums[j] = wp if sums[j] is None else sums[j] + wp
-        return [sums[i] for i in pick]
-    sums = []
-    with np.errstate(all="ignore"):
-        d = batch.values - center
-        p = d.copy()
-        for _ in range(top - 1):
-            p *= d
-            sums.append(batch.weighted_sum(p))
-        walked = {i: batch.weighted_sum(column) for i, column in pow_records(batch.kind, d, rest)}
-    sums.extend(map(walked.get, range(len(rest))))
-    return [sums[i] for i in pick]
+    sums: list = [None] * len(orders)
+    if columnar:
+        with np.errstate(all="ignore"):
+            for j, column in pow_records(batch.kind, batch.values - center, orders):
+                sums[j] = batch.weighted_sum(column)
+        return sums
+    kind = batch.kind
+    plan = _walk_plan(tuple(orders))
+    for x, w in zip(*batch.records):
+        d = x - center
+        for f, base, named, steps in plan:
+            # d itself on the integer chain, without the call
+            p = d if base == 1 else _chain_start(kind, d, f, base, named)
+            down, step = base < 0, False
+            for j in steps:
+                if step:
+                    p = p / d if down else p * d
+                step = True
+                if j is not None:
+                    wp = w * p
+                    sums[j] = wp if sums[j] is None else sums[j] + wp
+    return sums
 
 
 def _pole_guard(batch: Batch, mean: Payload, z: float) -> None:

@@ -30,7 +30,6 @@ import gc
 import statistics
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Sequence
 
 from .accumulator import Batch, from_batch, update_integer
@@ -309,17 +308,11 @@ def run_scenario(scenario: BenchScenario) -> list[BenchRecord]:
     return [_run_cell(scenario, d, n) for d in scenario.deltas for n in scenario.orders]
 
 
-def write_records_csv(records: Sequence[BenchRecord], out: IO[str] | str | Path) -> None:
-    def _write(fh: IO[str]) -> None:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.kind},{r.base_size},{r.delta},{r.order},{r.t_full_s!r},"
-                f"{r.t_update_s!r},{r.speedup!r},{r.predicted_threshold!r},{r.seed}\n"
-            )
-
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="ascii") as fh:
-            _write(fh)
-    else:
-        _write(out)
+def write_records_csv(records: Sequence[BenchRecord], out: IO[str]) -> None:
+    """The records as CSV, header first, into an open text file."""
+    out.write(CSV_HEADER + "\n")
+    for r in records:
+        out.write(
+            f"{r.kind},{r.base_size},{r.delta},{r.order},{r.t_full_s!r},"
+            f"{r.t_update_s!r},{r.speedup!r},{r.predicted_threshold!r},{r.seed}\n"
+        )

@@ -84,9 +84,11 @@ STATE_ENV_VAR = "MF_STATE"
 # between the stored moments and a from-scratch recomputation: loose enough for
 # the rounding of honest appends, tight enough to flag a wrong moment. That
 # rounding is about 1e-15 on data centred near 0 and grows with |mean| / spread,
-# past this bound at a large offset: 300 appends of 8 unit-spread scalar records
-# to 2..20 at mean 1e6 left odd orders 5..19 at 2.7e-8 to 6.2e-7, so verify
-# fails those honest states (ROADMAP, direction 2, has the mend).
+# past this bound at a large offset, by the draws: 300 appends of 8 scalar records
+# N(1e6, 1), weights 1 - U[0, 1), to 2..20 (random.Random(seed), each batch's
+# values then its weights) left odd orders 5..19 at 2.0e-8 to 1.8e-6 on seed 1,
+# 5 and 7 at 1.4e-8 and 1.1e-8 on seed 2, and none on seed 3. verify fails those
+# honest states; ROADMAP direction 2 carries more figures and the mend.
 DEFAULT_VERIFY_TOL = 1e-8
 
 
@@ -289,8 +291,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         dim=dim if dim is not None else 4,
     )
+    # Probed before the sweep, so an unwritable path fails at once, and left as found.
+    out = Path(args.out)
+    existed = out.exists()
+    try:
+        open(out, "a").close()
+    except OSError as e:
+        raise ValidationError(f"cannot write {args.out}: {e.strerror}") from None
+    if not existed:
+        out.unlink()
     records = run_scenario(scenario)
-    write_records_csv(records, args.out)
+    with open(out, "w", encoding="ascii") as fh:
+        write_records_csv(records, fh)
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
 

@@ -20,8 +20,7 @@ import math
 import sys
 from enum import Enum
 from functools import lru_cache, reduce
-from itertools import accumulate, repeat
-from operator import add, mul, truediv
+from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import BadKindSpec, DomainError
@@ -105,79 +104,83 @@ def one_payload(kind: Kind, dim: int | None = None) -> Payload:
 
 @lru_cache(maxsize=64)
 def _walk_plan(orders: tuple[float, ...]) -> tuple:
-    """The power rule's one plan for ``orders``, read by both of its forms:
-    each chain the walk takes, in the order ``orders`` first reach it, as
-    (f, down, stops). Its orders are q = f + k, k = floor(q), with f in
-    [0, 1) and down set where k < 0, so the walk divides; its stops are
-    (|k|, position in ``orders``), nearest the root d**f first."""
-    chains: dict[tuple[float, bool], list[tuple[int, int]]] = {}
+    """The power rule's one plan for ``orders``, each given once, read by
+    every form of it: each chain, in the order ``orders`` first reach it,
+    as (f, base, named, steps). Its orders q = f + k, k = floor(q), f in
+    [0, 1), lie on one side of its start d**(f + base): the root d**f
+    (base 0), the root over d below order 0 (base -1, the walk divides), or
+    d itself on the integer chain (f = 0, k >= 1; base 1), so that chain's
+    first step is d*d, never 1*d. ``named`` is its first order in
+    ``orders``, the one a refusal names. ``steps`` gives the position in ``orders`` of the
+    order at each unit step from the start, the start first, None where no
+    order sits."""
+    if len(set(orders)) < len(orders):
+        raise ValueError(f"an order repeats in {orders}")
+    chains: dict[tuple[float, int], list[tuple[int, int]]] = {}
     for position, q in enumerate(map(float, orders)):
         k = math.floor(q)
-        chains.setdefault((q - k, k < 0), []).append((abs(k), position))
-    return tuple((f, down, tuple(sorted(stops))) for (f, down), stops in chains.items())
+        f = q - k
+        base = -1 if k < 0 else 0 if f else min(k, 1)
+        chains.setdefault((f, base), []).append((abs(k - base), position))
+    plan = []
+    for (f, base), stops in chains.items():
+        steps: list[int | None] = [None] * (max(stops)[0] + 1)
+        for distance, position in stops:
+            steps[distance] = position
+        plan.append((f, base, float(orders[stops[0][1]]), tuple(steps)))
+    return tuple(plan)
 
 
-def _domain_error(kind: Kind, orders: Sequence[float], stops: tuple) -> DomainError:
-    """The one refusal of both forms, naming, on the real kinds, the first
-    of ``orders`` on the refused chain: the first that needs the rule."""
+def _domain_error(kind: Kind, named: float) -> DomainError:
+    """The one refusal of every form, naming ``named`` on the real kinds."""
     if kind is Kind.COMPLEX:
         return DomainError("zero complex base with a non-positive exponent")
-    order = float(orders[min(position for _, position in stops)])
     return DomainError(
-        f"real base or vector component not above {POW_FLOOR} under exponent {order}"
+        f"real base or vector component not above {POW_FLOOR} under exponent {named}"
     )
 
 
-def pow_orders(kind: Kind, value: Payload, orders: Sequence[float]) -> list[Payload]:
-    """One payload raised to each real power of ``orders``, componentwise, by
-    the power rule of pow_records over the same plan, each order's value
-    the same bits whichever other orders share the call.
-
-    The root value**f is CPython's ``z ** f`` on the complex kind, which
-    takes the principal branch by the modulus and argument as pow_records
-    does, and ``value ** f`` on the real kinds. Each chain is walked once,
-    by one ``accumulate`` as far as its farthest order, every step one
-    multiply or divide, and each value is put at its order's position. The
-    domain rules and their message are pow_records', checked as each chain
-    is reached.
-    """
+def _chain_start(kind: Kind, value: Payload, f: float, base: int, named: float) -> Payload:
+    """value**(f + base), where one payload's walk along a chain of
+    _walk_plan starts, under the domain rules. The root value**f is
+    CPython's ``z ** f`` on a Python complex, the principal branch by the
+    modulus and argument as in pow_records, and ``value ** f`` otherwise."""
+    if base == 1:
+        return value
     on_complex = kind is Kind.COMPLEX
-    if on_complex:
-        value = complex(value)
-    out: list = [None] * len(orders)
-    roots: dict[float, Payload] = {}
-    for f, down, stops in _walk_plan(tuple(orders)):
-        # the chains under a domain rule: below order 0, and off the
-        # non-negative integers on the real kinds
-        if down or f and not on_complex:
-            if on_complex:
-                refused = value == 0
-            elif kind is Kind.SCALAR:
-                refused = not value > POW_FLOOR
-            else:
-                refused = not np.all(value > POW_FLOOR)
-            if refused:
-                raise _domain_error(kind, orders, stops)
-        if f not in roots:
-            roots[f] = value ** f if f else one_payload(kind, len(value) if kind is Kind.VECTOR else None)
-        step = truediv if down else mul
-        walk = list(accumulate(repeat(value, stops[-1][0]), step, initial=roots[f]))
-        for distance, position in stops:
-            out[position] = walk[distance]
-    return out
+    # the chains under a domain rule: below order 0, and off the
+    # non-negative integers on the real kinds
+    if base < 0 or f and not on_complex:
+        if on_complex:
+            refused = value == 0
+        elif kind is Kind.SCALAR:
+            refused = not value > POW_FLOOR
+        else:
+            refused = not np.all(value > POW_FLOOR)
+        if refused:
+            raise _domain_error(kind, named)
+    root = value ** f if f else one_payload(kind, len(value) if kind is Kind.VECTOR else None)
+    return root / value if base < 0 else root
 
 
 def pow_payload(kind: Kind, value: Payload, order: float) -> Payload:
-    """Raise one payload to one real power, componentwise: pow_orders for a
-    single order, under the same rule and domain rules."""
-    return pow_orders(kind, value, (order,))[0]
+    """Raise one payload to one real power, componentwise, by the power
+    rule of pow_records: one chain, one order. Each form walks an order by
+    this same product sequence, whichever orders share its plan."""
+    if kind is Kind.COMPLEX:
+        value = complex(value)
+    ((f, base, named, steps),) = _walk_plan((order,))
+    p = _chain_start(kind, value, f, base, named)
+    for _ in steps[1:]:
+        p = p / value if base < 0 else p * value
+    return p
 
 
 def pow_records(
     kind: Kind, values: np.ndarray, orders: Sequence[float]
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Raise every record of a column to each real power of ``orders``:
-    pow_orders over a whole array, yielding (position in ``orders``,
+    pow_payload over a whole array, yielding (position in ``orders``,
     column) pairs in walk order.
 
     The power rule, the package's one definition of a real power: write
@@ -186,7 +189,8 @@ def pow_records(
     modulus and argument, |d|**f * (cos(f*Arg d), sin(f*Arg d)), CPython's
     route for ``z ** f``, and ``values ** f`` on the real kinds. Then |k|
     steps, each one rounding, walk outward from the root: a multiply by d
-    for k > 0, a divide by d for k < 0. On the principal branch
+    for k > 0, a divide by d for k < 0; an integer power starts at d
+    itself, so d**n takes n - 1 multiplies. On the principal branch
     d**(q+1) = d**q * d exactly, as both are exp((q+1) Log d), so the walk
     errs only by the rounding of each step, which for a complex multiply is
     within sqrt(5)*u normwise (Higham, Accuracy and Stability of Numerical
@@ -194,45 +198,46 @@ def pow_records(
     and its target, so an order overflows or underflows only where its true
     value does.
 
-    Both forms read one plan per tuple of orders: each chain, its orders'
-    stops nearest the root first. So each chain is walked once, one step
-    per unit of its farthest distance, whatever order the orders come in,
-    and an order's value is the same product sequence whichever other
-    orders share the call. The walk holds one root column per fractional
-    part and one frontier column, never a (records x orders) table. The
-    domain rules, one message for both forms: under an order below 0 a
-    complex zero is refused (above it the power reads 0), and under any
-    order but a non-negative integer every real component must exceed
-    POW_FLOOR. They are checked over the column once, as the first chain
-    that needs them is reached.
+    Every form reads one plan per tuple of orders, _walk_plan, so each
+    chain is walked once, one step per unit of its farthest distance,
+    whatever order the orders come in, and an order's value is the same
+    product sequence whichever orders share the call. The walk holds one
+    root column per fractional part and one frontier column. The domain
+    rules, one message for every form: under an order below 0 a complex
+    zero is refused (above it the power reads 0), and under any order but
+    a non-negative integer every real component must exceed POW_FLOOR,
+    checked over the column once, as the first chain needing them is reached.
     """
     on_complex = kind is Kind.COMPLEX
     refused = polar = None
     roots: dict[float, np.ndarray] = {}
-    for f, down, stops in _walk_plan(tuple(orders)):
-        if down or f and not on_complex:
+    for f, base, named, steps in _walk_plan(tuple(orders)):
+        if base < 0 or f and not on_complex:
             if refused is None:
                 if on_complex:
                     refused = bool(np.any(values == 0))
                 else:
                     refused = not np.all(values > POW_FLOOR)
             if refused:
-                raise _domain_error(kind, orders, stops)
-        if f not in roots:
-            if not f:
-                roots[f] = np.ones_like(values)
-            elif on_complex:
-                if polar is None:
-                    polar = np.hypot(values.real, values.imag), np.arctan2(values.imag, values.real)
-                roots[f] = _polar_power(*polar, f)
-            else:
-                roots[f] = values ** f
-        p, reached = roots[f], 0
-        for distance, position in stops:
-            for _ in range(distance - reached):
-                p = p / values if down else p * values
-            reached = distance
-            yield position, p
+                raise _domain_error(kind, named)
+        if base == 1:
+            p = values
+        else:
+            if f not in roots:
+                if not f:
+                    roots[f] = np.ones_like(values)
+                elif on_complex:
+                    if polar is None:
+                        polar = np.hypot(values.real, values.imag), np.arctan2(values.imag, values.real)
+                    roots[f] = _polar_power(*polar, f)
+                else:
+                    roots[f] = values ** f
+            p = roots[f] / values if base < 0 else roots[f]
+        for distance, position in enumerate(steps):
+            if distance:
+                p = p / values if base < 0 else p * values
+            if position is not None:
+                yield position, p
 
 
 def _polar_power(modulus: np.ndarray, arg: np.ndarray, f: float) -> np.ndarray:

@@ -335,7 +335,10 @@ def load_state(path: str | Path) -> AnyState:
 def state_lock(path: str | Path) -> Iterator[None]:
     """Advisory single-writer lock for a state file (sidecar .lock file)."""
     lock_path = Path(str(path) + ".lock")
-    f = open(lock_path, "a+")
+    try:
+        f = open(lock_path, "a+")
+    except OSError as e:  # a missing or unwritable directory
+        raise ValidationError(f"cannot lock state file {path}: {e.strerror}") from None
     try:
         try:
             fcntl.flock(f.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)

@@ -554,6 +554,8 @@ def test_fractional_chain_and_expansion():
     assert set(expanded) == {2.0, 3.0, 2.5, 1.5, 0.5, -0.5}
     with pytest.raises(BadLadderSpec):
         fractional_chain(3.0, 4)
+    with pytest.raises(BadLadderSpec, match="chain depth must be >= 0, got -1"):
+        fractional_chain(2.5, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -796,10 +796,16 @@ def test_metric_with_a_non_finite_result_exits_3(
         (["append", "--state", "{state}", "--batch", "{empty}"], "batch file {empty} is empty"),
         (["bench", "--orders", "2.5", "--out", "{out}"], "bench orders must be integers, got 2.5"),
         (["bench", "--deltas", "x", "--out", "{out}"], "bad deltas spec 'x'"),
+        (["init", "--state", "{nodir}/s.json", "--orders", "2..4", "--kind", "scalar"],
+         "cannot lock state file {nodir}/s.json: No such file or directory"),
+        (["append", "--state", "{nodir}/s.json", "--batch", "{empty}"],
+         "cannot lock state file {nodir}/s.json: No such file or directory"),
+        (["bench", "--out", "{nodir}/x.csv"], "cannot write {nodir}/x.csv: No such file or directory"),
     ],
     ids=[
         "orders", "vector-dim", "provider-parameter", "sin-arity", "missing-batch",
-        "empty-batch", "bench-orders", "bench-deltas",
+        "empty-batch", "bench-orders", "bench-deltas", "init-state-dir", "append-state-dir",
+        "bench-out-dir",
     ],
 )
 def test_input_error_exits_2_with_its_message(tmp_path, capsys, argv, message):
@@ -811,12 +817,13 @@ def test_input_error_exits_2_with_its_message(tmp_path, capsys, argv, message):
         "missing": tmp_path / "missing.csv",
         "empty": tmp_path / "empty.csv",
         "out": tmp_path / "bench.csv",
+        "nodir": tmp_path / "nope",
     }
     paths["empty"].write_bytes(b"")
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
     assert Path(state).read_bytes() == before
-    assert not paths["new"].exists() and not paths["out"].exists()
+    assert not paths["new"].exists() and not paths["out"].exists() and not paths["nodir"].exists()
 
 
 def test_env_var_supplies_state_path(tmp_path, capsys, monkeypatch):

@@ -156,9 +156,9 @@ def test_unordered_sums_finds_builtin_sum_and_none_seeded_accumulation():
 
 # The sums the scan below leaves where they are. bench.py's loops are the
 # paper's timed cost model, so bench.py keeps its own. _power_sums' record-
-# major running power adds each record's powers into one slot per order,
-# left to right, in its one pass over the batch; left_sum per order would
-# need a second pass or a records x orders table.
+# major walk adds each record's powers into one slot per order, left to
+# right, in its one pass over the batch; left_sum per order would need a
+# second pass or a records x orders table.
 KEPT_SUMS = {"accumulator.py": ["wp if sums[j] is None else sums[j] + wp"]}
 
 

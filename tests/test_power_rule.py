@@ -1,6 +1,7 @@
-"""The power rule (elements.pow_records, elements.pow_orders): d**q for
-q = f + k, k = floor(q), as the root d**f followed by |k| multiplies by d
-(k > 0) or divides by d (k < 0), each one rounding.
+"""The power rule (elements.pow_records, elements.pow_payload and the
+per-record pass of accumulator._power_sums): d**q for q = f + k,
+k = floor(q), as the root d**f followed by |k| multiplies by d (k > 0) or
+divides by d (k < 0), each one rounding; an integer power starts at d.
 
 For a half-integer q, (d**q)**2 = d**(2q), an integer power that exact
 rational arithmetic gives, so both forms are checked against it, within
@@ -14,8 +15,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentflow.elements import Kind, pow_orders, pow_payload, pow_records
+from momentflow.accumulator import Batch, _power_sums
+from momentflow.elements import Kind, left_sum, pow_payload, pow_records, zero_payload
 from momentflow.errors import DomainError
+from momentflow.states import OrderLadder, expand_fractional_targets
 
 from conftest import by_position
 
@@ -90,7 +93,7 @@ def test_half_integer_powers_square_to_the_exact_integer_power(rng, kind):
     worst = {}
     for i, x in enumerate(d.tolist()):
         exact = exact_powers(complex(x), 19)
-        for q, column, alone in zip(HALF_ORDERS, columns, pow_orders(kind, x, HALF_ORDERS)):
+        for q, column, alone in zip(HALF_ORDERS, columns, [pow_payload(kind, x, q) for q in HALF_ORDERS]):
             want = exact[int(2 * q)]
             err = max(square_error(complex(column[i]), want), square_error(complex(alone), want))
             worst[q] = max(worst.get(q, 0.0), err)
@@ -123,7 +126,9 @@ def test_scalar_half_integer_powers_stay_within_the_walk_of_a_correctly_rounded_
     columns = by_position(pow_records(Kind.SCALAR, d, HALF_ORDERS))
     for i, x in enumerate(d.tolist()):
         exact = exact_powers(complex(x), 19)
-        for q, column, alone in zip(HALF_ORDERS, columns, pow_orders(Kind.SCALAR, x, HALF_ORDERS)):
+        for q, column, alone in zip(
+            HALF_ORDERS, columns, [pow_payload(Kind.SCALAR, x, q) for q in HALF_ORDERS]
+        ):
             rounded = _rounded_sqrt(exact[int(2 * q)][0], alone)
             allowed = 2 + abs(math.floor(q))
             assert _ulps(alone, rounded) <= allowed
@@ -147,9 +152,7 @@ def test_a_deep_order_overflows_only_where_its_true_value_does(rng, kind, modulu
         for q, got in zip(orders, together):
             ((_, alone),) = pow_records(kind, d, [q])
             assert got.tobytes() == alone.tobytes()
-        records = [pow_orders(kind, x, orders) for x in d.tolist()]
-    for x, (low, deep) in zip(d.tolist(), records):
-        assert [_bits(low), _bits(deep)] == [_bits(pow_payload(kind, x, q)) for q in orders]
+        records = [[pow_payload(kind, x, q) for q in orders] for x in d.tolist()]
     column_low, column_deep = together
     for x, low, deep, (record_low, record_deep) in zip(d.tolist(), column_low, column_deep, records):
         want = exact_powers(complex(x), 5)[5]
@@ -164,11 +167,11 @@ def test_a_zero_complex_deviation_keeps_its_domain_rule():
     with pytest.raises(DomainError, match="zero complex base"):
         list(pow_records(Kind.COMPLEX, column, [2.5, -9.5]))
     with pytest.raises(DomainError, match="zero complex base"):
-        pow_orders(Kind.COMPLEX, 0j, [2.5, -9.5])
+        _power_sums(Batch.from_values(Kind.COMPLEX, [0j], [1.0]), 0j, (2.5, -9.5), columnar=False)
     with pytest.raises(DomainError, match="zero complex base"):
         pow_payload(Kind.COMPLEX, 0j, -0.5)
     ((_, column_power),) = pow_records(Kind.COMPLEX, column, [2.5])
-    assert column_power[1] == 0 and pow_orders(Kind.COMPLEX, 0j, [2.5, 0.5]) == [0j, 0j]
+    assert column_power[1] == 0 and [pow_payload(Kind.COMPLEX, 0j, q) for q in (2.5, 0.5)] == [0j, 0j]
 
 
 class _Counted(np.ndarray):
@@ -184,11 +187,19 @@ class _Counted(np.ndarray):
 
 def test_a_column_walk_takes_one_step_per_unit_of_each_chains_farthest_distance(rng):
     # Chain 0.5 up reaches 2.5 (2 multiplies), chain 0.5 down reaches -9.5
-    # (10 divides), whatever order the orders come in.
+    # (10 divides), whatever order the orders come in. The integer chain
+    # starts at d itself: 2..5 take 4 multiplies, d*d and then one per unit,
+    # where a walk from 1 would take a fifth, 1*d, which can flip the sign
+    # of a complex zero.
     d = (0.5 + rng.random(16)).view(_Counted)
-    _Counted.calls = {}
-    list(pow_records(Kind.SCALAR, d, [-9.5, 2.5, -0.5, 0.5, 1.5]))
-    assert (_Counted.calls.get(np.multiply), _Counted.calls.get(np.divide)) == (2, 10)
+    for orders, steps in [
+        ([-9.5, 2.5, -0.5, 0.5, 1.5], (2, 10)),
+        ([2.0, 3.0, 5.0], (4, None)),
+        ([5.0, -9.5, 2.5, 3.0, -0.5, 0.5, 2.0, 1.5], (6, 10)),
+    ]:
+        _Counted.calls = {}
+        list(pow_records(Kind.SCALAR, d, orders))
+        assert (_Counted.calls.get(np.multiply), _Counted.calls.get(np.divide)) == steps, orders
 
 
 @pytest.mark.parametrize(
@@ -202,7 +213,42 @@ def test_a_column_walk_takes_one_step_per_unit_of_each_chains_farthest_distance(
 )
 def test_both_forms_refuse_with_one_message(kind, value, orders):
     with pytest.raises(DomainError) as one:
-        pow_orders(kind, value, orders)
+        [pow_payload(kind, value, q) for q in orders]
     with pytest.raises(DomainError) as column:
         list(pow_records(kind, np.array([value, value]), orders))
-    assert str(one.value) == str(column.value)
+    dim = len(value) if kind is Kind.VECTOR else None
+    batch = Batch.from_values(kind, [value], [1.0], dim=dim)
+    with pytest.raises(DomainError) as record:
+        _power_sums(batch, zero_payload(kind, dim), tuple(orders), columnar=False)
+    assert str(one.value) == str(column.value) == str(record.value)
+
+
+def test_the_plan_refuses_a_repeated_order():
+    with pytest.raises(ValueError, match="an order repeats"):
+        list(pow_records(Kind.SCALAR, np.ones(2), [2.5, 3.0, 2.5]))
+
+
+def _exact(x):
+    return x.tobytes() if isinstance(x, np.ndarray) else _bits(x)
+
+
+@pytest.mark.parametrize("kind,dim", [(Kind.SCALAR, None), (Kind.COMPLEX, None), (Kind.VECTOR, 3)])
+@pytest.mark.parametrize("spec", [tuple(range(2, 21)), (*range(2, 9), 2.5)], ids=["2..20", "2..8,2.5"])
+def test_the_per_record_pass_is_the_left_sum_of_each_records_one_order_powers(rng, kind, dim, spec):
+    # Every order's walk is the same product sequence whichever orders
+    # share it, so the pass over a ladder adds, order by order, exactly
+    # what pow_payload gives each record, left to right over the records.
+    orders = OrderLadder(expand_fractional_targets(spec)).orders
+    center = zero_payload(kind, dim) + (0.5 + 0.25j if kind is Kind.COMPLEX else 0.5)
+    for size in range(1, 32):
+        shape = (size,) if dim is None else (size, dim)
+        values = 1.0 + rng.random(shape)
+        if kind is Kind.COMPLEX:
+            values = values + 1j * rng.standard_normal(shape)
+        batch = Batch.from_values(kind, values, rng.uniform(-0.5, 1.0, size), dim=dim)
+        got = _power_sums(batch, center, orders, columnar=False)
+        want = [
+            left_sum(w * pow_payload(kind, x - center, q) for x, w in zip(*batch.records))
+            for q in orders
+        ]
+        assert list(map(_exact, got)) == list(map(_exact, want)), size
