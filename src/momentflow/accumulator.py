@@ -315,8 +315,8 @@ def _power_sums(
     for x, w in zip(*batch.records):
         d = x - center
         for f, base, named, steps in plan:
-            # d itself on the integer chain, without the call
-            p = d if base == 1 else _chain_start(kind, d, f, base, named)
+            p = _chain_start(kind, d, f, base, named)
+            # steps[0] is the start, each later stop one step on (a flag is cheaper than enumerate)
             down, step = base < 0, False
             for j in steps:
                 if step:

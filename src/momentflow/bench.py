@@ -30,6 +30,7 @@ import gc
 import statistics
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Sequence
 
 from .accumulator import Batch, from_batch, update_integer
@@ -308,8 +309,10 @@ def run_scenario(scenario: BenchScenario) -> list[BenchRecord]:
     return [_run_cell(scenario, d, n) for d in scenario.deltas for n in scenario.orders]
 
 
-def write_records_csv(records: Sequence[BenchRecord], out: IO[str]) -> None:
-    """The records as CSV, header first, into an open text file."""
+def write_records_csv(records: Sequence[BenchRecord], out: IO[str] | str | Path) -> None:
+    if isinstance(out, (str, Path)):
+        with open(out, "w", encoding="ascii") as fh:
+            return write_records_csv(records, fh)
     out.write(CSV_HEADER + "\n")
     for r in records:
         out.write(

@@ -291,8 +291,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         dim=dim if dim is not None else 4,
     )
-    # Probed before the sweep, so an unwritable path fails at once, and left as found.
-    out = Path(args.out)
+    # Probed before the sweep, so an unwritable path fails at once; a file
+    # the probe made, even behind a link, is removed again.
+    out = Path(args.out).resolve()
     existed = out.exists()
     try:
         open(out, "a").close()
@@ -301,8 +302,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not existed:
         out.unlink()
     records = run_scenario(scenario)
-    with open(out, "w", encoding="ascii") as fh:
-        write_records_csv(records, fh)
+    write_records_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
 

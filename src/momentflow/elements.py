@@ -104,18 +104,16 @@ def one_payload(kind: Kind, dim: int | None = None) -> Payload:
 
 @lru_cache(maxsize=64)
 def _walk_plan(orders: tuple[float, ...]) -> tuple:
-    """The power rule's one plan for ``orders``, each given once, read by
-    every form of it: each chain, in the order ``orders`` first reach it,
-    as (f, base, named, steps). Its orders q = f + k, k = floor(q), f in
-    [0, 1), lie on one side of its start d**(f + base): the root d**f
-    (base 0), the root over d below order 0 (base -1, the walk divides), or
-    d itself on the integer chain (f = 0, k >= 1; base 1), so that chain's
-    first step is d*d, never 1*d. ``named`` is its first order in
-    ``orders``, the one a refusal names. ``steps`` gives the position in ``orders`` of the
-    order at each unit step from the start, the start first, None where no
-    order sits."""
-    if len(set(orders)) < len(orders):
-        raise ValueError(f"an order repeats in {orders}")
+    """The power rule's one plan for ``orders``, which hold no order twice,
+    read by every form of it: each chain, in the order ``orders`` first
+    reach it, as (f, base, named, steps). Its orders q = f + k,
+    k = floor(q), f in [0, 1), lie on one side of its start d**(f + base):
+    the root d**f (base 0), the root over d below order 0 (base -1, the
+    walk divides), or d itself on the integer chain (f = 0, k >= 1;
+    base 1), so that chain's first step is d*d, never 1*d. ``named`` is its
+    first order in ``orders``, the one a refusal names. ``steps`` gives the
+    position in ``orders`` of the order at each unit step from the start,
+    the start first, None where no order sits."""
     chains: dict[tuple[float, int], list[tuple[int, int]]] = {}
     for position, q in enumerate(map(float, orders)):
         k = math.floor(q)

@@ -589,6 +589,11 @@ def test_other_momentflow_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert main(["bench", "--N", "16", "--orders", "2..3", "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", "error: timings too noisy\n")
     assert not out.exists()
+    # The output probe keeps a link to a missing file a link, its target missing.
+    out.symlink_to(tmp_path / "target.csv")
+    assert main(["bench", "--N", "16", "--orders", "2..3", "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert out.is_symlink() and not (tmp_path / "target.csv").exists()
 
 
 def test_cli_digest_is_repeatable():

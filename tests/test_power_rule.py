@@ -153,6 +153,9 @@ def test_a_deep_order_overflows_only_where_its_true_value_does(rng, kind, modulu
             ((_, alone),) = pow_records(kind, d, [q])
             assert got.tobytes() == alone.tobytes()
         records = [[pow_payload(kind, x, q) for q in orders] for x in d.tolist()]
+        for x, alone in zip(d.tolist(), records):
+            walked = _power_sums(Batch.from_values(kind, [x], [1.0]), zero_payload(kind), tuple(orders), False)
+            assert list(map(_bits, walked)) == [_bits(1.0 * p) for p in alone]
     column_low, column_deep = together
     for x, low, deep, (record_low, record_deep) in zip(d.tolist(), column_low, column_deep, records):
         want = exact_powers(complex(x), 5)[5]
@@ -171,7 +174,8 @@ def test_a_zero_complex_deviation_keeps_its_domain_rule():
     with pytest.raises(DomainError, match="zero complex base"):
         pow_payload(Kind.COMPLEX, 0j, -0.5)
     ((_, column_power),) = pow_records(Kind.COMPLEX, column, [2.5])
-    assert column_power[1] == 0 and [pow_payload(Kind.COMPLEX, 0j, q) for q in (2.5, 0.5)] == [0j, 0j]
+    walked = _power_sums(Batch.from_values(Kind.COMPLEX, [0j], [1.0]), 0j, (2.5, 0.5), columnar=False)
+    assert column_power[1] == 0 and [pow_payload(Kind.COMPLEX, 0j, q) for q in (2.5, 0.5)] == walked == [0j, 0j]
 
 
 class _Counted(np.ndarray):
@@ -221,11 +225,6 @@ def test_both_forms_refuse_with_one_message(kind, value, orders):
     with pytest.raises(DomainError) as record:
         _power_sums(batch, zero_payload(kind, dim), tuple(orders), columnar=False)
     assert str(one.value) == str(column.value) == str(record.value)
-
-
-def test_the_plan_refuses_a_repeated_order():
-    with pytest.raises(ValueError, match="an order repeats"):
-        list(pow_records(Kind.SCALAR, np.ones(2), [2.5, 3.0, 2.5]))
 
 
 def _exact(x):
